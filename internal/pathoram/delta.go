@@ -4,12 +4,11 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"slices"
 )
 
 // This file implements incremental trusted-state capture: instead of
 // serializing the whole position map on every checkpoint (O(state), the
-// CaptureState path in state.go), a dirty-tracked backend drains its change
+// CaptureState path in state.go), a dirty-tracked stack drains its change
 // journals into a ShardDelta describing only what moved since the previous
 // capture — O(dirty) for the position maps, which dominate the full
 // snapshot at scale. Stash contents, tombstones, counters and Merkle roots
@@ -27,7 +26,7 @@ type PosEntry struct {
 	Leaf uint64
 }
 
-// OnChipEntry is one rewritten entry of the recursive stack's on-chip map.
+// OnChipEntry is one entry of ShardDelta.OnChip.
 type OnChipEntry struct {
 	Index uint64
 	Label uint32
@@ -54,15 +53,15 @@ type LevelDelta struct {
 }
 
 // ShardDelta is the incremental counterpart of ShardState: what changed in
-// one shard backend since the previous capture (full or delta).
+// one shard's stack since the previous capture (full or delta).
 type ShardDelta struct {
 	Levels []LevelDelta
-	// OnChip holds the on-chip map entries rewritten since the last
-	// capture (recursive stacks only).
+	// OnChip, StackAccesses and StackDummies: see ShardState — carried by
+	// older chain elements, redundant with Levels, never written, ignored.
 	OnChip        []OnChipEntry
 	StackAccesses uint64
 	StackDummies  uint64
-	// Batch is non-nil for batched stacks (all counters, O(1)).
+	// Batch is non-nil for deferred-policy stacks (all counters, O(1)).
 	Batch *BatchedState
 }
 
@@ -71,24 +70,17 @@ type ShardDelta struct {
 // silently returning an empty delta would corrupt the checkpoint chain.
 var errNotTracking = errors.New("pathoram: CaptureDelta without TrackDirty (dirty tracking not armed)")
 
-// TrackDirty arms dirty tracking on a flat ORAM: from now on position-map
+// TrackDirty arms dirty tracking on one tree: from now on position-map
 // writes are journaled so CaptureDelta can serialize only the change set.
 // Idempotent; a subsequent CaptureState resets (not disarms) the journal.
 func (o *ORAM) TrackDirty() { o.posmap.Track() }
 
-// TrackDirty arms dirty tracking on every level of a recursive stack plus
-// the on-chip map.
-func (r *Recursive) TrackDirty() {
-	for _, o := range r.orams {
+// TrackDirty arms dirty tracking on every level of the stack.
+func (s *Stack) TrackDirty() {
+	for _, o := range s.orams {
 		o.TrackDirty()
 	}
-	if r.onChipDirty == nil {
-		r.onChipDirty = make(map[uint64]struct{})
-	}
 }
-
-// TrackDirty arms dirty tracking on a batched stack.
-func (b *Batched) TrackDirty() { b.rec.TrackDirty() }
 
 // captureLevelDelta drains one ORAM's journal into a LevelDelta. Like
 // captureLevel it requires integrity (the root is the binding to the
@@ -127,7 +119,7 @@ func (o *ORAM) captureLevelDelta() (LevelDelta, error) {
 	return ld, nil
 }
 
-// CaptureDelta drains a flat ORAM's change journal into a ShardDelta.
+// CaptureDelta drains a single tree's change journal into a ShardDelta.
 func (o *ORAM) CaptureDelta() (*ShardDelta, error) {
 	ld, err := o.captureLevelDelta()
 	if err != nil {
@@ -136,29 +128,11 @@ func (o *ORAM) CaptureDelta() (*ShardDelta, error) {
 	return &ShardDelta{Levels: []LevelDelta{ld}}, nil
 }
 
-// CaptureDelta drains a recursive stack's journals: every level plus the
-// dirtied on-chip entries.
-func (r *Recursive) CaptureDelta() (*ShardDelta, error) {
-	if r.onChipDirty == nil {
-		return nil, errNotTracking
-	}
-	d := &ShardDelta{
-		StackAccesses: r.Accesses,
-		StackDummies:  r.DummyAccesses,
-	}
-	if len(r.onChipDirty) > 0 {
-		idxs := make([]uint64, 0, len(r.onChipDirty))
-		for i := range r.onChipDirty {
-			idxs = append(idxs, i)
-		}
-		clear(r.onChipDirty)
-		slices.Sort(idxs)
-		d.OnChip = make([]OnChipEntry, len(idxs))
-		for i, idx := range idxs {
-			d.OnChip[i] = OnChipEntry{Index: idx, Label: r.onChip[idx]}
-		}
-	}
-	for i, o := range r.orams {
+// CaptureDelta drains every level's journal, plus the eviction-cadence
+// counters under the deferred policy.
+func (s *Stack) CaptureDelta() (*ShardDelta, error) {
+	d := &ShardDelta{Batch: s.batchState()}
+	for i, o := range s.orams {
 		ld, err := o.captureLevelDelta()
 		if err != nil {
 			return nil, fmt.Errorf("level %d: %w", i, err)
@@ -168,27 +142,10 @@ func (r *Recursive) CaptureDelta() (*ShardDelta, error) {
 	return d, nil
 }
 
-// CaptureDelta drains a batched stack's journals plus the eviction-cadence
-// counters.
-func (b *Batched) CaptureDelta() (*ShardDelta, error) {
-	d, err := b.rec.CaptureDelta()
-	if err != nil {
-		return nil, err
-	}
-	d.Batch = &BatchedState{
-		EvictCounter: b.evictCounter,
-		SinceEvict:   b.sinceEvict,
-		Slots:        b.slots,
-		EvictPasses:  b.evictPasses,
-		Forced:       b.forced,
-	}
-	return d, nil
-}
-
 // ApplyDelta folds a ShardDelta into a full ShardState in place, producing
 // the state a full capture would have written at the delta's capture point.
 // It is how recovery replays a base + delta chain before rebuilding the
-// backend; idempotent, so replaying the same delta twice converges.
+// stack; idempotent, so replaying the same delta twice converges.
 func ApplyDelta(st *ShardState, d *ShardDelta) error {
 	if len(d.Levels) != len(st.Levels) {
 		return fmt.Errorf("pathoram: delta describes %d levels, base state has %d", len(d.Levels), len(st.Levels))
@@ -219,14 +176,6 @@ func ApplyDelta(st *ShardState, d *ShardDelta) error {
 		ls.BucketReads = ld.BucketReads
 		ls.BucketWrites = ld.BucketWrites
 	}
-	for _, e := range d.OnChip {
-		if e.Index >= uint64(len(st.OnChip)) {
-			return fmt.Errorf("pathoram: delta names on-chip entry %d of %d", e.Index, len(st.OnChip))
-		}
-		st.OnChip[e.Index] = e.Label
-	}
-	st.StackAccesses = d.StackAccesses
-	st.StackDummies = d.StackDummies
 	if d.Batch != nil {
 		if st.Batch == nil {
 			return errors.New("pathoram: delta carries batched-mode state, base state does not")

@@ -120,7 +120,7 @@ func TestDeltaRoundTripFlat(t *testing.T) {
 	reopen := func(level int, gg Geometry) (BucketStore, error) {
 		return OpenFileStorage(gg, FileStorageConfig{Path: path})
 	}
-	rec, err := RecoverORAM(g, key, nil, reopen, base)
+	rec, err := RecoverStack(flatStackConfig(256, 64), key, nil, reopen, base)
 	if err != nil {
 		t.Fatalf("recovering through base+deltas: %v", err)
 	}
@@ -205,7 +205,7 @@ func TestDeltaRoundTripBatched(t *testing.T) {
 	reopen := func(level int, g Geometry) (BucketStore, error) {
 		return OpenFileStorage(g, FileStorageConfig{Path: filepath.Join(dir, levelFileName(level))})
 	}
-	rec, err := RecoverBatched(cfg, key, rand.New(rand.NewSource(99)), reopen, base)
+	rec, err := RecoverStack(b.Config(), key, rand.New(rand.NewSource(99)), reopen, base)
 	if err != nil {
 		t.Fatalf("recovering through base+deltas: %v", err)
 	}

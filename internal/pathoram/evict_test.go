@@ -200,3 +200,49 @@ func TestRecursiveAccessAllocBudget(t *testing.T) {
 		t.Fatalf("Recursive.Access(OpRead) allocates %.1f times per op, want 0 (reused scratch)", n)
 	}
 }
+
+// TestBatchedSlotAllocBudget extends the budget to the deferred policy's
+// slot: a full batch of k distinct blocks and the all-dummy slot. The only
+// steady-state allocation is the per-bucket tombstone set a real fetch
+// creates when it extracts a block from a bucket that carries none (a map
+// header plus its first group, skipped when the block was already in the
+// stash or the bucket already carries a set): 5 per 4-op slot as measured
+// before the stack unification, which is the budget. The dummy slot,
+// eviction pass included, allocates nothing.
+func TestBatchedSlotAllocBudget(t *testing.T) {
+	cfg := BatchedConfig{RecursiveConfig: RecursiveConfig{
+		DataBlocks: 512, DataBlockBytes: 64, PosMapBlockBytes: 32, Z: 3, Recursion: 2,
+	}, BatchK: 4, EvictEvery: 4}
+	b, err := NewBatched(cfg, testKey(7), rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	touch := func(d []byte) { d[0]++ }
+	ops := make([]BatchOp, cfg.BatchK)
+	var next uint64
+	slot := func() {
+		for i := range ops {
+			ops[i] = BatchOp{Addr: next % cfg.DataBlocks, Fn: touch}
+			next += 37
+		}
+		if err := b.AccessBatch(ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 1024; i++ {
+		slot()
+	}
+	if n := testing.AllocsPerRun(200, slot); n > 5 {
+		t.Fatalf("AccessBatch of %d ops allocates %.1f times per slot, want ≤ 5 (tombstone sets only)", cfg.BatchK, n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if err := b.DummyAccess(); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 0 {
+		t.Fatalf("the all-dummy slot allocates %.1f times, want 0", n)
+	}
+	if err := b.CheckInvariant(); err != nil {
+		t.Fatal(err)
+	}
+}

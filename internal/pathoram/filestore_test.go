@@ -21,6 +21,13 @@ func testFileFactory(t *testing.T, dir string, cache int) StorageFactory {
 	}
 }
 
+// flatStackConfig is the Recursion = 0 classic stack whose one tree is
+// GeometryForBlocks(blocks, 3, blockBytes) — the shape a state captured from
+// a bare ORAM of that geometry recovers under.
+func flatStackConfig(blocks uint64, blockBytes int) StackConfig {
+	return StackConfig{RecursiveConfig: RecursiveConfig{DataBlocks: blocks, DataBlockBytes: blockBytes, PosMapBlockBytes: 32, Z: 3}}
+}
+
 func levelFileName(level int) string {
 	return "level-" + string(rune('0'+level)) + ".oram"
 }
@@ -148,7 +155,7 @@ func TestCaptureRecoverBatched(t *testing.T) {
 	reopen := func(level int, g Geometry) (BucketStore, error) {
 		return OpenFileStorage(g, FileStorageConfig{Path: filepath.Join(dir, levelFileName(level))})
 	}
-	rec, err := RecoverBatched(cfg, key, rand.New(rand.NewSource(99)), reopen, st)
+	rec, err := RecoverStack(b.Config(), key, rand.New(rand.NewSource(99)), reopen, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +227,7 @@ func TestRecoverRootMismatch(t *testing.T) {
 	reopen := func(level int, gg Geometry) (BucketStore, error) {
 		return OpenFileStorage(gg, FileStorageConfig{Path: path})
 	}
-	if _, err := RecoverORAM(g, key, nil, reopen, st); !errors.Is(err, ErrRootMismatch) {
+	if _, err := RecoverStack(flatStackConfig(64, 64), key, nil, reopen, st); !errors.Is(err, ErrRootMismatch) {
 		t.Fatalf("recovery over a tampered bucket file: got %v, want ErrRootMismatch", err)
 	}
 }

@@ -34,8 +34,10 @@ type BusEvent struct {
 	Write  bool
 }
 
-// ORAM is a single-level functional Path ORAM with a flat position map.
-// The Recursive type stacks these to form the paper's 3-level recursion.
+// ORAM is one tree level of a functional Path ORAM: a bucket tree, its stash
+// and the in-controller position map of its blocks. A Stack composes these
+// into the paper's recursion; on its own an ORAM is a complete single-level
+// Path ORAM (what the adversary demos and the per-layer probes drive).
 //
 // The access hot path is allocation-free in steady state: buckets are
 // decrypted into a reused plaintext scratch buffer, stash payloads are
@@ -56,11 +58,12 @@ type ORAM struct {
 	integrity *merkleTree // optional integrity extension ([25])
 
 	// stale marks tree copies of blocks whose authoritative version lives in
-	// the stash because a deferred-eviction (batched) access extracted them
-	// without rewriting the path: bucket index -> set of stale addresses.
-	// nil outside batched mode; writePath clears a bucket's entry whenever it
-	// rewrites that bucket, since the rewrite either re-evicts the fresh copy
-	// or replaces the slot. See fetchPath.
+	// the stash because a deferred-policy fetch extracted them without
+	// rewriting the path: bucket index -> set of stale addresses. nil on
+	// every tree that is only ever read-and-rewritten (the classic policy,
+	// and the position-map trees of any stack); writePath clears a bucket's
+	// entry whenever it rewrites that bucket, since the rewrite either
+	// re-evicts the fresh copy or replaces the slot. See fetchPath.
 	stale map[uint64]map[uint64]struct{}
 
 	// Stats.
@@ -83,7 +86,7 @@ func NewORAM(g Geometry, key crypt.Key, rng *rand.Rand) (*ORAM, error) {
 
 // NewORAMOn is NewORAM over a caller-supplied untrusted store (nil means a
 // fresh in-RAM ByteStorage). The store's prior contents are overwritten by
-// initialization; recovery from an existing store goes through RecoverORAM.
+// initialization; recovery from an existing store goes through RecoverStack.
 func NewORAMOn(g Geometry, key crypt.Key, rng *rand.Rand, store BucketStore) (*ORAM, error) {
 	o, err := newORAMShell(g, key, rng, store)
 	if err != nil {
@@ -100,7 +103,7 @@ func NewORAMOn(g Geometry, key crypt.Key, rng *rand.Rand, store BucketStore) (*O
 
 // newORAMShell builds an ORAM's trusted state around a store without
 // touching the store's contents — the shared half of NewORAMOn (which then
-// initializes every bucket) and RecoverORAM (which restores state and
+// initializes every bucket) and recoverLevel (which restores state and
 // verifies the existing buckets instead).
 func newORAMShell(g Geometry, key crypt.Key, rng *rand.Rand, store BucketStore) (*ORAM, error) {
 	if err := g.Validate(); err != nil {
@@ -146,21 +149,6 @@ func (rr randReader) Read(p []byte) (int, error) {
 
 // Geometry returns the tree shape.
 func (o *ORAM) Geometry() Geometry { return o.geom }
-
-// Blocks returns the addressable block capacity of the tree — the flat
-// counterpart of Recursive.Blocks, so both satisfy the server's backend
-// geometry surface.
-func (o *ORAM) Blocks() uint64 { return o.geom.Capacity() }
-
-// BlockBytes returns the block payload size.
-func (o *ORAM) BlockBytes() int { return o.geom.BlockBytes }
-
-// LevelStashPeaks appends the peak stash occupancy of each ORAM level to
-// dst — a single level for a flat ORAM — and returns the extended slice
-// (the multi-level counterpart lives on Recursive).
-func (o *ORAM) LevelStashPeaks(dst []int) []int {
-	return append(dst, o.stash.MaxOccupancy())
-}
 
 // Storage exposes the untrusted memory (the adversary's vantage point).
 func (o *ORAM) Storage() BucketStore { return o.store }
@@ -229,20 +217,37 @@ func (o *ORAM) Update(addr uint64, fn func(data []byte)) error {
 	if addr >= DummyAddr {
 		return fmt.Errorf("pathoram: address %#x out of range", addr)
 	}
-
 	leaf, known := o.posmap.Get(addr)
 	if !known {
 		leaf = o.randomLeaf()
 	}
-	// Remap before the write-back so the fetched block re-enters the tree
-	// under its new, independent leaf — the critical security step (§3.1).
-	newLeaf := o.randomLeaf()
-	o.posmap.Set(addr, newLeaf)
+	return o.accessPath(addr, leaf, o.randomLeaf(), fn)
+}
 
+// accessAt is Update for a tree whose position map lives elsewhere: the
+// caller (the level above in a Stack) supplies the block's current leaf
+// (unassignedLabel for first touch) and its next leaf.
+func (o *ORAM) accessAt(addr uint64, curLeaf uint32, newLeaf uint64, fn func(data []byte)) error {
+	leaf := uint64(curLeaf)
+	if curLeaf == unassignedLabel {
+		leaf = o.randomLeaf()
+	}
+	if leaf >= o.geom.Leaves() {
+		return fmt.Errorf("pathoram: leaf %d out of range", leaf)
+	}
+	return o.accessPath(addr, leaf, newLeaf, fn)
+}
+
+// accessPath is the classic access: read the path to leaf, apply fn to the
+// block in the stash, rewrite the same path. The remap to newLeaf happens
+// before the write-back so the fetched block re-enters the tree under its
+// new, independent leaf — the critical security step (§3.1) — and fn runs
+// before it too, so the mutation and the remap land atomically.
+func (o *ORAM) accessPath(addr, leaf, newLeaf uint64, fn func(data []byte)) error {
+	o.posmap.Set(addr, newLeaf)
 	if err := o.readPath(leaf); err != nil {
 		return err
 	}
-
 	blk := o.stash.Get(addr)
 	if blk == nil {
 		o.stash.Put(Block{Addr: addr, Leaf: newLeaf, Data: o.zeroBuf})
@@ -252,7 +257,6 @@ func (o *ORAM) Update(addr uint64, fn func(data []byte)) error {
 	if fn != nil {
 		fn(blk.Data)
 	}
-
 	if err := o.writePath(leaf); err != nil {
 		return err
 	}
@@ -275,36 +279,108 @@ func (o *ORAM) DummyAccess() error {
 	return nil
 }
 
-// readPath decrypts every bucket on the path to leaf into the stash. Each
-// bucket is decrypted into the reused plaintext scratch and its real blocks
-// copied into stash-owned buffers — no per-bucket or per-block allocation.
+// openBucket fetches bucket idx from the untrusted store, verifies it when
+// integrity is on, and decrypts it into the reused plaintext scratch — no
+// per-bucket allocation.
+func (o *ORAM) openBucket(idx uint64) error {
+	ct := o.store.ReadBucket(idx)
+	if o.integrity != nil {
+		if err := o.integrity.verify(idx, ct); err != nil {
+			return err
+		}
+	}
+	if err := o.cipher.DecryptTo(o.ptBuf, ct); err != nil {
+		return err
+	}
+	o.BucketReads++
+	if o.TraceBus {
+		o.BusTrace = append(o.BusTrace, BusEvent{Bucket: idx, Write: false})
+	}
+	return nil
+}
+
+// readPath moves every live block on the path to leaf into the stash
+// (copied into stash-owned buffers, no per-block allocation), staging the
+// path for writePath. On a tree with deferred fetches a path can hold a
+// tombstoned copy, or a copy of a block the stash already carries fresher;
+// both stay behind.
 func (o *ORAM) readPath(leaf uint64) error {
 	o.pathBuf = o.geom.PathIndices(o.pathBuf[:0], leaf)
 	slotBytes := BlockHeaderBytes + o.geom.BlockBytes
 	for _, idx := range o.pathBuf {
-		ct := o.store.ReadBucket(idx)
-		if o.integrity != nil {
-			if err := o.integrity.verify(idx, ct); err != nil {
-				return err
-			}
-		}
-		if err := o.cipher.DecryptTo(o.ptBuf, ct); err != nil {
+		if err := o.openBucket(idx); err != nil {
 			return err
 		}
 		for i := 0; i < o.geom.Z; i++ {
 			off := i * slotBytes
 			addr, blkLeaf := unpackHeader(o.ptBuf[off:])
-			if addr == DummyAddr || o.isStale(idx, addr) {
+			if addr == DummyAddr || (o.stale != nil && (o.isStale(idx, addr) || o.stash.Get(addr) != nil)) {
 				continue
 			}
 			o.stash.Put(Block{Addr: addr, Leaf: blkLeaf, Data: o.ptBuf[off+BlockHeaderBytes : off+slotBytes]})
 		}
-		o.BucketReads++
-		if o.TraceBus {
-			o.BusTrace = append(o.BusTrace, BusEvent{Bucket: idx, Write: false})
-		}
 	}
 	return nil
+}
+
+// fetchPath is the read half of a deferred-policy access: open every bucket
+// on the path to leaf, extract only the target block into the stash, and
+// leave the path unwritten. The extracted tree copy is tombstoned in
+// o.stale so later path reads ignore it until some write-back overwrites its
+// bucket — without the tombstone, a stale copy left in the tree could
+// resurrect old data after the fresh stash copy is evicted elsewhere.
+// target == DummyAddr extracts nothing (a dummy fetch, identical on the
+// bus).
+func (o *ORAM) fetchPath(leaf, target, newLeaf uint64) error {
+	if target != DummyAddr {
+		o.posmap.Set(target, newLeaf)
+	}
+	o.pathBuf = o.geom.PathIndices(o.pathBuf[:0], leaf)
+	slotBytes := BlockHeaderBytes + o.geom.BlockBytes
+	want := target != DummyAddr && o.stash.Get(target) == nil
+	for _, idx := range o.pathBuf {
+		if err := o.openBucket(idx); err != nil {
+			return err
+		}
+		for i := 0; want && i < o.geom.Z; i++ {
+			off := i * slotBytes
+			if addr, _ := unpackHeader(o.ptBuf[off:]); addr == target && !o.isStale(idx, addr) {
+				o.stash.Put(Block{Addr: target, Leaf: newLeaf, Data: o.ptBuf[off+BlockHeaderBytes : off+slotBytes]})
+				o.markStale(idx, target)
+				want = false
+			}
+		}
+	}
+	if target == DummyAddr {
+		return nil
+	}
+	blk := o.stash.Get(target)
+	if blk == nil {
+		o.stash.Put(Block{Addr: target, Leaf: newLeaf, Data: o.zeroBuf})
+		blk = o.stash.Get(target)
+	}
+	blk.Leaf = newLeaf
+	return nil
+}
+
+// markStale tombstones the tree copy of addr in bucket.
+func (o *ORAM) markStale(bucket, addr uint64) {
+	set := o.stale[bucket]
+	if set == nil {
+		set = make(map[uint64]struct{})
+		o.stale[bucket] = set
+	}
+	set[addr] = struct{}{}
+}
+
+// isStale reports whether the copy of addr in bucket is tombstoned.
+func (o *ORAM) isStale(bucket, addr uint64) bool {
+	set, ok := o.stale[bucket]
+	if !ok {
+		return false
+	}
+	_, stale := set[addr]
+	return stale
 }
 
 // writePath re-encrypts the path to leaf, evicting stash blocks greedily

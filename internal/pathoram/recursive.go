@@ -1,12 +1,6 @@
 package pathoram
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math/rand"
-
-	"tcoram/internal/crypt"
-)
+import "fmt"
 
 // LabelBytes is the packed size of one leaf label inside a position-map
 // block. 4 bytes supports trees up to 2^32 leaves; recursive blocks of
@@ -18,8 +12,9 @@ const LabelBytes = 4
 // accessed; the controller substitutes a fresh random leaf on first touch.
 const unassignedLabel = uint32(0xFFFFFFFF)
 
-// RecursiveConfig describes a recursive Path ORAM stack: one data ORAM plus
+// RecursiveConfig is the shape of an ORAM stack: one data ORAM plus
 // Recursion position-map ORAMs, with the final (smallest) position map held
+// on-chip. Recursion = 0 is the flat case — the data ORAM's whole map
 // on-chip.
 type RecursiveConfig struct {
 	// DataBlocks is the number of program blocks (cache lines) stored.
@@ -99,265 +94,4 @@ func (c RecursiveConfig) AccessBytes() (oneWay, roundTrip int) {
 		oneWay += g.PathBytes()
 	}
 	return oneWay, 2 * oneWay
-}
-
-// Recursive is a functional recursive Path ORAM: the data ORAM's position
-// map is stored in a smaller ORAM, and so on, with the final map on-chip.
-// An access touches every level (smallest position map first), exactly the
-// traffic pattern the timing model costs.
-type Recursive struct {
-	cfg   RecursiveConfig
-	orams []*ORAM // orams[0] = data, orams[1..] = position maps, largest first
-	// onChip is the final position map held in on-chip SRAM: a flat slice
-	// indexed by block number, unassignedLabel for never-touched entries.
-	onChip []uint32
-	// onChipDirty, when non-nil, journals the on-chip indices rewritten
-	// since the last capture (see positionMap.journal — same contract,
-	// armed by TrackDirty, drained by CaptureDelta).
-	onChipDirty map[uint64]struct{}
-	rng         *rand.Rand
-	// readBuf is the reused read-result scratch: Access(OpRead) copies the
-	// block into it and returns it, so the steady-state recursive hot path
-	// allocates nothing. The returned slice is only valid until the next
-	// access.
-	readBuf []byte
-
-	Accesses      uint64
-	DummyAccesses uint64
-}
-
-// NewRecursive builds and initializes the full stack on in-RAM storage.
-func NewRecursive(cfg RecursiveConfig, key crypt.Key, rng *rand.Rand) (*Recursive, error) {
-	return NewRecursiveOn(cfg, key, rng, nil)
-}
-
-// NewRecursiveOn is NewRecursive with every level's untrusted store built by
-// factory (nil means in-RAM ByteStorage everywhere): level 0 is the data
-// ORAM, levels 1..Recursion the position-map ORAMs from largest to smallest.
-func NewRecursiveOn(cfg RecursiveConfig, key crypt.Key, rng *rand.Rand, factory StorageFactory) (*Recursive, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
-	}
-	geoms := cfg.Geometries()
-	orams := make([]*ORAM, len(geoms))
-	for i, g := range geoms {
-		store, err := newStore(factory, i, g)
-		if err != nil {
-			return nil, err
-		}
-		o, err := NewORAMOn(g, key, rng, store)
-		if err != nil {
-			return nil, err
-		}
-		orams[i] = o
-	}
-	onChip := make([]uint32, cfg.OnChipPosMapEntries())
-	for i := range onChip {
-		onChip[i] = unassignedLabel
-	}
-	return &Recursive{
-		cfg:     cfg,
-		orams:   orams,
-		onChip:  onChip,
-		rng:     rng,
-		readBuf: make([]byte, cfg.DataBlockBytes),
-	}, nil
-}
-
-// Config returns the stack configuration.
-func (r *Recursive) Config() RecursiveConfig { return r.cfg }
-
-// DataORAM exposes the data-level ORAM (test hook).
-func (r *Recursive) DataORAM() *ORAM { return r.orams[0] }
-
-// Blocks returns the addressable data-block count — the stack's geometry as
-// seen by a client of the data address space.
-func (r *Recursive) Blocks() uint64 { return r.cfg.DataBlocks }
-
-// BlockBytes returns the data-block payload size.
-func (r *Recursive) BlockBytes() int { return r.cfg.DataBlockBytes }
-
-// EnableIntegrity attaches Merkle verification to every level of the stack —
-// the data ORAM and each position-map ORAM — so tampering with any tree,
-// including the recursion's metadata trees, fails the next path read. Must
-// precede all accesses (each level's ORAM enforces this).
-func (r *Recursive) EnableIntegrity() {
-	for _, o := range r.orams {
-		o.EnableIntegrity()
-	}
-}
-
-// StashOccupancy aggregates stash sizes across the stack: the current total
-// over all levels, and the sum of per-level peaks (an upper bound on any
-// simultaneous total, which is what an on-chip SRAM budget must provision
-// for since every level's stash coexists in the controller).
-func (r *Recursive) StashOccupancy() (cur, peak int) {
-	for _, o := range r.orams {
-		c, p := o.StashOccupancy()
-		cur += c
-		peak += p
-	}
-	return cur, peak
-}
-
-// LevelStashPeaks appends each level's peak stash occupancy to dst — index
-// 0 is the data ORAM, followed by position-map ORAMs from largest to
-// smallest — and returns the extended slice.
-func (r *Recursive) LevelStashPeaks(dst []int) []int {
-	for _, o := range r.orams {
-		_, p := o.StashOccupancy()
-		dst = append(dst, p)
-	}
-	return dst
-}
-
-// StorageStats aggregates the cache and file-IO counters of every level's
-// untrusted store.
-func (r *Recursive) StorageStats() StorageStats {
-	var sum StorageStats
-	for _, o := range r.orams {
-		sum = sum.add(o.StorageStats())
-	}
-	return sum
-}
-
-// posMapLevel reads-and-remaps the label for (level, index) where level 0 is
-// the data ORAM's position map (stored in orams[1]) and the deepest level is
-// on-chip. It returns the current leaf for the requested entry, assigning a
-// fresh random one if unassigned, and writes back the new label newLabel.
-func (r *Recursive) lookupAndRemap(level int, index uint64, newLabel uint32) (uint32, error) {
-	fan := r.cfg.LabelsPerBlock()
-	if level == r.cfg.Recursion {
-		// On-chip map: direct read-modify-write, no external access. index
-		// is bounded by OnChipPosMapEntries because the data address was
-		// range-checked and each recursion level divides by the fan-out.
-		cur := r.onChip[index]
-		r.onChip[index] = newLabel
-		if r.onChipDirty != nil {
-			r.onChipDirty[index] = struct{}{}
-		}
-		return cur, nil
-	}
-
-	oram := r.orams[level+1] // position-map ORAM holding this level's labels
-	blockIdx := index / fan
-	slot := index % fan
-
-	// Recursively obtain (and remap) the posmap block's own leaf.
-	blockNewLeaf := uint32(r.rng.Int63n(int64(oram.Geometry().Leaves())))
-	blockCurLeaf, err := r.lookupAndRemap(level+1, blockIdx, blockNewLeaf)
-	if err != nil {
-		return 0, err
-	}
-
-	// Access the posmap block in its ORAM at the leaf we just learned,
-	// updating the slot to newLabel while the block sits in the stash so
-	// the externally assigned leaves stay authoritative.
-	var cur uint32
-	err = oram.accessAt(blockIdx, blockCurLeaf, uint64(blockNewLeaf), func(data []byte) {
-		cur = binary.LittleEndian.Uint32(data[slot*LabelBytes:])
-		binary.LittleEndian.PutUint32(data[slot*LabelBytes:], newLabel)
-	})
-	if err != nil {
-		return 0, err
-	}
-	return cur, nil
-}
-
-// accessAt is the recursion-aware variant of Access: the caller supplies the
-// block's current leaf (curLeaf, or unassignedLabel for first touch) and its
-// next leaf, and a mutate callback applied while the block is in the stash
-// — before the path write-back, so the mutation and the remap land
-// atomically.
-func (o *ORAM) accessAt(addr uint64, curLeaf uint32, newLeaf uint64, mutate func(data []byte)) error {
-	leaf := uint64(curLeaf)
-	if curLeaf == unassignedLabel {
-		leaf = o.randomLeaf()
-	}
-	if leaf >= o.geom.Leaves() {
-		return fmt.Errorf("pathoram: leaf %d out of range", leaf)
-	}
-	o.posmap.Set(addr, newLeaf)
-	if err := o.readPath(leaf); err != nil {
-		return err
-	}
-	blk := o.stash.Get(addr)
-	if blk == nil {
-		o.stash.Put(Block{Addr: addr, Leaf: newLeaf, Data: o.zeroBuf})
-		blk = o.stash.Get(addr)
-	}
-	blk.Leaf = newLeaf
-	if mutate != nil {
-		mutate(blk.Data)
-	}
-	if err := o.writePath(leaf); err != nil {
-		return err
-	}
-	o.Accesses++
-	return nil
-}
-
-// Update performs one recursive ORAM access that applies fn to the data
-// block's payload while it sits in the data ORAM's stash: a read-modify-
-// write through the whole stack in a single all-levels traversal. fn may
-// inspect the current contents (zeroes if never written) and mutate them in
-// place; it must not retain the slice past the call. This is the same RMW
-// contract as ORAM.Update, which lets the server's request coalescing work
-// identically over flat and recursive shard backends.
-func (r *Recursive) Update(addr uint64, fn func(data []byte)) error {
-	if addr >= r.cfg.DataBlocks {
-		return fmt.Errorf("pathoram: data block %d out of range (%d blocks)", addr, r.cfg.DataBlocks)
-	}
-	dataORAM := r.orams[0]
-	newLeaf := uint32(r.rng.Int63n(int64(dataORAM.Geometry().Leaves())))
-	curLeaf, err := r.lookupAndRemap(0, addr, newLeaf)
-	if err != nil {
-		return err
-	}
-	if err := dataORAM.accessAt(addr, curLeaf, uint64(newLeaf), fn); err != nil {
-		return err
-	}
-	r.Accesses++
-	return nil
-}
-
-// Access performs one recursive ORAM access for the given data block. For
-// OpRead the returned slice is a reused scratch buffer, valid only until
-// the next access on this stack — copy it to retain.
-func (r *Recursive) Access(op Op, addr uint64, data []byte) ([]byte, error) {
-	if op == OpWrite && len(data) != r.cfg.DataBlockBytes {
-		return nil, fmt.Errorf("pathoram: write payload is %d bytes, want %d", len(data), r.cfg.DataBlockBytes)
-	}
-	var out []byte
-	err := r.Update(addr, func(buf []byte) {
-		switch op {
-		case OpWrite:
-			copy(buf, data)
-		case OpRead:
-			if cap(r.readBuf) < len(buf) {
-				r.readBuf = make([]byte, len(buf))
-			}
-			out = r.readBuf[:len(buf)]
-			copy(out, buf)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DummyAccess performs an indistinguishable dummy access through the whole
-// stack: every level reads and rewrites a random path.
-func (r *Recursive) DummyAccess() error {
-	for i := len(r.orams) - 1; i >= 0; i-- {
-		if err := r.orams[i].DummyAccess(); err != nil {
-			return err
-		}
-	}
-	r.DummyAccesses++
-	return nil
 }

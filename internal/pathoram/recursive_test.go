@@ -243,34 +243,6 @@ func TestRecursiveStashOccupancyAcrossLevels(t *testing.T) {
 	}
 }
 
-func TestNewRecursiveShardSetDeterministicAndIndependent(t *testing.T) {
-	cfg := smallRecursiveConfig()
-	a, err := NewRecursiveShardSet(3, cfg, testKey(40), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewRecursiveShardSet(3, cfg, testKey(40), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if !bytes.Equal(a[i].DataORAM().Storage().ReadBucket(0), b[i].DataORAM().Storage().ReadBucket(0)) {
-			t.Fatalf("recursive shard %d differs across identical constructions", i)
-		}
-	}
-	if bytes.Equal(a[0].DataORAM().Storage().ReadBucket(0), a[1].DataORAM().Storage().ReadBucket(0)) {
-		t.Fatal("recursive shards 0 and 1 share an RNG stream")
-	}
-	if _, err := NewRecursiveShardSet(0, cfg, testKey(40), 1); err == nil {
-		t.Error("NewRecursiveShardSet accepted n=0")
-	}
-	bad := cfg
-	bad.DataBlocks = 0
-	if _, err := NewRecursiveShardSet(2, bad, testKey(40), 1); err == nil {
-		t.Error("NewRecursiveShardSet accepted invalid config")
-	}
-}
-
 func TestRecursiveRejectsOutOfRange(t *testing.T) {
 	r := newTestRecursive(t, smallRecursiveConfig(), 23)
 	if _, err := r.Access(OpRead, r.Config().DataBlocks, nil); err == nil {

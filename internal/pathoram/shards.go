@@ -1,145 +1,34 @@
 package pathoram
 
-import (
-	"fmt"
-	"math/rand"
-
-	"tcoram/internal/crypt"
-)
-
-// This file provides the per-shard construction helpers for the concurrent
-// server layer, which partitions a flat address space across N independent
-// single-level ORAMs (the sub-ORAM idea of Stefanov et al.'s partitioned
-// ORAM, applied here for parallelism rather than on-chip space).
+// This file holds what the concurrent server layer needs to partition a flat
+// address space across N independent stacks (the sub-ORAM idea of Stefanov
+// et al.'s partitioned ORAM, applied here for parallelism rather than
+// on-chip space): a per-shard RNG seed and the per-shard tree shape. The
+// server builds shard i as NewStackOn(cfg, key, rand.New(rand.NewSource(
+// ShardSeed(seed, i))), factory) — the same call for RAM and file stores.
 //
-// Shared-state audit — what two ORAM instances may and may not share:
+// Shared-state audit — what two stacks may and may not share:
 //
 //   - crypt.Key is a value; instances encrypting under the same key share no
 //     mutable state through it.
 //   - crypt.Cipher carries per-instance CTR scratch and is NOT safe for
-//     concurrent use; NewORAM builds a private Cipher per ORAM, so each
+//     concurrent use; NewORAM builds a private Cipher per tree, so each
 //     shard owns its own (mirroring one AES pipeline per shard).
-//   - *rand.Rand is mutable and unsynchronized. NewORAM wraps the rng it is
-//     given for both leaf remapping and nonce generation, so two shards must
-//     NEVER be constructed with the same *rand.Rand — NewShardSet derives an
-//     independent deterministic stream per shard.
-//   - ByteStorage, Stash, positionMap, and the scratch buffers are all
-//     built privately inside NewORAM and never escape.
+//   - *rand.Rand is mutable and unsynchronized. Every level of a stack wraps
+//     the rng the stack is given for both leaf remapping and nonce
+//     generation, so two shards must NEVER be constructed with the same
+//     *rand.Rand — ShardSeed derives an independent deterministic stream per
+//     shard, and identical (cfg, key, seed) inputs rebuild byte-identical
+//     shards.
+//   - ByteStorage, Stash, positionMap, the scratch buffers and the deferred
+//     policy's state (stash backlog, tombstones, eviction counter) are all
+//     built privately inside the constructors and never escape.
 //
-// Consequently a *ORAM is safe for use from one goroutine at a time, and a
-// set built by NewShardSet is safe for N goroutines, one per shard.
+// Consequently a *Stack is safe for use from one goroutine at a time, and N
+// stacks built from N ShardSeeds are safe for N goroutines, one per shard.
 
-// NewShardSet builds n independent ORAMs with identical geometry, encrypted
-// under the same session key but with independent deterministic RNG streams
-// derived from seed (splitmix64 over the shard index). Identical (g, key,
-// seed) inputs rebuild byte-identical shards, which the server's tests rely
-// on for deterministic routing checks.
-func NewShardSet(n int, g Geometry, key crypt.Key, seed int64) ([]*ORAM, error) {
-	return NewShardSetOn(n, g, key, seed, nil)
-}
-
-// NewShardSetOn is NewShardSet with each shard's untrusted store built by
-// factories(shard) — nil factories, or a nil per-shard StorageFactory,
-// means in-RAM ByteStorage.
-func NewShardSetOn(n int, g Geometry, key crypt.Key, seed int64, factories func(shard int) StorageFactory) ([]*ORAM, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("pathoram: shard count must be positive, got %d", n)
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	shards := make([]*ORAM, n)
-	for i := range shards {
-		var factory StorageFactory
-		if factories != nil {
-			factory = factories(i)
-		}
-		store, err := newStore(factory, 0, g)
-		if err != nil {
-			return nil, fmt.Errorf("pathoram: building shard %d: %w", i, err)
-		}
-		o, err := NewORAMOn(g, key, rand.New(rand.NewSource(ShardSeed(seed, i))), store)
-		if err != nil {
-			return nil, fmt.Errorf("pathoram: building shard %d: %w", i, err)
-		}
-		shards[i] = o
-	}
-	return shards, nil
-}
-
-// NewRecursiveShardSet is NewShardSet for recursive stacks: n independent
-// Recursive ORAMs with identical configuration, encrypted under the same
-// session key, each with its own deterministic RNG stream (which every
-// level of that stack shares — a stack is single-goroutine like a flat
-// ORAM, and the shared-state audit above applies level by level because
-// NewRecursive builds each level through NewORAM). Identical (cfg, key,
-// seed) inputs rebuild byte-identical shard sets.
-func NewRecursiveShardSet(n int, cfg RecursiveConfig, key crypt.Key, seed int64) ([]*Recursive, error) {
-	return NewRecursiveShardSetOn(n, cfg, key, seed, nil)
-}
-
-// NewRecursiveShardSetOn is NewRecursiveShardSet with each shard's level
-// stores built by factories(shard) (nil means in-RAM everywhere).
-func NewRecursiveShardSetOn(n int, cfg RecursiveConfig, key crypt.Key, seed int64, factories func(shard int) StorageFactory) ([]*Recursive, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("pathoram: shard count must be positive, got %d", n)
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	shards := make([]*Recursive, n)
-	for i := range shards {
-		var factory StorageFactory
-		if factories != nil {
-			factory = factories(i)
-		}
-		r, err := NewRecursiveOn(cfg, key, rand.New(rand.NewSource(ShardSeed(seed, i))), factory)
-		if err != nil {
-			return nil, fmt.Errorf("pathoram: building recursive shard %d: %w", i, err)
-		}
-		shards[i] = r
-	}
-	return shards, nil
-}
-
-// NewBatchedShardSet is NewShardSet for batched multi-path stacks: n
-// independent Batched ORAMs with identical configuration, encrypted under
-// the same session key, each with its own deterministic RNG stream (the
-// shared-state audit above applies level by level, and the batched state —
-// stash backlog, tombstones, eviction counter — is all per-instance).
-// Identical (cfg, key, seed) inputs rebuild byte-identical shard sets.
-func NewBatchedShardSet(n int, cfg BatchedConfig, key crypt.Key, seed int64) ([]*Batched, error) {
-	return NewBatchedShardSetOn(n, cfg, key, seed, nil)
-}
-
-// NewBatchedShardSetOn is NewBatchedShardSet with each shard's level stores
-// built by factories(shard) (nil means in-RAM everywhere).
-func NewBatchedShardSetOn(n int, cfg BatchedConfig, key crypt.Key, seed int64, factories func(shard int) StorageFactory) ([]*Batched, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("pathoram: shard count must be positive, got %d", n)
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	shards := make([]*Batched, n)
-	for i := range shards {
-		var factory StorageFactory
-		if factories != nil {
-			factory = factories(i)
-		}
-		b, err := NewBatchedOn(cfg, key, rand.New(rand.NewSource(ShardSeed(seed, i))), factory)
-		if err != nil {
-			return nil, fmt.Errorf("pathoram: building batched shard %d: %w", i, err)
-		}
-		shards[i] = b
-	}
-	return shards, nil
-}
-
-// ShardSeed derives shard i's RNG seed from the set seed via splitmix64, so
-// adjacent shard indices get decorrelated streams. It is exported so the
-// server's recovery path can rebuild a single shard with the same stream the
-// shard-set constructors would have used.
+// ShardSeed derives shard i's RNG seed from the store seed via splitmix64, so
+// adjacent shard indices get decorrelated streams.
 func ShardSeed(seed int64, i int) int64 {
 	z := uint64(seed) + uint64(i)*0x9E3779B97F4A7C15 + 0x9E3779B97F4A7C15
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9

@@ -63,80 +63,94 @@ func TestUpdateMatchesAccessSemantics(t *testing.T) {
 	}
 }
 
-func TestNewShardSetDeterministicAndIndependent(t *testing.T) {
+// shardStack builds shard i of a store the way the server does: the one
+// constructor over the shard's own ShardSeed stream.
+func shardStack(t *testing.T, cfg StackConfig, key crypt.Key, seed int64, i int) *Stack {
+	t.Helper()
+	s, err := NewStack(cfg, key, rand.New(rand.NewSource(ShardSeed(seed, i))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// shardPresets are the three parameter points the server names.
+func shardPresets() map[string]StackConfig {
+	shape := RecursiveConfig{DataBlocks: 96, DataBlockBytes: 32, PosMapBlockBytes: 32, Z: 3}
+	flat := StackConfig{RecursiveConfig: shape}
+	recursive := flat
+	recursive.Recursion = 2
+	batched := recursive
+	batched.BatchK, batched.EvictEvery = 4, 4
+	return map[string]StackConfig{"flat": flat, "recursive": recursive, "batched": batched}
+}
+
+// TestShardStacksDeterministicAndIndependent: identical (cfg, key, seed, i)
+// rebuild byte-identical trees at every level, and distinct shard indices
+// draw distinct nonce streams.
+func TestShardStacksDeterministicAndIndependent(t *testing.T) {
 	var key crypt.Key
-	g := Geometry{Levels: 4, Z: 3, BlockBytes: 16}
-
-	a, err := NewShardSet(4, g, key, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewShardSet(4, g, key, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Determinism: same inputs rebuild byte-identical trees.
-	for i := range a {
-		for idx := uint64(0); idx < g.Buckets(); idx++ {
-			if !bytes.Equal(a[i].Storage().ReadBucket(idx), b[i].Storage().ReadBucket(idx)) {
-				t.Fatalf("shard %d bucket %d differs across identical constructions", i, idx)
+	for name, cfg := range shardPresets() {
+		a0, b0, a1 := shardStack(t, cfg, key, 42, 0), shardStack(t, cfg, key, 42, 0), shardStack(t, cfg, key, 42, 1)
+		for level, o := range a0.orams {
+			for idx := uint64(0); idx < o.Geometry().Buckets(); idx++ {
+				if !bytes.Equal(o.Storage().ReadBucket(idx), b0.orams[level].Storage().ReadBucket(idx)) {
+					t.Fatalf("%s: level %d bucket %d differs across identical constructions", name, level, idx)
+				}
+			}
+			if bytes.Equal(o.Storage().ReadBucket(0), a1.orams[level].Storage().ReadBucket(0)) {
+				t.Fatalf("%s: shards 0 and 1 produced identical level-%d root ciphertexts — shared RNG stream?", name, level)
 			}
 		}
-	}
-
-	// Independence: distinct shards draw distinct nonce streams, so their
-	// initial encrypted trees differ.
-	if bytes.Equal(a[0].Storage().ReadBucket(0), a[1].Storage().ReadBucket(0)) {
-		t.Fatal("shards 0 and 1 produced identical root ciphertexts — shared RNG stream?")
-	}
-
-	if _, err := NewShardSet(0, g, key, 1); err == nil {
-		t.Error("NewShardSet accepted n=0")
+		bad := cfg
+		bad.DataBlocks = 0
+		if _, err := NewStack(bad, key, nil); err == nil {
+			t.Errorf("%s: NewStack accepted an invalid config", name)
+		}
 	}
 }
 
-// TestShardSetConcurrentUse drives each shard from its own goroutine under
+// TestShardStacksConcurrentUse drives each shard from its own goroutine under
 // the race detector — the access pattern the server layer relies on being
 // safe per the shared-state audit in shards.go.
-func TestShardSetConcurrentUse(t *testing.T) {
+func TestShardStacksConcurrentUse(t *testing.T) {
 	var key crypt.Key
-	g := Geometry{Levels: 5, Z: 3, BlockBytes: 32}
-	shards, err := NewShardSet(4, g, key, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for si, o := range shards {
-		wg.Add(1)
-		go func(si int, o *ORAM) {
-			defer wg.Done()
-			buf := make([]byte, 32)
-			for i := 0; i < 200; i++ {
-				addr := uint64(i % 8)
-				buf[0] = byte(si)
-				buf[1] = byte(i)
-				if _, err := o.Access(OpWrite, addr, buf); err != nil {
-					t.Errorf("shard %d write: %v", si, err)
-					return
-				}
-				if _, err := o.Access(OpRead, addr, nil); err != nil {
-					t.Errorf("shard %d read: %v", si, err)
-					return
-				}
-				if i%50 == 0 {
-					if err := o.DummyAccess(); err != nil {
-						t.Errorf("shard %d dummy: %v", si, err)
+	for name, cfg := range shardPresets() {
+		shards := make([]*Stack, 4)
+		for i := range shards {
+			shards[i] = shardStack(t, cfg, key, 99, i)
+		}
+		var wg sync.WaitGroup
+		for si, s := range shards {
+			wg.Add(1)
+			go func(si int, s *Stack) {
+				defer wg.Done()
+				buf := make([]byte, 32)
+				for i := 0; i < 200; i++ {
+					addr := uint64(i % 8)
+					buf[0], buf[1] = byte(si), byte(i)
+					if _, err := s.Access(OpWrite, addr, buf); err != nil {
+						t.Errorf("%s shard %d write: %v", name, si, err)
 						return
 					}
+					if got, err := s.Access(OpRead, addr, nil); err != nil || !bytes.Equal(got, buf) {
+						t.Errorf("%s shard %d read back %x, %v", name, si, got, err)
+						return
+					}
+					if i%50 == 0 {
+						if err := s.DummyAccess(); err != nil {
+							t.Errorf("%s shard %d dummy: %v", name, si, err)
+							return
+						}
+					}
 				}
+			}(si, s)
+		}
+		wg.Wait()
+		for si, s := range shards {
+			if err := s.CheckInvariant(); err != nil {
+				t.Errorf("%s shard %d invariant: %v", name, si, err)
 			}
-		}(si, o)
-	}
-	wg.Wait()
-	for si, o := range shards {
-		if err := o.CheckInvariant(); err != nil {
-			t.Errorf("shard %d invariant: %v", si, err)
 		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 // re-hashed and compared against the sealed Merkle root, and a mismatch
 // refuses service (ErrRootMismatch) rather than serving tampered data.
 
-// ErrRootMismatch is returned by the Recover constructors when the
+// ErrRootMismatch is returned by RecoverStack when the
 // untrusted store's recomputed Merkle root differs from the checkpointed
 // root — the fail-closed answer to offline tampering with the bucket file.
 var ErrRootMismatch = errors.New("pathoram: untrusted store does not match checkpointed merkle root")
@@ -55,7 +55,7 @@ type LevelState struct {
 	BucketWrites  uint64
 }
 
-// BatchedState is the extra trusted state of a Batched stack.
+// BatchedState is the extra trusted state of a deferred-policy stack.
 type BatchedState struct {
 	EvictCounter uint64
 	SinceEvict   int
@@ -64,17 +64,20 @@ type BatchedState struct {
 	Forced       uint64
 }
 
-// ShardState is the complete captured trusted state of one shard backend:
-// one LevelState per tree (a single entry for a flat ORAM; data ORAM first
-// then position-map ORAMs for a recursive stack), the on-chip position map
-// and stack counters for recursive stacks, and batched-mode counters.
+// ShardState is the complete captured trusted state of one shard's stack:
+// one LevelState per tree (data ORAM first, then position-map ORAMs) and
+// the deferred policy's counters. The deepest level's PosDense is the
+// on-chip position map, and level 0's counters are the stack's.
 type ShardState struct {
 	Levels []LevelState
-	// OnChip is the recursive stack's on-chip position map (nil for flat).
+	// OnChip, StackAccesses and StackDummies are second copies of exactly
+	// those, which checkpoints written before the stack unification carry.
+	// They are never written and ignored when read; the fields stay so the
+	// gob wire type — part of every sealed checkpoint — does not change.
 	OnChip        []uint32
 	StackAccesses uint64
 	StackDummies  uint64
-	// Batch is non-nil for batched stacks.
+	// Batch is non-nil for deferred-policy stacks.
 	Batch *BatchedState
 }
 
@@ -137,7 +140,7 @@ func (o *ORAM) captureStale() map[uint64][]uint64 {
 	return out
 }
 
-// CaptureState snapshots a flat ORAM's trusted state.
+// CaptureState snapshots a single tree's trusted state.
 func (o *ORAM) CaptureState() (*ShardState, error) {
 	ls, err := o.captureLevel()
 	if err != nil {
@@ -146,18 +149,11 @@ func (o *ORAM) CaptureState() (*ShardState, error) {
 	return &ShardState{Levels: []LevelState{ls}}, nil
 }
 
-// CaptureState snapshots a recursive stack's trusted state: every level
-// plus the on-chip position map.
-func (r *Recursive) CaptureState() (*ShardState, error) {
-	st := &ShardState{
-		OnChip:        slices.Clone(r.onChip),
-		StackAccesses: r.Accesses,
-		StackDummies:  r.DummyAccesses,
-	}
-	if r.onChipDirty != nil {
-		clear(r.onChipDirty)
-	}
-	for i, o := range r.orams {
+// CaptureState snapshots the stack's trusted state: every level, plus the
+// eviction-cadence counters under the deferred policy.
+func (s *Stack) CaptureState() (*ShardState, error) {
+	st := &ShardState{Batch: s.batchState()}
+	for i, o := range s.orams {
 		ls, err := o.captureLevel()
 		if err != nil {
 			return nil, fmt.Errorf("level %d: %w", i, err)
@@ -167,21 +163,18 @@ func (r *Recursive) CaptureState() (*ShardState, error) {
 	return st, nil
 }
 
-// CaptureState snapshots a batched stack's trusted state: the recursive
-// capture plus the eviction-cadence counters.
-func (b *Batched) CaptureState() (*ShardState, error) {
-	st, err := b.rec.CaptureState()
-	if err != nil {
-		return nil, err
+// batchState captures the deferred schedule's counters; nil for classic.
+func (s *Stack) batchState() *BatchedState {
+	if !s.cfg.Deferred() {
+		return nil
 	}
-	st.Batch = &BatchedState{
-		EvictCounter: b.evictCounter,
-		SinceEvict:   b.sinceEvict,
-		Slots:        b.slots,
-		EvictPasses:  b.evictPasses,
-		Forced:       b.forced,
+	return &BatchedState{
+		EvictCounter: s.evictCounter,
+		SinceEvict:   s.sinceEvict,
+		Slots:        s.slots,
+		EvictPasses:  s.evictPasses,
+		Forced:       s.forced,
 	}
-	return st, nil
 }
 
 // recoverLevel rebuilds one ORAM around an existing untrusted store: the
@@ -234,91 +227,32 @@ func recoverLevel(g Geometry, key crypt.Key, rng *rand.Rand, store BucketStore, 
 	return o, nil
 }
 
-// RecoverORAM rebuilds a flat ORAM from a captured state and the untrusted
-// store built by factory (nil means in-RAM — only useful in tests). The
-// recovered instance has integrity enabled; EnableIntegrity must not be
-// called again.
-func RecoverORAM(g Geometry, key crypt.Key, rng *rand.Rand, factory StorageFactory, st *ShardState) (*ORAM, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
+// RecoverStack rebuilds a stack from a captured state, every level's
+// untrusted store built by factory (nil means in-RAM — only useful in
+// tests). The recovered instance has integrity enabled; EnableIntegrity must
+// not be called again. A state captured under a different shape or policy
+// than cfg describes is refused.
+func RecoverStack(cfg StackConfig, key crypt.Key, rng *rand.Rand, factory StorageFactory, st *ShardState) (*Stack, error) {
+	if want := 1 + cfg.Recursion; len(st.Levels) != want {
+		return nil, fmt.Errorf("pathoram: checkpoint holds %d levels, stack configured for %d", len(st.Levels), want)
 	}
-	if len(st.Levels) != 1 {
-		return nil, fmt.Errorf("pathoram: flat recovery wants 1 checkpointed level, got %d", len(st.Levels))
+	if (st.Batch != nil) != cfg.Deferred() {
+		return nil, fmt.Errorf("pathoram: checkpoint and stack disagree on the fetch policy (checkpoint deferred: %t, stack deferred: %t)", st.Batch != nil, cfg.Deferred())
 	}
-	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
-	}
-	store, err := newStore(factory, 0, g)
-	if err != nil {
-		return nil, err
-	}
-	return recoverLevel(g, key, rng, store, &st.Levels[0])
-}
-
-// RecoverRecursive rebuilds a recursive stack from a captured state, every
-// level's untrusted store built by factory.
-func RecoverRecursive(cfg RecursiveConfig, key crypt.Key, rng *rand.Rand, factory StorageFactory, st *ShardState) (*Recursive, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
-	}
-	geoms := cfg.Geometries()
-	if len(st.Levels) != len(geoms) {
-		return nil, fmt.Errorf("pathoram: recursive recovery wants %d checkpointed levels, got %d", len(geoms), len(st.Levels))
-	}
-	if uint64(len(st.OnChip)) != cfg.OnChipPosMapEntries() {
-		return nil, fmt.Errorf("pathoram: checkpointed on-chip map holds %d entries, want %d", len(st.OnChip), cfg.OnChipPosMapEntries())
-	}
-	orams := make([]*ORAM, len(geoms))
-	for i, g := range geoms {
-		store, err := newStore(factory, i, g)
+	s, err := buildStack(cfg, rng, func(level int, g Geometry, rng *rand.Rand) (*ORAM, error) {
+		store, err := newStore(factory, level, g)
 		if err != nil {
 			return nil, err
 		}
-		o, err := recoverLevel(g, key, rng, store, &st.Levels[i])
-		if err != nil {
-			return nil, fmt.Errorf("level %d: %w", i, err)
-		}
-		orams[i] = o
-	}
-	return &Recursive{
-		cfg:           cfg,
-		orams:         orams,
-		onChip:        slices.Clone(st.OnChip),
-		rng:           rng,
-		readBuf:       make([]byte, cfg.DataBlockBytes),
-		Accesses:      st.StackAccesses,
-		DummyAccesses: st.StackDummies,
-	}, nil
-}
-
-// RecoverBatched rebuilds a batched stack from a captured state.
-func RecoverBatched(cfg BatchedConfig, key crypt.Key, rng *rand.Rand, factory StorageFactory, st *ShardState) (*Batched, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if st.Batch == nil {
-		return nil, errors.New("pathoram: checkpoint carries no batched-mode state")
-	}
-	rec, err := RecoverRecursive(cfg.RecursiveConfig, key, rng, factory, st)
+		return recoverLevel(g, key, rng, store, &st.Levels[level])
+	})
 	if err != nil {
 		return nil, err
 	}
-	data := rec.orams[0]
-	if data.stale == nil {
-		data.stale = make(map[uint64]map[uint64]struct{})
+	// The stack's own counters always equal the data level's.
+	s.Accesses, s.DummyAccesses = s.data.Accesses, s.data.DummyAccesses
+	if b := st.Batch; b != nil {
+		s.evictCounter, s.sinceEvict, s.slots, s.evictPasses, s.forced = b.EvictCounter, b.SinceEvict, b.Slots, b.EvictPasses, b.Forced
 	}
-	return &Batched{
-		cfg:          cfg,
-		rec:          rec,
-		data:         data,
-		evictCounter: st.Batch.EvictCounter,
-		sinceEvict:   st.Batch.SinceEvict,
-		slots:        st.Batch.Slots,
-		evictPasses:  st.Batch.EvictPasses,
-		forced:       st.Batch.Forced,
-	}, nil
+	return s, nil
 }

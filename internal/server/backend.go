@@ -6,91 +6,43 @@ import (
 	"tcoram/internal/pathoram"
 )
 
-// Backend is the ORAM surface a shard's serving loop needs — the seam that
-// turns the service from "one hardcoded ORAM type" into a layered
-// architecture. A backend is owned by exactly one shard goroutine (the
-// shared-state audit in pathoram/shards.go); it must provide:
-//
-//   - Update: the single-access read-modify-write the request coalescing
-//     collapses a same-block batch into;
-//   - DummyAccess: an access indistinguishable on the bus from a real one,
-//     issued at idle slots to keep the grid data-independent;
-//   - EnableIntegrity: Merkle verification over the untrusted storage,
-//     before any accesses;
-//   - stash occupancy and geometry, for monitoring and sizing.
-//
-// Both *pathoram.ORAM (single level, flat position map) and
-// *pathoram.Recursive (the paper's §9.1.2 stack: position maps stored in
-// successively smaller ORAMs, final map on-chip) satisfy it; the compile-
-// time assertions below pin that.
-type Backend interface {
-	Update(addr uint64, fn func(data []byte)) error
-	DummyAccess() error
-	EnableIntegrity()
-	StashOccupancy() (cur, peak int)
-	LevelStashPeaks(dst []int) []int
-	Blocks() uint64
-	BlockBytes() int
-}
-
-// BatchBackend is the optional batch entry point a Backend may provide: up
-// to BatchK distinct blocks served in one slot via multi-path fetch, with
-// dummy paths padding the slot so the storage trace is independent of how
-// many real ops the batch carries. A shard whose backend implements this
-// drains up to BatchK coalesced groups per slot instead of one.
-type BatchBackend interface {
-	Backend
-	BatchK() int
-	AccessBatch(ops []pathoram.BatchOp) error
-}
-
-var (
-	_ Backend      = (*pathoram.ORAM)(nil)
-	_ Backend      = (*pathoram.Recursive)(nil)
-	_ BatchBackend = (*pathoram.Batched)(nil)
-)
-
-// Backend selector values for Config.Backend.
+// Preset values for Config.Backend. Every shard owns one pathoram.Stack; a
+// preset names a point in its (levels, k, K, policy) parameter space.
 const (
-	// BackendFlat serves each shard from a single-level ORAM with a flat
-	// in-memory position map: fastest, but position-map memory grows
-	// linearly with the address space.
+	// BackendFlat is levels = 0, classic policy: the whole position map in
+	// the controller. Fastest, but position-map memory grows linearly with
+	// the address space.
 	BackendFlat = "flat"
-	// BackendRecursive serves each shard from a recursive Path ORAM stack:
-	// every access traverses all levels (the paper's all-levels traffic),
-	// but on-chip position-map state shrinks by the label fan-out per
-	// recursion level, serving address spaces a flat map can't hold.
+	// BackendRecursive is levels = Recursion, classic policy: every access
+	// traverses all levels (the paper's all-levels traffic), but on-chip
+	// position-map state shrinks by the label fan-out per recursion level,
+	// serving address spaces a flat map can't hold.
 	BackendRecursive = "recursive"
-	// BackendBatched serves each shard from a multi-path batched stack: up
-	// to BatchK blocks fetched per slot (dummy-padded to a fixed path
-	// count) with write-back deferred to a deterministic eviction pass
-	// every EvictEvery slots. Composes with Recursion and Integrity.
+	// BackendBatched is the deferred policy over levels = Recursion: up to
+	// BatchK blocks fetched per slot (dummy-padded to a fixed path count)
+	// with write-back deferred to a deterministic eviction pass every
+	// EvictEvery slots. Composes with Recursion and Integrity.
 	BackendBatched = "batched"
 )
 
-// recursiveShardConfig derives the per-shard recursive stack shape from the
-// store config: each shard holds ceil(Blocks/Shards) data blocks, with the
-// paper's 32 B position-map blocks.
-func recursiveShardConfig(cfg Config) pathoram.RecursiveConfig {
-	perShard := (cfg.Blocks + uint64(cfg.Shards) - 1) / uint64(cfg.Shards)
-	return pathoram.RecursiveConfig{
-		DataBlocks:       perShard,
-		DataBlockBytes:   cfg.BlockBytes,
+// stackConfig decodes the preset into one shard's stack: each shard holds
+// ceil(Blocks/Shards) data blocks, with the paper's 32 B position-map
+// blocks. Fields a preset does not use (Recursion under flat, the batching
+// knobs outside batched) are ignored, as they always were.
+func (c Config) stackConfig() pathoram.StackConfig {
+	sc := pathoram.StackConfig{RecursiveConfig: pathoram.RecursiveConfig{
+		DataBlocks:       (c.Blocks + uint64(c.Shards) - 1) / uint64(c.Shards),
+		DataBlockBytes:   c.BlockBytes,
 		PosMapBlockBytes: 32,
-		Z:                cfg.Z,
-		Recursion:        cfg.Recursion,
+		Z:                c.Z,
+	}}
+	if c.Backend == BackendRecursive || c.Backend == BackendBatched {
+		sc.Recursion = c.Recursion
 	}
-}
-
-// batchedShardConfig derives the per-shard batched stack from the store
-// config: the recursive shape plus the batching knobs.
-func batchedShardConfig(cfg Config) pathoram.BatchedConfig {
-	return pathoram.BatchedConfig{
-		RecursiveConfig: recursiveShardConfig(cfg),
-		BatchK:          cfg.BatchK,
-		EvictEvery:      cfg.EvictEvery,
-		StashHighWater:  cfg.BatchHighWater,
+	if c.Backend == BackendBatched {
+		sc.BatchK, sc.EvictEvery, sc.StashHighWater = c.BatchK, c.EvictEvery, c.BatchHighWater
 	}
+	return sc
 }
 
 // BackendLabel renders the effective backend configuration for human-
@@ -114,99 +66,31 @@ func (c Config) BackendLabel() string {
 	return label
 }
 
-// newBackends builds one per-shard ORAM backend of the configured kind,
-// with integrity enabled (before any access) when requested. Every backend
-// must address at least the shard's ceil(Blocks/Shards) share at the
-// configured block size — checked here so a mis-wired backend fails
-// construction instead of panicking mid-serve.
-//
-// For Store == StoreFile each shard is built (or recovered) individually
-// over its own data-dir subdirectory, and the returned persisters slice
-// carries one checkpoint engine per shard; for the RAM store it is nil.
-func newBackends(cfg Config) ([]Backend, []*persister, error) {
-	perShard := (cfg.Blocks + uint64(cfg.Shards) - 1) / uint64(cfg.Shards)
-	checkShare := func(backends []Backend) error {
-		for i, b := range backends {
-			// Blocks is the addressable count; a flat tree's capacity may
-			// exceed the requested share (power-of-two sizing slack), but
-			// never undershoot it.
-			if b.Blocks() < perShard || b.BlockBytes() != cfg.BlockBytes {
-				return fmt.Errorf("server: shard %d backend addresses %d×%d B, need ≥ %d×%d B",
-					i, b.Blocks(), b.BlockBytes(), perShard, cfg.BlockBytes)
-			}
-		}
-		return nil
-	}
-
+// newStack builds shard i's stack — in RAM, or for the file store built or
+// recovered over the shard's data-dir subdirectory, in which case the
+// returned persister is its checkpoint engine. RAM and file shards draw the
+// same ShardSeed stream through the same constructor, so a fresh store of
+// either kind issues the same accesses.
+func newStack(cfg Config, i int) (*pathoram.Stack, *persister, error) {
+	var (
+		s   *pathoram.Stack
+		p   *persister
+		err error
+	)
 	if cfg.Store == StoreFile {
-		backends := make([]Backend, 0, cfg.Shards)
-		persisters := make([]*persister, 0, cfg.Shards)
-		fail := func(err error) ([]Backend, []*persister, error) {
-			for _, p := range persisters {
-				p.closeStores()
-			}
-			return nil, nil, err
-		}
-		for i := 0; i < cfg.Shards; i++ {
-			b, p, err := newFileShard(cfg, i)
-			if err != nil {
-				return fail(err)
-			}
-			if bat, ok := b.(*pathoram.Batched); ok && cfg.TraceSlots {
-				bat.TraceSlots = true
-			}
-			backends = append(backends, b)
-			persisters = append(persisters, p)
-		}
 		// File-backed shards enable integrity during initialization (fresh)
 		// or inherit it from recovery; the Merkle roots are what checkpoints
 		// bind the untrusted files to, so there is no integrity-off mode.
-		if err := checkShare(backends); err != nil {
-			return fail(err)
-		}
-		return backends, persisters, nil
+		s, p, err = newFileShard(cfg, i)
+	} else {
+		s, err = pathoram.NewStack(cfg.stackConfig(), cfg.Key, shardRNG(cfg.Seed, i, 0))
 	}
-
-	backends := make([]Backend, 0, cfg.Shards)
-	switch cfg.Backend {
-	case BackendFlat:
-		geom := pathoram.ShardGeometry(cfg.Blocks, cfg.Shards, cfg.Z, cfg.BlockBytes)
-		orams, err := pathoram.NewShardSet(cfg.Shards, geom, cfg.Key, cfg.Seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, o := range orams {
-			backends = append(backends, o)
-		}
-	case BackendRecursive:
-		recs, err := pathoram.NewRecursiveShardSet(cfg.Shards, recursiveShardConfig(cfg), cfg.Key, cfg.Seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, r := range recs {
-			backends = append(backends, r)
-		}
-	case BackendBatched:
-		bats, err := pathoram.NewBatchedShardSet(cfg.Shards, batchedShardConfig(cfg), cfg.Key, cfg.Seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, b := range bats {
-			if cfg.TraceSlots {
-				b.TraceSlots = true
-			}
-			backends = append(backends, b)
-		}
-	default:
-		return nil, nil, fmt.Errorf("server: unknown Backend %q (want %q, %q or %q)", cfg.Backend, BackendFlat, BackendRecursive, BackendBatched)
+	if err != nil {
+		return nil, nil, fmt.Errorf("server: shard %d: %w", i, err)
 	}
-	if err := checkShare(backends); err != nil {
-		return nil, nil, err
+	if p == nil && cfg.Integrity {
+		s.EnableIntegrity()
 	}
-	if cfg.Integrity {
-		for _, b := range backends {
-			b.EnableIntegrity()
-		}
-	}
-	return backends, nil, nil
+	s.TraceSlots = cfg.TraceSlots
+	return s, p, nil
 }

@@ -56,7 +56,7 @@ import (
 // Merkle roots certify. Recovery therefore: authenticate and decode the
 // base, fold each delta in order (verifying Seq and Prev), replay all redo,
 // re-hash the bucket files against the final roots (tampering fails closed
-// with pathoram.ErrRootMismatch), and rebuild the backend.
+// with pathoram.ErrRootMismatch), and rebuild the stack.
 
 const (
 	baseFile = "base.bin"
@@ -115,8 +115,9 @@ var ErrChainOrder = errors.New("server: checkpoint delta chain predecessor misma
 
 // persistedState is the gob payload sealed into base.bin.
 type persistedState struct {
-	// Backend guards against restarting a data dir under a different
-	// backend kind (the trusted state would not fit the new stack).
+	// Backend is the preset that wrote the checkpoint; with the level count
+	// of State it guards against restarting a data dir under a different
+	// stack shape (the trusted state would not fit).
 	Backend string
 	// Restarts counts recoveries; it salts the recovered RNG stream so a
 	// restarted shard does not replay the leaf sequence the pre-crash
@@ -204,6 +205,11 @@ type persister struct {
 	ckptNS    uint64
 }
 
+// shapeLabel names a stack shape in refusals: preset × position-map levels.
+func shapeLabel(backend string, levels int) string {
+	return fmt.Sprintf("%s×%d", backend, levels)
+}
+
 // shardDir returns the per-shard subdirectory of the data dir.
 func shardDir(dataDir string, shard int) string {
 	return filepath.Join(dataDir, fmt.Sprintf("shard-%04d", shard))
@@ -214,64 +220,7 @@ func levelPath(dir string, level int) string {
 	return filepath.Join(dir, fmt.Sprintf("level-%d.oram", level))
 }
 
-// levelGeometries returns the tree shapes of one shard's stack for the
-// configured backend: a single geometry for flat, data-then-posmap
-// geometries for recursive and batched.
-func levelGeometries(cfg Config) []pathoram.Geometry {
-	switch cfg.Backend {
-	case BackendRecursive:
-		return recursiveShardConfig(cfg).Geometries()
-	case BackendBatched:
-		return batchedShardConfig(cfg).RecursiveConfig.Geometries()
-	default:
-		return []pathoram.Geometry{pathoram.ShardGeometry(cfg.Blocks, cfg.Shards, cfg.Z, cfg.BlockBytes)}
-	}
-}
-
-// captureState snapshots a backend's trusted state (all concrete backends
-// support capture; the interface stays narrow because only the persister
-// needs this).
-func captureState(b Backend) (*pathoram.ShardState, error) {
-	switch o := b.(type) {
-	case *pathoram.ORAM:
-		return o.CaptureState()
-	case *pathoram.Recursive:
-		return o.CaptureState()
-	case *pathoram.Batched:
-		return o.CaptureState()
-	}
-	return nil, fmt.Errorf("server: backend %T cannot capture state", b)
-}
-
-// captureDelta drains a backend's change journals (delta checkpoint mode).
-func captureDelta(b Backend) (*pathoram.ShardDelta, error) {
-	switch o := b.(type) {
-	case *pathoram.ORAM:
-		return o.CaptureDelta()
-	case *pathoram.Recursive:
-		return o.CaptureDelta()
-	case *pathoram.Batched:
-		return o.CaptureDelta()
-	}
-	return nil, fmt.Errorf("server: backend %T cannot capture deltas", b)
-}
-
-// trackDirty arms a backend's change journals (delta checkpoint mode).
-func trackDirty(b Backend) error {
-	switch o := b.(type) {
-	case *pathoram.ORAM:
-		o.TrackDirty()
-	case *pathoram.Recursive:
-		o.TrackDirty()
-	case *pathoram.Batched:
-		o.TrackDirty()
-	default:
-		return fmt.Errorf("server: backend %T cannot track dirty state", b)
-	}
-	return nil
-}
-
-// newFileShard builds (or recovers) one file-backed shard: the backend plus
+// newFileShard builds (or recovers) one file-backed shard: the stack plus
 // the persister that will checkpoint it. Boot outcomes:
 //
 //   - checkpoint present           -> recover (fail closed on tampering);
@@ -279,7 +228,7 @@ func trackDirty(b Backend) error {
 //     empty/absent directory       -> fresh initialization;
 //   - bucket files, no checkpoint,
 //     no marker                    -> ErrNoCheckpoint (fail closed).
-func newFileShard(cfg Config, shard int) (Backend, *persister, error) {
+func newFileShard(cfg Config, shard int) (*pathoram.Stack, *persister, error) {
 	dir := shardDir(cfg.DataDir, shard)
 	sync, err := pathoram.ParseSyncPolicy(cfg.Sync)
 	if err != nil {
@@ -300,7 +249,7 @@ func newFileShard(cfg Config, shard int) (Backend, *persister, error) {
 	if _, err := os.Stat(filepath.Join(dir, baseFile)); err != nil {
 		if _, lerr := os.Stat(filepath.Join(dir, legacyCheckpointFile)); lerr == nil {
 			if rerr := os.Rename(filepath.Join(dir, legacyCheckpointFile), filepath.Join(dir, baseFile)); rerr != nil {
-				return nil, nil, fmt.Errorf("server: shard %d: adopting legacy checkpoint: %w", shard, rerr)
+				return nil, nil, fmt.Errorf("adopting legacy checkpoint: %w", rerr)
 			}
 		}
 	}
@@ -308,7 +257,7 @@ func newFileShard(cfg Config, shard int) (Backend, *persister, error) {
 		b, err := p.recover(cfg, sync)
 		if err != nil {
 			p.closeStores()
-			return nil, nil, fmt.Errorf("server: shard %d: %w", shard, err)
+			return nil, nil, err
 		}
 		return b, p, nil
 	}
@@ -316,13 +265,13 @@ func newFileShard(cfg Config, shard int) (Backend, *persister, error) {
 		// No checkpoint and no marker: only an empty (or absent) directory
 		// may be initialized.
 		if ents, err := os.ReadDir(dir); err == nil && len(ents) > 0 {
-			return nil, nil, fmt.Errorf("server: shard %d: %w (%s)", shard, ErrNoCheckpoint, dir)
+			return nil, nil, fmt.Errorf("%w (%s)", ErrNoCheckpoint, dir)
 		}
 	}
 	b, err := p.initialize(cfg, sync)
 	if err != nil {
 		p.closeStores()
-		return nil, nil, fmt.Errorf("server: shard %d: %w", shard, err)
+		return nil, nil, err
 	}
 	return b, p, nil
 }
@@ -338,9 +287,9 @@ func storeConfig(cfg Config, dir string, level int, sync pathoram.SyncPolicy) pa
 }
 
 // initialize creates the shard directory under the crash-safe marker
-// protocol, builds a fresh backend on new bucket files, and writes the
+// protocol, builds a fresh stack on new bucket files, and writes the
 // initial checkpoint before removing the marker.
-func (p *persister) initialize(cfg Config, sync pathoram.SyncPolicy) (Backend, error) {
+func (p *persister) initialize(cfg Config, sync pathoram.SyncPolicy) (*pathoram.Stack, error) {
 	if err := os.MkdirAll(p.dir, 0o700); err != nil {
 		return nil, err
 	}
@@ -357,22 +306,7 @@ func (p *persister) initialize(cfg Config, sync pathoram.SyncPolicy) (Backend, e
 		p.stores = append(p.stores, fs)
 		return fs, nil
 	}
-	rng := shardRNG(cfg.Seed, p.shard, 0)
-	var b Backend
-	var err error
-	switch cfg.Backend {
-	case BackendRecursive:
-		b, err = pathoram.NewRecursiveOn(recursiveShardConfig(cfg), cfg.Key, rng, factory)
-	case BackendBatched:
-		b, err = pathoram.NewBatchedOn(batchedShardConfig(cfg), cfg.Key, rng, factory)
-	default:
-		g := levelGeometries(cfg)[0]
-		store, ferr := factory(0, g)
-		if ferr != nil {
-			return nil, ferr
-		}
-		b, err = pathoram.NewORAMOn(g, cfg.Key, rng, store)
-	}
+	b, err := pathoram.NewStackOn(cfg.stackConfig(), cfg.Key, shardRNG(cfg.Seed, p.shard, 0), factory)
 	if err != nil {
 		return nil, err
 	}
@@ -380,9 +314,7 @@ func (p *persister) initialize(cfg Config, sync pathoram.SyncPolicy) (Backend, e
 	// what every checkpoint binds the untrusted files to.
 	b.EnableIntegrity()
 	if p.mode == CheckpointDelta {
-		if err := trackDirty(b); err != nil {
-			return nil, err
-		}
+		b.TrackDirty()
 	}
 	// Settle the freshly initialized tree into the files, then cut the
 	// first checkpoint (always a base — the chain needs an anchor) and arm
@@ -407,7 +339,7 @@ func (p *persister) initialize(cfg Config, sync pathoram.SyncPolicy) (Backend, e
 // authenticates its contents, its Prev hash authenticates its position),
 // replay the accumulated redo into the bucket files, re-verify against the
 // newest sealed Merkle roots, restore trusted state.
-func (p *persister) recover(cfg Config, sync pathoram.SyncPolicy) (Backend, error) {
+func (p *persister) recover(cfg Config, sync pathoram.SyncPolicy) (*pathoram.Stack, error) {
 	// A crash mid-write leaves *.tmp orphans (base.tmp or delta-NNNNNN.tmp);
 	// none is part of the chain, so sweep them before reading it.
 	sweepTemps(p.dir)
@@ -423,8 +355,11 @@ func (p *persister) recover(cfg Config, sync pathoram.SyncPolicy) (Backend, erro
 	if err := gob.NewDecoder(bytes.NewReader(plain)).Decode(&ps); err != nil {
 		return nil, fmt.Errorf("decoding checkpoint base: %w", err)
 	}
-	if ps.Backend != cfg.Backend {
-		return nil, fmt.Errorf("checkpoint was written by backend %q, daemon configured for %q", ps.Backend, cfg.Backend)
+	// The trusted state only fits the stack shape that captured it; refuse
+	// a restart under another one before touching any file.
+	sc := cfg.stackConfig()
+	if wrote, want := shapeLabel(ps.Backend, len(ps.State.Levels)-1), shapeLabel(cfg.Backend, sc.Recursion); wrote != want {
+		return nil, fmt.Errorf("checkpoint was written by a %s stack, daemon configured for %s", wrote, want)
 	}
 	restarts := ps.Restarts
 	p.seq = ps.Seq
@@ -433,7 +368,7 @@ func (p *persister) recover(cfg Config, sync pathoram.SyncPolicy) (Backend, erro
 	if err := p.foldDeltas(cfg, &ps, &restarts); err != nil {
 		return nil, err
 	}
-	geoms := levelGeometries(cfg)
+	geoms := sc.Geometries()
 	p.stores = make([]*pathoram.FileStorage, len(geoms))
 	for i, g := range geoms {
 		fs, err := pathoram.OpenFileStorage(g, storeConfig(cfg, p.dir, i, sync))
@@ -463,23 +398,12 @@ func (p *persister) recover(cfg Config, sync pathoram.SyncPolicy) (Backend, erro
 	factory := func(level int, g pathoram.Geometry) (pathoram.BucketStore, error) {
 		return p.stores[level], nil
 	}
-	rng := shardRNG(cfg.Seed, p.shard, p.restarts)
-	var b Backend
-	switch cfg.Backend {
-	case BackendRecursive:
-		b, err = pathoram.RecoverRecursive(recursiveShardConfig(cfg), cfg.Key, rng, factory, ps.State)
-	case BackendBatched:
-		b, err = pathoram.RecoverBatched(batchedShardConfig(cfg), cfg.Key, rng, factory, ps.State)
-	default:
-		b, err = pathoram.RecoverORAM(geoms[0], cfg.Key, rng, factory, ps.State)
-	}
+	b, err := pathoram.RecoverStack(sc, cfg.Key, shardRNG(cfg.Seed, p.shard, p.restarts), factory, ps.State)
 	if err != nil {
 		return nil, err
 	}
 	if p.mode == CheckpointDelta {
-		if err := trackDirty(b); err != nil {
-			return nil, err
-		}
+		b.TrackDirty()
 	}
 	// A stale marker can survive a crash between checkpoint rename and
 	// marker removal during initialization; the checkpoint won.
@@ -580,12 +504,12 @@ func (p *persister) armRetention(cfg Config) {
 	}
 }
 
-// checkpoint makes the backend's current trusted state durable: a base
+// checkpoint makes the stack's current trusted state durable: a base
 // rewrite in full mode, an O(dirty) chain append in delta mode — except
 // when the chain has no anchor yet (first checkpoint) or has outgrown
 // compactAfter bytes, in which case the compactor folds it into a fresh
 // base. Both paths end with the store flush that unpins the dirty pages.
-func (p *persister) checkpoint(b Backend) error {
+func (p *persister) checkpoint(b *pathoram.Stack) error {
 	start := time.Now()
 	var err error
 	if p.mode == CheckpointDelta && p.haveBase && !p.needCompact() {
@@ -680,8 +604,8 @@ func (p *persister) flushStores() error {
 // writeBase captures the full trusted state into a fresh base.bin, resets
 // the chain to it, and sweeps the deltas it folded (a crash between rename
 // and sweep leaves stale deltas that recovery removes by Seq).
-func (p *persister) writeBase(b Backend) error {
-	st, err := captureState(b)
+func (p *persister) writeBase(b *pathoram.Stack) error {
+	st, err := b.CaptureState()
 	if err != nil {
 		return err
 	}
@@ -708,11 +632,11 @@ func (p *persister) writeBase(b Backend) error {
 	return nil
 }
 
-// writeDelta drains the backend's change journals into the next chain
+// writeDelta drains the stack's change journals into the next chain
 // element: O(dirty) trusted-state entries plus the dirty-page redo set,
 // sealed and linked to the predecessor by hash.
-func (p *persister) writeDelta(b Backend) error {
-	d, err := captureDelta(b)
+func (p *persister) writeDelta(b *pathoram.Stack) error {
+	d, err := b.CaptureDelta()
 	if err != nil {
 		return err
 	}
@@ -737,7 +661,7 @@ func (p *persister) writeDelta(b Backend) error {
 
 // shutdown writes the final checkpoint and releases the file handles; the
 // resulting directory recovers with zero loss.
-func (p *persister) shutdown(b Backend) error {
+func (p *persister) shutdown(b *pathoram.Stack) error {
 	err := p.checkpoint(b)
 	p.closeStores()
 	return err
@@ -751,22 +675,8 @@ func (p *persister) closeStores() {
 	}
 }
 
-// storageStats sums the per-level store counters.
-func (p *persister) storageStats() pathoram.StorageStats {
-	var sum pathoram.StorageStats
-	for _, fs := range p.stores {
-		s := fs.Stats()
-		sum.CacheHits += s.CacheHits
-		sum.CacheMisses += s.CacheMisses
-		sum.FileReads += s.FileReads
-		sum.FileWrites += s.FileWrites
-		sum.MMapReads += s.MMapReads
-	}
-	return sum
-}
-
-// shardRNG derives a shard's RNG stream: the same splitmix64 stream the
-// shard-set constructors use, salted by the restart count so a recovered
+// shardRNG derives a shard's RNG stream: its ShardSeed splitmix64 stream,
+// salted by the restart count so a recovered
 // shard draws fresh leaves instead of replaying the sequence the pre-crash
 // instance already consumed after its last checkpoint (the RNG itself is
 // deliberately not checkpointed; a production deployment would use a

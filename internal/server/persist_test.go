@@ -644,3 +644,214 @@ func TestFileStoreMMap(t *testing.T) {
 		}
 	}
 }
+
+// dirSnapshot reads every file under dir into a path → contents map.
+func dirSnapshot(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	snap := make(map[string][]byte)
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		raw, err := os.ReadFile(path)
+		snap[path] = raw
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// TestRestartUnderDifferentShapeFailsClosed: the trusted state only fits the
+// stack shape that captured it, so a data dir reopened under another preset
+// or another recursion depth must be refused with an error naming both
+// shapes, without touching a byte on disk, and must still recover under the
+// config that wrote it.
+func TestRestartUnderDifferentShapeFailsClosed(t *testing.T) {
+	cases := []struct {
+		name   string
+		wrote  func(*Config)
+		reopen func(*Config)
+		want   [2]string // the two shapes the refusal must name
+	}{
+		{"flat as recursive",
+			func(c *Config) { c.Backend = BackendFlat },
+			func(c *Config) { c.Backend = BackendRecursive; c.Recursion = 1 },
+			[2]string{"flat×0", "recursive×1"}},
+		{"flat as batched",
+			func(c *Config) { c.Backend = BackendFlat },
+			func(c *Config) { c.Backend = BackendBatched },
+			[2]string{"flat×0", "batched×0"}},
+		{"recursive 2 as recursive 3",
+			func(c *Config) { c.Backend = BackendRecursive; c.Recursion = 2 },
+			func(c *Config) { c.Backend = BackendRecursive; c.Recursion = 3 },
+			[2]string{"recursive×2", "recursive×3"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := fileStoreCfg(dir, BackendFlat)
+			cfg.Recursion = 0
+			tc.wrote(&cfg)
+			st, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for addr := uint64(0); addr < 32; addr++ {
+				if err := st.Write(addr, []byte{byte(addr), 0xA5}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before := dirSnapshot(t, dir)
+
+			other := cfg
+			tc.reopen(&other)
+			if st, err := New(other); err == nil {
+				st.Close()
+				t.Fatal("data dir reopened under a different stack shape")
+			} else if !strings.Contains(err.Error(), tc.want[0]) || !strings.Contains(err.Error(), tc.want[1]) {
+				t.Fatalf("refusal %q does not name both shapes %v", err, tc.want)
+			}
+			after := dirSnapshot(t, dir)
+			if len(after) != len(before) {
+				t.Fatalf("refused boot changed the file set: %d files, was %d", len(after), len(before))
+			}
+			for path, raw := range before {
+				if !bytes.Equal(after[path], raw) {
+					t.Fatalf("refused boot modified %s", path)
+				}
+			}
+
+			st, err = New(cfg)
+			if err != nil {
+				t.Fatalf("reopening under the original config after a refusal: %v", err)
+			}
+			defer st.Close()
+			for addr := uint64(0); addr < 32; addr++ {
+				got, err := st.Read(addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got[0] != byte(addr) || got[1] != 0xA5 {
+					t.Fatalf("block %d reads %x after the refused boot", addr, got[:2])
+				}
+			}
+		})
+	}
+}
+
+// TestCheckpointCadenceCountsEverySlot drives a paced file-backed shard's
+// slots by hand, once idle and once with a request queued at every slot. The
+// disk must not tell the two apart: the same number of checkpoints after the
+// same number of slots, and — because a dummy access dirties pages that
+// RetainDirty pins until the next checkpoint — never more pinned pages than
+// one cadence window of slots can dirty.
+func TestCheckpointCadenceCountsEverySlot(t *testing.T) {
+	const every, slots = 4, 42
+	for _, backend := range []string{BackendFlat, BackendBatched} {
+		ckpts := make(map[string]uint64)
+		for _, load := range []string{"idle", "saturated"} {
+			cfg := fileStoreCfg(t.TempDir(), backend)
+			cfg.Shards, cfg.Unpaced, cfg.CheckpointEvery, cfg.CacheBuckets = 1, false, every, 4
+			cfg = cfg.withDefaults()
+			o, p, err := newStack(cfg, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sh, err := newShard(0, o, p, cfg, make(chan struct{}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// One slot dirties at most the paths it reads and rewrites at
+			// each level: k fetches plus the eviction pass's paths.
+			sc := cfg.stackConfig()
+			perSlot := 0
+			for _, g := range sc.Geometries() {
+				perSlot += g.Levels * (sh.oram.BatchK() + sh.oram.Config().EvictPaths)
+			}
+			initial := sh.persist.ckpts // initialization cuts the first one
+			for i := 0; i < slots; i++ {
+				if load == "saturated" {
+					sh.depth.Add(1)
+					sh.queue <- &request{local: uint64(i) % sc.DataBlocks, resp: make(chan result, 1)}
+				}
+				if err := sh.slot(); err != nil {
+					t.Fatal(err)
+				}
+				dirty := 0
+				for _, fs := range sh.persist.stores {
+					dirty += fs.DirtyCount()
+				}
+				if dirty > every*perSlot {
+					t.Fatalf("%s/%s: %d dirty pages pinned after slot %d, want ≤ %d (one cadence window)",
+						backend, load, dirty, i, every*perSlot)
+				}
+			}
+			ckpts[load] = sh.persist.ckpts - initial
+			sh.shutdownPersist()
+		}
+		if ckpts["idle"] != slots/every || ckpts["saturated"] != slots/every {
+			t.Errorf("%s: %d checkpoints idle, %d saturated over %d slots, want %d both (every %d slots)",
+				backend, ckpts["idle"], ckpts["saturated"], slots, slots/every, every)
+		}
+	}
+}
+
+// TestRecoverDataDirFromBeforeStackUnification boots data dirs written by
+// the commit before pathoram.Stack existed (ba95740: separate ORAM /
+// Recursive / Batched backends, ShardState carrying its own on-chip map
+// copy) — one per preset, delta chains included. There is no checkpoint
+// format version to refuse them by, so they must recover: every write reads
+// back, and the dir keeps working through another close/reopen.
+// testdata/datadir-ba95740 was written by that commit's server.New with the
+// configs below (CheckpointEvery 8, 20 writes, clean Close).
+func TestRecoverDataDirFromBeforeStackUnification(t *testing.T) {
+	for _, p := range []struct {
+		name, backend, mode string
+		recursion           int
+	}{
+		{"flat", BackendFlat, CheckpointFull, 0},
+		{"recursive", BackendRecursive, CheckpointDelta, 2},
+		{"batched", BackendBatched, CheckpointDelta, 1},
+	} {
+		t.Run(p.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "datadir-ba95740", p.name))); err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{Shards: 1, Blocks: 64, BlockBytes: 32, Backend: p.backend, Recursion: p.recursion,
+				Store: StoreFile, DataDir: dir, CheckpointEvery: 8, CheckpointMode: p.mode,
+				QueueDepth: 16, Unpaced: true, Key: crypt.Key{42}}
+			for boot := 0; boot < 2; boot++ {
+				st, err := New(cfg)
+				if err != nil {
+					t.Fatalf("boot %d: %v", boot, err)
+				}
+				if got := st.Stats().Shards[0].Recovery; got != "recovered" {
+					t.Errorf("boot %d outcome %q, want recovered", boot, got)
+				}
+				for addr := uint64(0); addr < 20; addr++ {
+					got, err := st.Read(addr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := []byte{byte(addr) + byte(boot), 0x5A, byte(len(p.name))}
+					if !bytes.Equal(got[:3], want) {
+						t.Fatalf("boot %d: block %d reads %x, want %x", boot, addr, got[:3], want)
+					}
+					want[0]++
+					if err := st.Write(addr, want); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := st.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}

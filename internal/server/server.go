@@ -76,13 +76,15 @@ type Config struct {
 	// QueueDepth bounds each shard's pending-request queue; submitters
 	// block when it is full (default 256).
 	QueueDepth int
-	// Backend selects the per-shard ORAM implementation: BackendFlat
-	// (default — single-level, flat position map) or BackendRecursive (the
-	// paper's §9.1.2 recursion, for address spaces whose flat position map
-	// would not fit on-chip).
+	// Backend names the preset every shard's ORAM stack is built from:
+	// BackendFlat (default — the whole position map in the controller),
+	// BackendRecursive (the paper's §9.1.2 recursion, for address spaces
+	// whose flat position map would not fit on-chip) or BackendBatched
+	// (multi-path slots with deferred eviction).
 	Backend string
-	// Recursion is the number of position-map ORAM levels for
-	// BackendRecursive (default 3, the paper's stack; ignored for flat).
+	// Recursion is the number of position-map ORAM levels under
+	// BackendRecursive (default 3, the paper's stack) and BackendBatched
+	// (default 0); ignored for flat.
 	Recursion int
 	// BatchK is the number of blocks a BackendBatched shard may serve per
 	// slot via multi-path fetch; every slot reads exactly BatchK data
@@ -125,9 +127,10 @@ type Config struct {
 	// bucket files and checkpoint in DataDir/shard-NNNN. Required for (and
 	// only meaningful with) StoreFile.
 	DataDir string
-	// CheckpointEvery is the cadence, in served real slots, of sealed
-	// trusted-state checkpoints. 1 checkpoints before acknowledging each
-	// slot's requests, making every ack durable; larger values trade an
+	// CheckpointEvery is the cadence, in slots (real or dummy alike, so the
+	// disk is written on the public grid), of sealed trusted-state
+	// checkpoints. 1 checkpoints before acknowledging each slot's
+	// requests, making every ack durable; larger values trade an
 	// at-risk window (covered by cluster replication) for throughput; 0
 	// (default) checkpoints only at clean shutdown — after a crash the
 	// shard fails closed at next boot instead of silently losing writes.
@@ -325,32 +328,21 @@ func (c Config) Validate() error {
 		return fmt.Errorf("server: QueueDepth must not be negative, got %d", c.QueueDepth)
 	}
 	switch c.Backend {
-	case "", BackendFlat:
-	case BackendRecursive:
-		if c.Recursion < 0 || c.Recursion > 8 {
-			return fmt.Errorf("server: Recursion must be in [0,8], got %d", c.Recursion)
-		}
-		if err := recursiveShardConfig(c).Validate(); err != nil {
-			return fmt.Errorf("server: Backend %q: %w", c.Backend, err)
-		}
-	case BackendBatched:
-		if c.Recursion < 0 || c.Recursion > 8 {
-			return fmt.Errorf("server: Recursion must be in [0,8], got %d", c.Recursion)
-		}
-		if c.BatchK < 1 || c.BatchK > 64 {
-			return fmt.Errorf("server: BatchK must be in [1,64], got %d", c.BatchK)
-		}
-		if c.EvictEvery < 1 || c.EvictEvery > 4096 {
-			return fmt.Errorf("server: EvictEvery must be in [1,4096], got %d", c.EvictEvery)
-		}
-		if c.BatchHighWater < 0 {
-			return fmt.Errorf("server: BatchHighWater must not be negative, got %d", c.BatchHighWater)
-		}
-		if err := batchedShardConfig(c).Validate(); err != nil {
-			return fmt.Errorf("server: Backend %q: %w", c.Backend, err)
-		}
+	case "", BackendFlat, BackendRecursive, BackendBatched:
 	default:
 		return fmt.Errorf("server: unknown Backend %q (want %q, %q or %q)", c.Backend, BackendFlat, BackendRecursive, BackendBatched)
+	}
+	// BatchHighWater's 0 means "derive the default"; below that it names no
+	// occupancy. Every other stack range check is the stack's own.
+	if c.Backend == BackendBatched && c.BatchHighWater < 0 {
+		return fmt.Errorf("server: BatchHighWater must not be negative, got %d", c.BatchHighWater)
+	}
+	// Z == 0 means the caller validates before applying defaults: the stack
+	// has no shape yet, and the defaulted config re-validates inside New.
+	if c.Z != 0 {
+		if err := c.stackConfig().Validate(); err != nil {
+			return fmt.Errorf("server: Backend %q: %w", c.Backend, err)
+		}
 	}
 	if c.TraceSlots && c.Backend != BackendBatched {
 		return fmt.Errorf("server: TraceSlots requires Backend %q, got %q", BackendBatched, c.Backend)
@@ -375,12 +367,10 @@ func (c Config) Validate() error {
 		// The RAM store backs each tree with one contiguous allocation; the
 		// cap that used to be a constructor panic is rejected here with an
 		// actionable error instead of surfacing from shard construction.
-		// (Z == 0 means the caller validates before applying defaults; the
-		// defaulted config re-validates inside New.)
 		if c.Z == 0 {
-			break
+			break // no shape yet, as above
 		}
-		for i, g := range levelGeometries(c) {
+		for i, g := range c.stackConfig().Geometries() {
 			if g.TreeBytes() > pathoram.MaxByteStorage {
 				return fmt.Errorf("server: level %d bucket tree needs %d bytes, above the RAM store's %d-byte cap — use Store %q with a DataDir",
 					i, g.TreeBytes(), uint64(pathoram.MaxByteStorage), StoreFile)
@@ -486,22 +476,30 @@ func New(cfg Config) (*Store, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	backends, persisters, err := newBackends(cfg)
-	if err != nil {
+	// Every stack is built before any enforcer: an enforcer's clock starts
+	// when it is built, and a shard whose clock ran while its neighbours'
+	// trees were still being initialized would begin life behind its grid.
+	stacks := make([]*pathoram.Stack, cfg.Shards)
+	persisters := make([]*persister, cfg.Shards)
+	fail := func(err error) (*Store, error) {
+		for _, p := range persisters {
+			if p != nil {
+				p.closeStores()
+			}
+		}
 		return nil, err
 	}
-	st := &Store{cfg: cfg, stop: make(chan struct{})}
-	for i, o := range backends {
-		var p *persister
-		if persisters != nil {
-			p = persisters[i]
+	for i := range stacks {
+		var err error
+		if stacks[i], persisters[i], err = newStack(cfg, i); err != nil {
+			return fail(err)
 		}
-		sh, err := newShard(i, o, cfg, st.stop, p)
+	}
+	st := &Store{cfg: cfg, stop: make(chan struct{})}
+	for i, o := range stacks {
+		sh, err := newShard(i, o, persisters[i], cfg, st.stop)
 		if err != nil {
-			for _, pp := range persisters {
-				pp.closeStores()
-			}
-			return nil, err
+			return fail(err)
 		}
 		st.shards = append(st.shards, sh)
 	}
@@ -759,9 +757,7 @@ func (s *Store) ServiceStats() (Stats, error) { return s.Stats(), nil }
 func (s *Store) SlotTraces() [][]pathoram.SlotSig {
 	out := make([][]pathoram.SlotSig, len(s.shards))
 	for i, sh := range s.shards {
-		if b, ok := sh.oram.(*pathoram.Batched); ok {
-			out[i] = b.SlotTrace
-		}
+		out[i] = sh.oram.SlotTrace
 	}
 	return out
 }
@@ -874,9 +870,9 @@ type ShardStats struct {
 	// Coalesced counts requests that were absorbed into another request's
 	// access (same block, in flight together).
 	Coalesced uint64 `json:"coalesced"`
-	// BatchFetched counts distinct blocks served through multi-path batch
-	// slots (BackendBatched only); per real slot it can reach the
-	// configured BatchK, versus exactly 1 for the single-access backends.
+	// BatchFetched counts distinct blocks served: per real slot it can
+	// reach the configured BatchK under BackendBatched, and is exactly 1
+	// under the one-block-per-slot presets.
 	BatchFetched uint64 `json:"batch_fetched,omitempty"`
 	// ForcedEvictions counts eviction passes a batched shard ran early
 	// because its stash hit the high-water mark — deviations from the
@@ -905,13 +901,13 @@ type ShardStats struct {
 	// hardware enforcers do not have, surfaced here for monitoring.
 	OverdueSlots uint64 `json:"overdue_slots"`
 	MaxLagCycles uint64 `json:"max_lag_cycles"`
-	// StashPeak is the largest stash occupancy the shard has seen — for a
-	// recursive backend, the sum of per-level peaks (what an on-chip stash
-	// SRAM would have to provision).
+	// StashPeak is the largest stash occupancy the shard has seen: the sum
+	// of per-level peaks (what an on-chip stash SRAM would have to
+	// provision).
 	StashPeak int `json:"stash_peak"`
 	// StashPeaks breaks StashPeak down by ORAM level: index 0 is the data
-	// ORAM, deeper indices successively smaller position-map ORAMs. A flat
-	// backend reports a single level.
+	// ORAM, deeper indices successively smaller position-map ORAMs; a
+	// single level under the flat preset.
 	StashPeaks []int `json:"stash_peaks,omitempty"`
 	// Failed reports that the shard's ORAM hit an unrecoverable error and
 	// the shard now rejects all requests (monitoring hook).

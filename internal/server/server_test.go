@@ -288,12 +288,12 @@ func TestTakeGroupEarliestArrival(t *testing.T) {
 	sh := &shard{}
 	sh.fifo = []*request{mk(7, 100), mk(3, 50), mk(7, 40), mk(7, 200)}
 
-	arrival := sh.takeGroup()
+	arrival := sh.takeBatch(1) // one group per slot: the classic presets' take
 	if arrival != 40 {
 		t.Errorf("group arrival = %d, want 40 (earliest member, not head's 100)", arrival)
 	}
-	if len(sh.group) != 3 {
-		t.Errorf("group size = %d, want 3", len(sh.group))
+	if len(sh.batch) != 1 || len(sh.batch[0]) != 3 {
+		t.Errorf("batch = %v, want one group of 3", sh.batch)
 	}
 	if len(sh.fifo) != 1 || sh.fifo[0].local != 3 {
 		t.Errorf("remaining fifo = %+v, want the single block-3 request", sh.fifo)

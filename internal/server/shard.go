@@ -31,20 +31,15 @@ type result struct {
 // the enforcer's slot-consuming side; every cross-goroutine quantity is an
 // atomic. The pacing loop realizes the paper's controller in wall time:
 // sleep until the next slot of the data-independent grid opens, then serve
-// the queue head (coalescing same-block requests) or issue a dummy access.
+// the head of the queue (up to BatchK blocks, coalescing same-block
+// requests) or issue a dummy slot.
 type shard struct {
 	id    int
-	oram  Backend            // flat or recursive; owned exclusively by the run goroutine
+	oram  *pathoram.Stack    // the shard's stack, whatever the preset; owned exclusively by the run goroutine
 	enf   *core.WallEnforcer // nil in Unpaced mode
 	queue chan *request
 	fifo  []*request // drained requests awaiting slots (loop-private)
 	stop  chan struct{}
-
-	// batcher is non-nil when the backend supports multi-path batch slots;
-	// the serving loop then drains up to batchK coalesced groups per slot
-	// instead of one. Same object as oram, owned by the same goroutine.
-	batcher BatchBackend
-	batchK  int
 
 	// Cross-goroutine stats.
 	reals        atomic.Uint64
@@ -55,15 +50,14 @@ type shard struct {
 	depth        atomic.Int64 // submitted but not yet completed
 	stashPeak    atomic.Int64
 	// levelPeaks publishes the per-level stash peaks (index 0 = data ORAM;
-	// one entry for a flat backend). The slice behind the pointer is never
+	// one entry under the flat preset). The slice behind the pointer is never
 	// mutated after Store, so readers may copy it lock-free.
 	levelPeaks atomic.Pointer[[]int]
 	failed     atomic.Bool // the shard's ORAM errored; it now rejects everything
 
-	// Loop-private scratch: group for coalescing, batch/ops for multi-path
-	// slots, peaksScratch for reading the backend's per-level peaks without
+	// Loop-private scratch: batch holds the slot's coalesced groups, ops the
+	// stack's view of them, peaksScratch reads the per-level peaks without
 	// allocating every slot.
-	group        []*request
 	batch        [][]*request
 	ops          []pathoram.BatchOp
 	peaksScratch []int
@@ -108,7 +102,9 @@ type doneEntry struct {
 	res result
 }
 
-func newShard(id int, o Backend, cfg Config, stop chan struct{}, p *persister) (*shard, error) {
+// newShard wraps a built stack (and its persister, for the file store) in
+// a shard: its enforcer and its queue.
+func newShard(id int, o *pathoram.Stack, p *persister, cfg Config, stop chan struct{}) (*shard, error) {
 	enf, err := enforcerFor(cfg)
 	if err != nil {
 		return nil, err
@@ -119,10 +115,6 @@ func newShard(id int, o Backend, cfg Config, stop chan struct{}, p *persister) (
 		enf:   enf,
 		queue: make(chan *request, cfg.QueueDepth),
 		stop:  stop,
-	}
-	if bb, ok := o.(BatchBackend); ok {
-		sh.batcher = bb
-		sh.batchK = bb.BatchK()
 	}
 	sh.activeTenants = make(map[string]struct{})
 	sh.tenantTrans = make(map[string]uint64)
@@ -142,110 +134,99 @@ func newShard(id int, o Backend, cfg Config, stop chan struct{}, p *persister) (
 	return sh, nil
 }
 
-// run serves the shard until the store closes. For a file-backed shard the
-// exit path writes the shutdown checkpoint and closes the bucket files (the
-// deferred shutdownPersist), so a clean Close leaves a zero-loss data dir.
+// run serves the shard until the store closes: wait for a slot, serve it.
+// Paced and Unpaced differ only in how the loop waits (awaitSlot) and in the
+// enforcer bookkeeping Unpaced has no enforcer to do. For a file-backed
+// shard the exit path writes the shutdown checkpoint and closes the bucket
+// files (the deferred shutdownPersist), so a clean Close leaves a zero-loss
+// data dir.
 func (sh *shard) run() {
 	defer sh.shutdownPersist()
-	if sh.enf == nil {
-		sh.runUnpaced()
-		return
-	}
-	timer := time.NewTimer(0)
-	defer timer.Stop()
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		slot, wait := sh.enf.NextSlot()
-		if wait > 0 {
-			timer.Reset(wait)
-			select {
-			case <-sh.stop:
-				return
-			case <-timer.C:
-			}
-		} else {
-			// The grid is overdue (we were busy or the host stalled):
-			// consume slots back-to-back until it catches up with wall
-			// time, so the issued access count matches the schedule.
-			select {
-			case <-sh.stop:
-				return
-			default:
-			}
+	var timer *time.Timer
+	if sh.enf != nil {
+		timer = time.NewTimer(0)
+		defer timer.Stop()
+		if !timer.Stop() {
+			<-timer.C
 		}
-		sh.fill()
-		var err error
-		if len(sh.fifo) == 0 {
-			// Dummy slots mutate the ORAM but carry no acks, so they need no
-			// checkpoint: a crash rolls the whole interval back to the last
-			// checkpoint consistently (trusted state and pinned bucket pages
-			// roll back together).
-			sh.enf.TakeSlot(slot, false)
-			sh.noteEpochTenants()
-			if err = sh.oram.DummyAccess(); err == nil {
-				sh.dummies.Add(1)
-			}
-		} else if sh.batcher != nil {
-			arrival := sh.takeBatch(sh.batchK)
-			sh.enf.TakeSlot(arrival, true)
-			sh.noteEpochTenants()
-			if err = sh.serveBatch(); err == nil {
-				sh.reals.Add(1)
-				err = sh.maybeCheckpoint()
-			}
-		} else {
-			arrival := sh.takeGroup()
-			sh.enf.TakeSlot(arrival, true)
-			sh.noteEpochTenants()
-			if err = sh.serveGroup(); err == nil {
-				sh.reals.Add(1)
-				err = sh.maybeCheckpoint()
-			}
-		}
-		if err != nil {
-			sh.abortDone(err)
+	}
+	for sh.awaitSlot(timer) {
+		if err := sh.slot(); err != nil {
 			sh.fail(err)
 			return
 		}
-		sh.flushDone()
-		sh.publishStats()
 	}
 }
 
-// runUnpaced serves requests immediately with no slot grid and no dummies —
-// the unshielded base_oram mode.
-func (sh *shard) runUnpaced() {
-	for {
+// slot serves one slot: take what it will carry (nothing, on an idle grid),
+// account it to the enforcer, make the access, run the checkpoint cadence,
+// deliver. Every slot, real or dummy, goes through the same steps, so
+// nothing after the access depends on what the slot carried. A non-nil
+// return means the shard can no longer serve.
+func (sh *shard) slot() error {
+	sh.fill()
+	arrival := sh.takeBatch(sh.oram.BatchK())
+	real := len(sh.batch) > 0
+	if sh.enf != nil {
+		sh.enf.TakeSlot(arrival, real)
+		sh.noteEpochTenants()
+	}
+	err := sh.serveBatch()
+	if err == nil {
+		if real {
+			sh.reals.Add(1)
+		} else {
+			sh.dummies.Add(1)
+		}
+		err = sh.maybeCheckpoint()
+	}
+	if err != nil {
+		sh.abortDone(err)
+		return err
+	}
+	sh.flushDone()
+	sh.publishStats()
+	return nil
+}
+
+// awaitSlot blocks until the next slot may be served and reports false when
+// the store is closing instead. Paced, that is when the data-independent
+// grid's next slot opens, whether or not anything is queued. Unpaced — the
+// unshielded base_oram mode — there is no grid and no dummy: the loop blocks
+// on the queue itself, so a slot always has something to carry.
+func (sh *shard) awaitSlot(timer *time.Timer) bool {
+	var open <-chan time.Time
+	switch {
+	case sh.enf != nil:
+		if _, wait := sh.enf.NextSlot(); wait > 0 {
+			timer.Reset(wait)
+			open = timer.C
+		}
+	case len(sh.fifo) == 0:
 		select {
 		case <-sh.stop:
-			return
+			return false
 		case req := <-sh.queue:
 			sh.fifo = append(sh.fifo, req)
-			sh.fill()
-			for len(sh.fifo) > 0 {
-				var err error
-				if sh.batcher != nil {
-					sh.takeBatch(sh.batchK)
-					err = sh.serveBatch()
-				} else {
-					sh.takeGroup()
-					err = sh.serveGroup()
-				}
-				if err == nil {
-					sh.reals.Add(1)
-					err = sh.maybeCheckpoint()
-				}
-				if err != nil {
-					sh.abortDone(err)
-					sh.fail(err)
-					return
-				}
-				sh.flushDone()
-			}
-			sh.publishStats()
+			return true
 		}
+	}
+	if open == nil {
+		// A backlog (Unpaced), or an overdue grid (we were busy or the host
+		// stalled): serve back-to-back — for the grid, until it catches up
+		// with wall time, so the issued access count matches the schedule.
+		select {
+		case <-sh.stop:
+			return false
+		default:
+			return true
+		}
+	}
+	select {
+	case <-sh.stop:
+		return false
+	case <-open:
+		return true
 	}
 }
 
@@ -287,10 +268,14 @@ func (sh *shard) tenantTransitions(tenant string) uint64 {
 	return sh.tenantTrans[tenant]
 }
 
-// maybeCheckpoint runs the checkpoint cadence after a served (real) slot:
-// every CheckpointEvery real slots the shard's trusted state is sealed to
-// disk. With CheckpointEvery == 1 this runs between serving and acking, so
-// an acked write is always recoverable.
+// maybeCheckpoint runs the checkpoint cadence after every slot, real or
+// dummy: every CheckpointEvery slots the shard's trusted state is sealed to
+// disk. Counting dummies keeps the disk's write times a function of the
+// slot grid alone (anyone who can watch the data dir would otherwise read
+// the real/dummy pattern off base.bin's mtime) and bounds the dirty pages
+// RetainDirty pins to one cadence window even on an idle daemon. With
+// CheckpointEvery == 1 this runs between serving and acking, so an acked
+// write is always recoverable.
 func (sh *shard) maybeCheckpoint() error {
 	if sh.persist == nil || sh.ckptEvery <= 0 {
 		return nil
@@ -392,111 +377,57 @@ func (sh *shard) fill() {
 	}
 }
 
-// takeGroup removes the FIFO head plus every queued request for the same
-// block (coalescing), preserving the order of both the group and the
-// remaining FIFO. It returns the group's earliest arrival cycle: per the
-// Fig 4 Waste semantics every coalesced member's queueing time counts, and
-// since all the members' wait intervals end at the same slot, their union
-// is exactly [min arrival, slot] — passing only the head's arrival would
-// let a member that was stamped earlier (submitters race between stamping
-// and enqueueing) slip out of the learner's Waste and underestimate demand
+// takeBatch drains what the next slot will carry from the FIFO into
+// sh.batch: up to max groups, each the FIFO head plus every queued
+// request for the same block (coalescing), preserving the order of the
+// groups, of each group's members and of the remaining FIFO. An empty FIFO
+// yields an empty batch — the dummy slot. It returns the earliest arrival
+// cycle across every member of every group: per the Fig 4 Waste semantics
+// every coalesced member's queueing time counts, and since all the drained
+// members' wait intervals end at this same slot, their union is exactly
+// [min arrival, slot] — passing only the head's arrival would let a member
+// that was stamped earlier (submitters race between stamping and
+// enqueueing) slip out of the learner's Waste and underestimate demand
 // exactly when load is high enough to coalesce.
-func (sh *shard) takeGroup() (arrival uint64) {
-	sh.group, arrival = sh.takeGroupInto(sh.group[:0])
-	return arrival
-}
-
-// takeGroupInto is takeGroup over a caller-supplied destination slice, so
-// the batch drain can collect several groups without aliasing one scratch
-// buffer. It returns the extended slice and the group's earliest arrival.
-func (sh *shard) takeGroupInto(dst []*request) ([]*request, uint64) {
-	head := sh.fifo[0]
-	dst = append(dst, head)
-	arrival := head.arrival
-	keep := sh.fifo[:1][:0] // filter in place over the same backing array
-	for _, req := range sh.fifo[1:] {
-		if req.local == head.local {
-			dst = append(dst, req)
-			if req.arrival < arrival {
-				arrival = req.arrival
-			}
-		} else {
-			keep = append(keep, req)
-		}
-	}
-	// Clear the tail so completed requests don't pin their buffers.
-	for i := len(keep); i < len(sh.fifo); i++ {
-		sh.fifo[i] = nil
-	}
-	sh.fifo = keep
-	if n := len(dst) - 1; n > 0 {
-		sh.coalesced.Add(uint64(n))
-	}
-	return dst, arrival
-}
-
-// takeBatch drains up to max coalesced distinct-block groups from the FIFO
-// into sh.batch, preserving FIFO order between groups. It returns the
-// earliest arrival across every member of every group: all the drained
-// members' wait intervals end at this same slot, so their union is exactly
-// [min arrival, slot] and reporting the minimum keeps the learner's Waste
-// input correct under batching for the same reason it is correct for a
-// single coalesced group (see takeGroupInto).
 func (sh *shard) takeBatch(max int) (arrival uint64) {
 	sh.batch = sh.batch[:0]
 	arrival = ^uint64(0)
 	for len(sh.fifo) > 0 && len(sh.batch) < max {
-		var buf []*request
+		var group []*request
 		if n := len(sh.batch); n < cap(sh.batch) {
 			// Reuse the retired group slice parked at this batch position.
-			buf = sh.batch[:n+1][n][:0]
+			group = sh.batch[:n+1][n][:0]
 		}
-		g, a := sh.takeGroupInto(buf)
-		sh.batch = append(sh.batch, g)
-		if a < arrival {
-			arrival = a
+		head := sh.fifo[0]
+		keep := sh.fifo[:0] // filter in place over the same backing array
+		for _, req := range sh.fifo {
+			if req.local != head.local {
+				keep = append(keep, req)
+				continue
+			}
+			group = append(group, req)
+			if req.arrival < arrival {
+				arrival = req.arrival
+			}
 		}
+		// Clear the tail so completed requests don't pin their buffers.
+		clear(sh.fifo[len(keep):])
+		sh.fifo = keep
+		if n := len(group) - 1; n > 0 {
+			sh.coalesced.Add(uint64(n))
+		}
+		sh.batch = append(sh.batch, group)
 	}
 	return arrival
 }
 
-// serveGroup applies the coalesced group in arrival order within a single
-// ORAM access: reads observe all earlier queued writes, exactly as if each
-// request had run in its own (serialized) access. The group is always
-// completed (with the error, if any); a non-nil return means the ORAM
-// itself is broken and the shard must stop serving.
-func (sh *shard) serveGroup() error {
-	err := sh.oram.Update(sh.group[0].local, func(data []byte) {
-		for _, req := range sh.group {
-			if req.write {
-				copy(data, req.data)
-			} else {
-				out := make([]byte, len(data))
-				copy(out, data)
-				req.out = out
-			}
-		}
-	})
-	for _, req := range sh.group {
-		sh.noteTenant(req.tenant)
-		if err != nil {
-			sh.finish(req, result{err: err})
-		} else if req.write {
-			sh.finish(req, result{})
-		} else {
-			sh.finish(req, result{data: req.out})
-		}
-	}
-	sh.group = sh.group[:0]
-	return err
-}
-
-// serveBatch applies the drained groups in one multi-path batch slot: each
-// group becomes one BatchOp whose callback applies the group's members in
-// arrival order (the serveGroup RMW semantics, preserved per block), and
-// the backend fetches each group's path plus dummy padding up to BatchK.
-// Every drained request is always completed (with the error, if any); a
-// non-nil return means the ORAM itself is broken and the shard must stop.
+// serveBatch serves the slot takeBatch drained: each group becomes one
+// BatchOp whose callback applies the group's members in arrival order
+// within a single access — reads observe all earlier queued writes, exactly
+// as if each request had run in its own (serialized) access — and the stack
+// pads the slot to its fixed shape; an empty batch is the dummy slot. Every
+// drained request is always completed (with the error, if any); a non-nil
+// return means the ORAM itself is broken and the shard must stop.
 func (sh *shard) serveBatch() error {
 	sh.ops = sh.ops[:0]
 	for _, g := range sh.batch {
@@ -513,7 +444,7 @@ func (sh *shard) serveBatch() error {
 			}
 		}})
 	}
-	err := sh.batcher.AccessBatch(sh.ops)
+	err := sh.oram.AccessBatch(sh.ops)
 	for _, g := range sh.batch {
 		for i, req := range g {
 			sh.noteTenant(req.tenant)
@@ -528,10 +459,7 @@ func (sh *shard) serveBatch() error {
 		}
 	}
 	sh.batchFetched.Add(uint64(len(sh.batch)))
-	for i := range sh.ops {
-		sh.ops[i] = pathoram.BatchOp{} // release the Fn closures
-	}
-	sh.ops = sh.ops[:0]
+	clear(sh.ops) // release the Fn closures
 	return err
 }
 
@@ -564,16 +492,14 @@ func (sh *shard) drain() {
 func (sh *shard) publishStats() {
 	_, peak := sh.oram.StashOccupancy()
 	sh.stashPeak.Store(int64(peak))
-	if b, ok := sh.oram.(*pathoram.Batched); ok {
-		sh.forcedEvict.Store(b.ForcedEvictions())
-	}
+	sh.forcedEvict.Store(sh.oram.ForcedEvictions())
 	sh.peaksScratch = sh.oram.LevelStashPeaks(sh.peaksScratch[:0])
 	if cur := sh.levelPeaks.Load(); cur == nil || !slices.Equal(*cur, sh.peaksScratch) {
 		published := slices.Clone(sh.peaksScratch)
 		sh.levelPeaks.Store(&published)
 	}
 	if sh.persist != nil {
-		st := sh.persist.storageStats()
+		st := sh.oram.StorageStats()
 		sh.storeHits.Store(st.CacheHits)
 		sh.storeMisses.Store(st.CacheMisses)
 		sh.storeReads.Store(st.FileReads)
