@@ -1,11 +1,11 @@
 package tcoram
 
-// One benchmark per table/figure of the paper's evaluation, plus the
-// ablation benches DESIGN.md calls out and micro-benches on the hot
+// One benchmark per table/figure of the paper's evaluation, plus ablation
+// benches for two of its design choices and micro-benches on the hot
 // components. Figure/table benches run the corresponding experiment at
 // Quick scale and report the paper-comparable metrics via b.ReportMetric,
-// so `go test -bench=.` regenerates every result series. EXPERIMENTS.md
-// records the Full-scale numbers.
+// so `go test -bench=.` regenerates every result series.
+// `go run ./cmd/experiments -scale full` prints the Full-scale tables.
 
 import (
 	"math/rand"
@@ -197,7 +197,7 @@ func BenchmarkLeakageBounds(b *testing.B) {
 	b.ReportMetric(unprot, "unprotected-bits-1e12cyc")
 }
 
-// --- Ablation benches (DESIGN.md ✦) ---
+// --- Ablation benches: the paper's choice against its alternative ---
 
 // BenchmarkAblationPredictor compares Algorithm 1's shift divider against
 // the exact divider (Equation 1) on the learner-critical workload gobmk.

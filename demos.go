@@ -17,7 +17,8 @@ import (
 
 // DemoORAM is a small functional Path ORAM with byte-accurate encrypted
 // storage, suitable for the probing-attack demonstrations. Production
-// geometries are simulated by the timing model instead (see DESIGN.md).
+// geometries are costed by the timing model instead
+// (pathoram.EstimateAccessLatency).
 type DemoORAM = pathoram.ORAM
 
 // NewDemoORAM builds a functional Path ORAM holding 2^(levels-1) leaves of

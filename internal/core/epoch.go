@@ -10,8 +10,9 @@ import (
 // factors 2, 4, 8 and 16 (dynamic_R4_E2 … dynamic_R4_E16).
 type EpochSchedule struct {
 	// FirstLen is the length of epoch 0 in cycles. The paper uses 2^30;
-	// simulations scale this down (see DESIGN.md substitution #4) without
-	// changing leakage accounting, which always uses the paper constants.
+	// simulations scale this down, with their run lengths, so a scaled run
+	// sees as many transitions; leakage accounting always uses the paper
+	// constants.
 	FirstLen uint64
 	// Growth is the length multiplier between consecutive epochs (≥ 2 for
 	// O(lg Tmax) leakage; 1 would mean fixed-size epochs).

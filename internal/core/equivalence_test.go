@@ -8,9 +8,7 @@ import (
 // refEnforcer is a deliberately naive reference implementation of the slot
 // clock: it advances one slot at a time with no bulk arithmetic and no
 // lazy epoch handling. The production Enforcer must agree with it exactly
-// on slot starts, dummy counts and counters for any request pattern
-// (DESIGN.md: "an equivalence test checks it against a slot-by-slot
-// reference").
+// on slot starts, dummy counts and counters for any request pattern.
 type refEnforcer struct {
 	olat     uint64
 	rates    []uint64

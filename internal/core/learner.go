@@ -58,7 +58,7 @@ func PredictShift(epochCycles uint64, c Counters) uint64 {
 
 // Predictor selects a rate-prediction strategy. The enforcer uses
 // ShiftPredictor by default (the paper's hardware); ExactPredictor is the
-// ablation comparator (DESIGN.md ✦).
+// ablation comparator (BenchmarkAblationPredictor).
 type Predictor uint8
 
 const (

@@ -70,8 +70,8 @@ func Discretize(raw uint64, rates []uint64) uint64 {
 	return best
 }
 
-// DiscretizeLog is the ablation variant (DESIGN.md ✦): distance measured in
-// log space, which respects the geometric spacing of R.
+// DiscretizeLog is the ablation variant (BenchmarkAblationDiscretizer):
+// distance measured in log space, which respects the geometric spacing of R.
 func DiscretizeLog(raw uint64, rates []uint64) uint64 {
 	if raw == 0 {
 		return rates[0]

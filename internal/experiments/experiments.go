@@ -4,7 +4,8 @@
 // comparison, the Fig 7 stability traces, the Fig 8a/8b leakage-reduction
 // studies, the §9.3 headline deltas and the Example 2.1/6.1 leakage
 // arithmetic. Each experiment returns a stats.Table whose rows mirror what
-// the paper plots; EXPERIMENTS.md records paper-vs-measured values.
+// the paper plots; cmd/experiments prints them, and the headline table
+// sets each measured value beside the paper's.
 package experiments
 
 import (
@@ -25,8 +26,8 @@ import (
 	"tcoram/internal/workload"
 )
 
-// Scale selects run lengths: Quick for benches/CI, Full for the recorded
-// EXPERIMENTS.md numbers.
+// Scale selects run lengths: Quick for benches/CI, Full for
+// `cmd/experiments -scale full`.
 type Scale struct {
 	Instructions  uint64
 	Warmup        uint64
@@ -39,9 +40,10 @@ func Quick() Scale {
 	return Scale{Instructions: 3_000_000, Warmup: 1_500_000, WindowInstrs: 500_000, EpochFirstLen: 1 << 18}
 }
 
-// Full is the scale used to produce EXPERIMENTS.md (≈ the paper's 200 B
-// instructions scaled 1:10, with the epoch schedule scaled to match —
-// see DESIGN.md substitution #4).
+// Full is the scale `cmd/experiments -scale full` runs (≈ the paper's 200 B
+// instructions scaled 1:10, with the epoch schedule scaled to match, so a
+// scaled run sees as many rate transitions as a paper-length one; leakage
+// accounting always uses the paper's schedule).
 func Full() Scale {
 	return Scale{Instructions: 20_000_000, Warmup: 4_000_000, WindowInstrs: 1_000_000, EpochFirstLen: 1 << 20}
 }

@@ -12,8 +12,8 @@ import (
 // sscan parses a numeric table cell.
 func sscan(s string, v *float64) (int, error) { return fmt.Sscan(s, v) }
 
-// All experiment tests run at Quick scale; the Full-scale numbers are
-// recorded in EXPERIMENTS.md by cmd/experiments.
+// All experiment tests run at Quick scale; `cmd/experiments -scale full`
+// prints the Full-scale numbers.
 
 func TestTable1ContainsKeyParameters(t *testing.T) {
 	out := Table1().String()

@@ -204,11 +204,14 @@ func TestRecursiveAccessAllocBudget(t *testing.T) {
 // TestBatchedSlotAllocBudget extends the budget to the deferred policy's
 // slot: a full batch of k distinct blocks and the all-dummy slot. The only
 // steady-state allocation is the per-bucket tombstone set a real fetch
-// creates when it extracts a block from a bucket that carries none (a map
+// creates when it extracts a block from a bucket that carries none: a map
 // header plus its first group, skipped when the block was already in the
-// stash or the bucket already carries a set): 5 per 4-op slot as measured
-// before the stack unification, which is the budget. The dummy slot,
-// eviction pass included, allocates nothing.
+// stash or the bucket already carries a set. The budget is the measured 6
+// per 4-op slot: about 3 of the 4 fetches extract from a bucket without a
+// set. (It was 5 while every first touch under recursion went to path 0
+// and left its block in the stash, so most fetches found the block there
+// and tombstoned nothing.) The dummy slot, eviction pass included,
+// allocates nothing.
 func TestBatchedSlotAllocBudget(t *testing.T) {
 	cfg := BatchedConfig{RecursiveConfig: RecursiveConfig{
 		DataBlocks: 512, DataBlockBytes: 64, PosMapBlockBytes: 32, Z: 3, Recursion: 2,
@@ -232,8 +235,8 @@ func TestBatchedSlotAllocBudget(t *testing.T) {
 	for i := 0; i < 1024; i++ {
 		slot()
 	}
-	if n := testing.AllocsPerRun(200, slot); n > 5 {
-		t.Fatalf("AccessBatch of %d ops allocates %.1f times per slot, want ≤ 5 (tombstone sets only)", cfg.BatchK, n)
+	if n := testing.AllocsPerRun(200, slot); n > 6 {
+		t.Fatalf("AccessBatch of %d ops allocates %.1f times per slot, want ≤ 6 (tombstone sets only)", cfg.BatchK, n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		if err := b.DummyAccess(); err != nil {

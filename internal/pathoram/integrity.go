@@ -20,12 +20,15 @@ var ErrIntegrity = errors.New("pathoram: integrity check failed")
 // untrusted memory, verified along the accessed path; the functional model
 // keeps the arrays in trusted state, which detects exactly the same
 // tampering (any modified bucket ciphertext fails its digest check on the
-// next path read). Updates follow path write-back: leaves first, then one
-// root-ward recomputation pass.
+// next path read). Updates follow path write-back, which rewrites a path
+// leaf first: each rewritten bucket is hashed once (rehash), so a classic
+// access costs 3L hashes per tree of L levels — L verifications on the
+// read, then a digest and a subtree hash per bucket on the write.
 type merkleTree struct {
 	geom    Geometry
 	digest  [][sha256.Size]byte
 	subtree [][sha256.Size]byte
+	hashes  uint64 // SHA-256 evaluations so far (the cost tests pin)
 }
 
 func newMerkleTree(g Geometry, store Storage) *merkleTree {
@@ -35,7 +38,7 @@ func newMerkleTree(g Geometry, store Storage) *merkleTree {
 		subtree: make([][sha256.Size]byte, g.Buckets()),
 	}
 	for idx := int64(g.Buckets()) - 1; idx >= 0; idx-- {
-		m.digest[idx] = sha256.Sum256(store.ReadBucket(uint64(idx)))
+		m.setDigest(uint64(idx), store.ReadBucket(uint64(idx)))
 		m.recomputeSubtree(uint64(idx))
 	}
 	return m
@@ -49,6 +52,11 @@ func (m *merkleTree) children(idx uint64) (left, right uint64, ok bool) {
 	return
 }
 
+func (m *merkleTree) setDigest(idx uint64, ciphertext []byte) {
+	m.digest[idx] = sha256.Sum256(ciphertext)
+	m.hashes++
+}
+
 func (m *merkleTree) recomputeSubtree(idx uint64) {
 	h := sha256.New()
 	h.Write(m.digest[idx][:])
@@ -57,6 +65,7 @@ func (m *merkleTree) recomputeSubtree(idx uint64) {
 		h.Write(m.subtree[r][:])
 	}
 	h.Sum(m.subtree[idx][:0])
+	m.hashes++
 }
 
 // Root returns the root hash — the only value hardware must keep on-chip.
@@ -64,19 +73,19 @@ func (m *merkleTree) Root() [sha256.Size]byte { return m.subtree[0] }
 
 // verify checks the stored ciphertext of idx against its trusted digest.
 func (m *merkleTree) verify(idx uint64, ciphertext []byte) error {
+	m.hashes++
 	if sha256.Sum256(ciphertext) != m.digest[idx] {
 		return fmt.Errorf("%w: bucket %d", ErrIntegrity, idx)
 	}
 	return nil
 }
 
-// update records a rewritten bucket and refreshes the hash chain to the
-// root.
-func (m *merkleTree) update(idx uint64, ciphertext []byte) {
-	m.digest[idx] = sha256.Sum256(ciphertext)
+// rehash records a rewritten bucket: its digest, then its subtree hash from
+// its children's. It does not climb: the root is current again only once
+// every rewritten bucket is rehashed, deepest first, which is the order
+// writePath rewrites a path in — each on-path child was rehashed one step
+// earlier and each off-path child is unchanged.
+func (m *merkleTree) rehash(idx uint64, ciphertext []byte) {
+	m.setDigest(idx, ciphertext)
 	m.recomputeSubtree(idx)
-	for idx != 0 {
-		idx = (idx - 1) / 2
-		m.recomputeSubtree(idx)
-	}
 }

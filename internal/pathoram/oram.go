@@ -52,8 +52,11 @@ type ORAM struct {
 	rng     *rand.Rand
 	pathBuf []uint64
 	ptBuf   []byte // bucket plaintext scratch (decrypt target, encode source)
-	zeroBuf []byte // immutable all-zero payload for first-touch blocks
-	plan    EvictPlan
+	// fresh is the immutable payload a first-touch block starts from: zeroes
+	// for a data tree (a never-written block reads zero), all-0xFF for a
+	// position-map tree (every label in it reads unassignedLabel).
+	fresh []byte
+	plan  EvictPlan
 
 	integrity *merkleTree // optional integrity extension ([25])
 
@@ -120,14 +123,14 @@ func newORAMShell(g Geometry, key crypt.Key, rng *rand.Rand, store BucketStore) 
 		}
 	}
 	return &ORAM{
-		geom:    g,
-		store:   store,
-		cipher:  crypt.NewCipher(key, randReader{rng}),
-		stash:   NewStash(),
-		posmap:  newPositionMap(g.Capacity()),
-		rng:     rng,
-		ptBuf:   make([]byte, g.BucketPlainBytes()),
-		zeroBuf: make([]byte, g.BlockBytes),
+		geom:   g,
+		store:  store,
+		cipher: crypt.NewCipher(key, randReader{rng}),
+		stash:  NewStash(),
+		posmap: newPositionMap(g.Capacity()),
+		rng:    rng,
+		ptBuf:  make([]byte, g.BucketPlainBytes()),
+		fresh:  make([]byte, g.BlockBytes),
 	}, nil
 }
 
@@ -250,7 +253,7 @@ func (o *ORAM) accessPath(addr, leaf, newLeaf uint64, fn func(data []byte)) erro
 	}
 	blk := o.stash.Get(addr)
 	if blk == nil {
-		o.stash.Put(Block{Addr: addr, Leaf: newLeaf, Data: o.zeroBuf})
+		o.stash.Put(Block{Addr: addr, Leaf: newLeaf, Data: o.fresh})
 		blk = o.stash.Get(addr)
 	}
 	blk.Leaf = newLeaf
@@ -356,7 +359,7 @@ func (o *ORAM) fetchPath(leaf, target, newLeaf uint64) error {
 	}
 	blk := o.stash.Get(target)
 	if blk == nil {
-		o.stash.Put(Block{Addr: target, Leaf: newLeaf, Data: o.zeroBuf})
+		o.stash.Put(Block{Addr: target, Leaf: newLeaf, Data: o.fresh})
 		blk = o.stash.Get(target)
 	}
 	blk.Leaf = newLeaf
@@ -398,7 +401,8 @@ func (o *ORAM) writePath(leaf uint64) error {
 			return err
 		}
 		if o.integrity != nil {
-			o.integrity.update(idx, ct)
+			// Leaf first, so one hash per bucket keeps the root current.
+			o.integrity.rehash(idx, ct)
 		}
 		if o.stale != nil {
 			// The rewrite replaced every slot in this bucket; any stale

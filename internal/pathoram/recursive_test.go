@@ -287,8 +287,8 @@ func TestPaperConfigMatchesReportedMovement(t *testing.T) {
 
 func TestEstimateAccessLatencyNearPaper(t *testing.T) {
 	// Our native DRAM model should land near the paper's DRAMSim2-derived
-	// 1488 cycles; the experiments pin the scalar to PaperAccessLatency
-	// for point-comparability (see DESIGN.md substitution #3).
+	// 1488 cycles; the experiments still use PaperAccessLatency itself, so
+	// their results compare point for point with the paper's.
 	est := EstimateAccessLatency(PaperConfig(), dram.Default(), crypt.DefaultLatency())
 	if est.CPUCycles < PaperAccessLatency*80/100 || est.CPUCycles > PaperAccessLatency*120/100 {
 		t.Fatalf("estimated access latency %d cycles; want within 20%% of %d", est.CPUCycles, PaperAccessLatency)

@@ -1,6 +1,7 @@
 package pathoram
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -233,6 +234,12 @@ func buildStack(cfg StackConfig, rng *rand.Rand, level func(i int, g Geometry, r
 		o, err := level(i, g, rng)
 		if err != nil {
 			return nil, fmt.Errorf("level %d: %w", i, err)
+		}
+		if i > 0 {
+			// A position-map block created on first touch must read
+			// unassignedLabel in every slot, or the tree above it would
+			// fetch each of its own first touches along path 0.
+			o.fresh = bytes.Repeat([]byte{0xFF}, g.BlockBytes)
 		}
 		s.orams = append(s.orams, o)
 	}

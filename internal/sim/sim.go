@@ -69,8 +69,8 @@ type Config struct {
 	EpochGrowth uint64
 	// EpochFirstLen is the simulated first-epoch length in cycles.
 	// Defaults to 2^21 — the paper's 2^30 scaled down so scaled runs
-	// experience the same number of transitions (DESIGN.md #4). Leakage
-	// accounting always uses the paper-scale schedule.
+	// experience the same number of transitions. Leakage accounting always
+	// uses the paper-scale schedule.
 	EpochFirstLen uint64
 	// ORAMLatency is OLAT in cycles (default: the paper's 1488).
 	ORAMLatency uint64

@@ -64,7 +64,8 @@ func TestBaseDRAMIPCInPaperBand(t *testing.T) {
 
 func TestBaseDRAMPowerScale(t *testing.T) {
 	// §9.1.6: base_dram power 0.055–0.086 W; our model lands on the same
-	// order (0.05–0.20 W) — see EXPERIMENTS.md for the measured table.
+	// order (0.05–0.20 W) — `cmd/experiments -run fig6` prints the
+	// measured table.
 	for _, spec := range []workload.Spec{workload.MCF(), workload.Hmmer()} {
 		r := quickRun(t, spec, Config{Scheme: BaseDRAM})
 		if w := r.Power.Watts(); w < 0.05 || w > 0.25 {

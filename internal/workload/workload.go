@@ -1,6 +1,6 @@
 // Package workload generates deterministic synthetic instruction streams
-// that stand in for the paper's SPEC-int benchmarks (see DESIGN.md,
-// substitution #1). Each benchmark is a phase program: per-phase
+// that stand in for the paper's SPEC-int benchmarks: the repo runs no SPEC
+// binaries. Each benchmark is a phase program: per-phase
 // instruction mix, hot (cache-resident) and cold (LLC-missing) working
 // sets, access burstiness, and phase boundaries. The generators are
 // calibrated so the observable properties the paper's evaluation depends on

@@ -165,8 +165,8 @@ var (
 // ExperimentScale selects run lengths for the experiment harness.
 type ExperimentScale = experiments.Scale
 
-// QuickScale is for smoke runs and benches; FullScale produced
-// EXPERIMENTS.md.
+// QuickScale is for smoke runs and benches; FullScale is what
+// `cmd/experiments -scale full` runs.
 var (
 	QuickScale = experiments.Quick
 	FullScale  = experiments.Full
