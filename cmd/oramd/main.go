@@ -81,8 +81,8 @@ func main() {
 				recovered++
 			}
 		}
-		fmt.Printf("oramd: file store in %s — %d/%d shards recovered from checkpoints (checkpoint-every %d, mode %s, sync %s)\n",
-			eff.DataDir, recovered, eff.Shards, eff.CheckpointEvery, eff.CheckpointMode, eff.Sync)
+		fmt.Printf("oramd: file store in %s — %d/%d shards recovered from checkpoints (checkpoint-every %d, sync %s)\n",
+			eff.DataDir, recovered, eff.Shards, eff.CheckpointEvery, eff.Sync)
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -1,12 +1,13 @@
 package pathoram
 
 import (
+	"cmp"
 	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 )
 
 // This file implements the durable untrusted store: encrypted buckets at
@@ -80,9 +81,10 @@ type FileStorageConfig struct {
 
 // filePage is one cached bucket.
 type filePage struct {
-	idx   uint64
-	dirty bool
-	data  []byte
+	idx  uint64
+	data []byte
+	// dirtyAt is the page's position in FileStorage.dirty, -1 while clean.
+	dirtyAt int
 }
 
 // FileStorage is a BucketStore over a file of fixed-offset encrypted
@@ -98,10 +100,12 @@ type FileStorage struct {
 	f          *os.File
 	cache      map[uint64]*list.Element // idx -> element holding *filePage
 	lru        *list.List               // front = most recently used
-	dirty      int
-	retain     bool
-	mmap       []byte // read-only whole-file mapping when cfg.MMap
-	stats      StorageStats
+	// dirty lists the dirty pages, so Flush and AppendDirty sort them
+	// instead of scanning the cache; sortDirty orders it by index.
+	dirty  []*filePage
+	retain bool
+	mmap   []byte // read-only whole-file mapping when cfg.MMap
+	stats  StorageStats
 }
 
 // CreateFileStorage creates (or truncates) a bucket file for g and sizes it
@@ -221,27 +225,60 @@ func (s *FileStorage) Path() string { return s.cfg.Path }
 func (s *FileStorage) RetainDirty(on bool) { s.retain = on }
 
 // DirtyCount returns the number of dirty cached buckets.
-func (s *FileStorage) DirtyCount() int { return s.dirty }
+func (s *FileStorage) DirtyCount() int { return len(s.dirty) }
 
-// DirtyBuckets calls fn for every dirty cached bucket in ascending index
-// order (deterministic checkpoint encoding). The slice aliases the cache
-// page; fn must not retain it.
-func (s *FileStorage) DirtyBuckets(fn func(idx uint64, ciphertext []byte)) {
-	idxs := make([]uint64, 0, s.dirty)
-	for idx, el := range s.cache {
-		if el.Value.(*filePage).dirty {
-			idxs = append(idxs, idx)
-		}
+// sortDirty orders the dirty list by bucket index (deterministic checkpoint
+// encoding, sequential flushes).
+func (s *FileStorage) sortDirty() {
+	slices.SortFunc(s.dirty, func(a, b *filePage) int { return cmp.Compare(a.idx, b.idx) })
+	for i, p := range s.dirty {
+		p.dirtyAt = i
 	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	for _, idx := range idxs {
-		fn(idx, s.cache[idx].Value.(*filePage).data)
+}
+
+// AppendDirty appends the store's dirty pages as a checkpoint redo section:
+// the page count and the bucket ciphertext size, then each page's index and
+// ciphertext in ascending index order. They are the writes the file has not
+// absorbed yet; recovery replays them (DecodeRedo) before verifying roots.
+func (s *FileStorage) AppendDirty(b []byte) []byte {
+	s.sortDirty()
+	b = le.AppendUint32(b, uint32(len(s.dirty)))
+	b = le.AppendUint32(b, uint32(s.bucketSize))
+	for _, p := range s.dirty {
+		b = append(le.AppendUint64(b, p.idx), p.data...)
 	}
+	return b
+}
+
+// RedoBucket is one bucket write a checkpoint carries.
+type RedoBucket struct {
+	Idx        uint64
+	Ciphertext []byte
+}
+
+// DecodeRedo parses what AppendDirty wrote, returning the writes and the
+// input after them. The ciphertexts alias b.
+func DecodeRedo(b []byte) ([]RedoBucket, []byte, error) {
+	d := &decoder{b: b}
+	n, size := int(d.u32()), int(d.u32())
+	if d.err == nil && n > len(d.b)/(8+size) {
+		d.err = errTruncated
+	}
+	if d.err != nil {
+		return nil, nil, d.err
+	}
+	redo := make([]RedoBucket, n)
+	for i := range redo {
+		redo[i] = RedoBucket{Idx: d.u64(), Ciphertext: d.take(size)}
+	}
+	return redo, d.b, d.err
 }
 
 // page returns the cached page for idx, loading it from the file when load
 // is true and the page is absent. With load=false an absent page comes back
 // zeroed — the BucketSlice path, whose caller overwrites the whole bucket.
+// A miss on a full cache takes over the evicted page's buffer and list
+// element, so steady-state misses allocate nothing.
 func (s *FileStorage) page(idx uint64, load bool) *filePage {
 	if el, ok := s.cache[idx]; ok {
 		s.stats.CacheHits++
@@ -249,48 +286,69 @@ func (s *FileStorage) page(idx uint64, load bool) *filePage {
 		return el.Value.(*filePage)
 	}
 	s.stats.CacheMisses++
-	s.evictFor()
-	p := &filePage{idx: idx, data: make([]byte, s.bucketSize)}
-	if load {
-		if _, err := s.f.ReadAt(p.data, s.bucketOffset(idx)); err != nil {
-			panic(fmt.Sprintf("pathoram: reading bucket %d from %s: %v", idx, s.cfg.Path, err))
-		}
-		s.stats.FileReads++
+	var p *filePage
+	if el := s.evictFor(); el != nil {
+		p = el.Value.(*filePage)
+		s.lru.MoveToFront(el)
+		s.cache[idx] = el
+	} else {
+		p = &filePage{data: make([]byte, s.bucketSize), dirtyAt: -1}
+		s.cache[idx] = s.lru.PushFront(p)
 	}
-	s.cache[idx] = s.lru.PushFront(p)
+	p.idx = idx
+	if !load {
+		clear(p.data)
+		return p
+	}
+	if _, err := s.f.ReadAt(p.data, s.bucketOffset(idx)); err != nil {
+		panic(fmt.Sprintf("pathoram: reading bucket %d from %s: %v", idx, s.cfg.Path, err))
+	}
+	s.stats.FileReads++
 	return p
 }
 
 // evictFor makes room for one page when the cache is full: the least
-// recently used evictable page is dropped, written out first if dirty and
-// unpinned. With every page dirty and pinned the cache grows past its bound
+// recently used evictable page leaves the cache map, written out first if
+// dirty and unpinned, and its list element is returned for reuse. With every
+// page dirty and pinned it returns nil and the cache grows past its bound
 // (Flush shrinks the dirty set back to zero).
-func (s *FileStorage) evictFor() {
+func (s *FileStorage) evictFor() *list.Element {
 	if len(s.cache) < s.cfg.CacheBuckets {
-		return
+		return nil
 	}
 	for el := s.lru.Back(); el != nil; el = el.Prev() {
 		p := el.Value.(*filePage)
-		if p.dirty {
+		if p.dirtyAt >= 0 {
 			if s.retain {
 				continue
 			}
 			s.writeOut(p)
 		}
-		s.lru.Remove(el)
 		delete(s.cache, p.idx)
-		return
+		return el
+	}
+	return nil
+}
+
+// markDirty adds p to the dirty list (no-op when already dirty).
+func (s *FileStorage) markDirty(p *filePage) {
+	if p.dirtyAt < 0 {
+		p.dirtyAt = len(s.dirty)
+		s.dirty = append(s.dirty, p)
 	}
 }
 
-// writeOut persists one dirty page and clears its dirty bit.
+// writeOut persists one dirty page and swap-removes it from the dirty list.
 func (s *FileStorage) writeOut(p *filePage) {
 	if _, err := s.f.WriteAt(p.data, s.bucketOffset(p.idx)); err != nil {
 		panic(fmt.Sprintf("pathoram: writing bucket %d to %s: %v", p.idx, s.cfg.Path, err))
 	}
 	s.stats.FileWrites++
-	p.dirty = false
-	s.dirty--
+	last := s.dirty[len(s.dirty)-1]
+	s.dirty[p.dirtyAt], last.dirtyAt = last, p.dirtyAt
+	s.dirty[len(s.dirty)-1] = nil
+	s.dirty = s.dirty[:len(s.dirty)-1]
+	p.dirtyAt = -1
 	if s.cfg.Sync == SyncAlways {
 		if err := s.f.Sync(); err != nil {
 			panic(fmt.Sprintf("pathoram: syncing %s: %v", s.cfg.Path, err))
@@ -309,7 +367,7 @@ func (s *FileStorage) ReadBucket(idx uint64) []byte {
 		// page copy, no cache churn, and after a Flush the mapping is
 		// coherent with the flushed bytes (MAP_SHARED over the same file).
 		if el, ok := s.cache[idx]; ok {
-			if p := el.Value.(*filePage); p.dirty {
+			if p := el.Value.(*filePage); p.dirtyAt >= 0 {
 				s.stats.CacheHits++
 				s.lru.MoveToFront(el)
 				return p.data
@@ -335,10 +393,7 @@ func (s *FileStorage) WriteBucket(idx uint64, ciphertext []byte) {
 // adaptation of the zero-copy write-back contract).
 func (s *FileStorage) BucketSlice(idx uint64) []byte {
 	p := s.page(idx, false)
-	if !p.dirty {
-		p.dirty = true
-		s.dirty++
-	}
+	s.markDirty(p)
 	return p.data
 }
 
@@ -354,22 +409,18 @@ func (s *FileStorage) Snapshot(idx uint64) []byte {
 // fsyncs under SyncOnFlush or SyncAlways. After Flush the file matches the
 // store's logical contents exactly.
 func (s *FileStorage) Flush() error {
-	idxs := make([]uint64, 0, s.dirty)
-	for idx, el := range s.cache {
-		if el.Value.(*filePage).dirty {
-			idxs = append(idxs, idx)
-		}
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	for _, idx := range idxs {
-		p := s.cache[idx].Value.(*filePage)
+	s.sortDirty()
+	for _, p := range s.dirty {
 		if _, err := s.f.WriteAt(p.data, s.bucketOffset(p.idx)); err != nil {
 			return fmt.Errorf("pathoram: flushing bucket %d to %s: %w", p.idx, s.cfg.Path, err)
 		}
 		s.stats.FileWrites++
-		p.dirty = false
-		s.dirty--
 	}
+	for _, p := range s.dirty {
+		p.dirtyAt = -1
+	}
+	clear(s.dirty)
+	s.dirty = s.dirty[:0]
 	if s.cfg.Sync != SyncNone {
 		if err := s.f.Sync(); err != nil {
 			return fmt.Errorf("pathoram: syncing %s: %w", s.cfg.Path, err)

@@ -344,3 +344,66 @@ func TestFileStorageMMapReads(t *testing.T) {
 		t.Errorf("mmap store served no reads from the mapping: %+v", st)
 	}
 }
+
+// TestFileStorageSteadyStateZeroAllocs pins the page cache's recycling: once
+// the cache is full, a miss takes over the evicted page's buffer and list
+// element, and Flush and AppendDirty order the dirty list in place, so a
+// stream of misses, writes, redo encodings and flushes allocates nothing.
+// Flush clears the dirty list only after every page reached the file, and
+// DecodeRedo reads back exactly what AppendDirty wrote.
+func TestFileStorageSteadyStateZeroAllocs(t *testing.T) {
+	g := GeometryForBlocks(256, 3, 64)
+	fs, err := CreateFileStorage(g, FileStorageConfig{Path: filepath.Join(t.TempDir(), "buckets.oram"), CacheBuckets: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	if _, err := NewORAMOn(g, crypt.Key{3}, rand.New(rand.NewSource(3)), fs); err != nil {
+		t.Fatal(err)
+	}
+	fs.RetainDirty(true)
+	ct := make([]byte, g.BucketCipherBytes())
+	redo := make([]byte, 0, 8<<10)
+	var idx uint64
+	round := func() {
+		for i := 0; i < 4; i++ {
+			idx = (idx + 37) % g.Buckets()
+			fs.ReadBucket(idx)
+			ct[0] = byte(idx)
+			fs.WriteBucket((idx+1)%g.Buckets(), ct)
+		}
+		redo = fs.AppendDirty(redo[:0])
+		if err := fs.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("a round of misses, writes, redo and flush allocates %v, want 0", allocs)
+	}
+	if misses := fs.Stats().CacheMisses; misses < 400 {
+		t.Fatalf("only %d misses: the cache is not being exercised", misses)
+	}
+
+	for i := 0; i < 3; i++ {
+		idx = (idx + 37) % g.Buckets()
+		ct[0] = byte(i)
+		fs.WriteBucket(idx, ct)
+	}
+	got, rest, err := DecodeRedo(fs.AppendDirty(nil))
+	if err != nil || len(rest) != 0 || len(got) != 3 {
+		t.Fatalf("redo of 3 dirty pages decodes to %d records, %d bytes left, %v", len(got), len(rest), err)
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i-1].Idx >= got[i].Idx {
+			t.Fatalf("redo not in ascending bucket order: %d then %d", got[i-1].Idx, got[i].Idx)
+		}
+	}
+	for _, r := range got {
+		if !bytes.Equal(r.Ciphertext, fs.ReadBucket(r.Idx)) {
+			t.Fatalf("redo for bucket %d differs from the cached page", r.Idx)
+		}
+	}
+}

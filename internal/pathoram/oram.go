@@ -57,6 +57,8 @@ type ORAM struct {
 	// position-map tree (every label in it reads unassignedLabel).
 	fresh []byte
 	plan  EvictPlan
+	// sortScratch is reused by the checkpoint encoder to order tombstones.
+	sortScratch []uint64
 
 	integrity *merkleTree // optional integrity extension ([25])
 

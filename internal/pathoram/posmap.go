@@ -16,11 +16,13 @@ type positionMap struct {
 	flat  []uint64 // flat[addr] = leaf, or unknownLeaf
 	limit uint64   // flat may grow to cover addresses < limit
 	over  map[uint64]uint64
-	// journal, when non-nil, records every address Set has dirtied since
-	// the last capture — the change set a delta checkpoint drains instead
-	// of copying the whole map. Nil (the default) keeps the hot path free
-	// of any tracking cost for callers that never capture deltas.
-	journal map[uint64]struct{}
+	// journal, while tracking, records every address Set has assigned since
+	// the last capture, repeats included — the change set a delta
+	// checkpoint drains instead of copying the whole map. An append per Set
+	// keeps the hot path free of hashing; drainJournal sorts and
+	// deduplicates. Off (the default) for callers that never capture deltas.
+	journal  []uint64
+	tracking bool
 }
 
 // newPositionMap returns a position map whose flat region may grow to limit
@@ -45,43 +47,30 @@ func (p *positionMap) Get(addr uint64) (uint64, bool) {
 
 // Track arms dirty tracking: from now on Set records each assigned address
 // in the journal so a delta capture can serialize only what changed.
-func (p *positionMap) Track() {
-	if p.journal == nil {
-		p.journal = make(map[uint64]struct{})
-	}
-}
+func (p *positionMap) Track() { p.tracking = true }
 
 // Tracking reports whether dirty tracking is armed.
-func (p *positionMap) Tracking() bool { return p.journal != nil }
+func (p *positionMap) Tracking() bool { return p.tracking }
 
-// drainJournal returns the dirtied addresses in ascending order (for
-// deterministic delta encoding) and resets the journal.
+// drainJournal sorts and deduplicates the journal in place and returns the
+// distinct dirtied addresses in ascending order; dense addresses (< limit)
+// therefore come first. The slice is valid until resetJournal, which the
+// caller runs once it has consumed it.
 func (p *positionMap) drainJournal() []uint64 {
-	if len(p.journal) == 0 {
-		return nil
-	}
-	addrs := make([]uint64, 0, len(p.journal))
-	for a := range p.journal {
-		addrs = append(addrs, a)
-	}
-	clear(p.journal)
-	slices.Sort(addrs)
-	return addrs
+	slices.Sort(p.journal)
+	p.journal = slices.Compact(p.journal)
+	return p.journal
 }
 
-// resetJournal empties the journal without reading it — a full capture
-// supersedes any accumulated delta baseline.
-func (p *positionMap) resetJournal() {
-	if p.journal != nil {
-		clear(p.journal)
-	}
-}
+// resetJournal empties the journal, keeping its capacity — after a drain,
+// or when a full capture supersedes the accumulated delta baseline.
+func (p *positionMap) resetJournal() { p.journal = p.journal[:0] }
 
 // Set assigns a leaf to addr, growing the flat region (amortized O(1)) when
 // a new dense address appears.
 func (p *positionMap) Set(addr, leaf uint64) {
-	if p.journal != nil {
-		p.journal[addr] = struct{}{}
+	if p.tracking {
+		p.journal = append(p.journal, addr)
 	}
 	if addr < p.limit {
 		if addr >= uint64(len(p.flat)) {

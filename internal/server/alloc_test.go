@@ -18,6 +18,12 @@ import (
 //	recursive     5      5
 //	batched       6      6
 //
+// The file-backed flat shard at cadence 8 (one log record per 8 ops, its
+// checkpoints included in the count) has the same budget: the record is
+// encoded and sealed in one reused buffer and appended to the open log,
+// and a page-cache miss recycles the evicted page, so neither adds an
+// allocation.
+//
 // Read: request, reply channel (header and its pointer-carrying buffer are
 // two objects), the slot's group closure, the result copy. Write: padded
 // payload, request, reply channel (two), the group closure. Batched adds the
@@ -34,6 +40,11 @@ func TestServePathAllocBudget(t *testing.T) {
 		{"flat", func(c *Config) { c.Backend = BackendFlat }, 5},
 		{"recursive", func(c *Config) { c.Backend = BackendRecursive; c.Recursion = 2 }, 5},
 		{"batched", func(c *Config) { c.Backend = BackendBatched; c.BatchK = 4; c.EvictEvery = 4 }, 6},
+		{"file", func(c *Config) {
+			// A tree of 2047 buckets behind a 16-page cache: most of every
+			// path misses.
+			c.Blocks, c.Store, c.DataDir, c.CheckpointEvery, c.CacheBuckets = 2048, StoreFile, t.TempDir(), 8, 16
+		}, 5},
 	}
 	for _, p := range presets {
 		t.Run(p.name, func(t *testing.T) {

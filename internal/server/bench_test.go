@@ -90,9 +90,10 @@ func BenchmarkServerThroughput(b *testing.B) {
 	})
 	// The durable storage tier: same grid as the flat paced series but the
 	// buckets live in files with a periodic sealed-checkpoint cadence
-	// (forced integrity included), so the paced series shows whether the
-	// slot grid absorbs the storage tier and the unpaced series measures
-	// the raw mem-vs-file capacity cost (page cache + checkpoint + seal).
+	// (forced integrity included; each checkpoint appends one record to the
+	// shard's chain log), so the paced series shows whether the slot grid
+	// absorbs the storage tier and the unpaced series measures the raw
+	// mem-vs-file capacity cost (page cache + checkpoint + seal).
 	// bench_compare.sh records the store kind per series and refuses
 	// mem-vs-file comparisons, so these never gate against the RAM series.
 	fileStore := func(dir string) func(*Config) {
@@ -114,19 +115,6 @@ func BenchmarkServerThroughput(b *testing.B) {
 			cfg.Unpaced = true
 		})
 	})
-	// The incremental checkpoint pipeline: same durable grid but each
-	// checkpoint appends an O(dirty) sealed delta to a hash-linked chain
-	// instead of rewriting the whole trusted state. bench.sh records the
-	// checkpoint_mode per series and bench_compare.sh refuses full-vs-delta
-	// comparisons, so these gate only against their own history.
-	for _, n := range []int{1, 4} {
-		b.Run(fmt.Sprintf("file-delta/shards=%d", n), func(b *testing.B) {
-			runThroughput(b, n, func(cfg *Config) {
-				fileStore(b.TempDir())(cfg)
-				cfg.CheckpointMode = CheckpointDelta
-			})
-		})
-	}
 }
 
 // BenchmarkBatchVerb prices the batch_read verb itself: one latency-bound

@@ -196,12 +196,13 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	}
 }
 
-// TestCrashRecoveryDeltaChainEndToEnd is the kill−9 acceptance for the delta
-// checkpoint chain: a real oramd with -checkpoint-mode delta and a tiny
-// -delta-compact-after (so the run crosses several chain folds) is SIGKILLed
-// mid-run — possibly mid-delta-write — and a restart over the same data dir
-// must replay base + chain and recover every acknowledged write. A planted
-// orphan delta tmp file checks the boot-time sweep of interrupted writes.
+// TestCrashRecoveryDeltaChainEndToEnd is the kill−9 acceptance for the
+// checkpoint log under compaction: a real oramd with a tiny
+// -delta-compact-after (so the run crosses several folds into a fresh
+// base.bin) is SIGKILLed mid-run — possibly mid-append or mid-fold — and a
+// restart over the same data dir must replay base + log and recover every
+// acknowledged write. A planted orphan base.tmp checks the boot-time sweep
+// of an interrupted fold.
 func TestCrashRecoveryDeltaChainEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs external daemons")
@@ -225,7 +226,6 @@ func TestCrashRecoveryDeltaChainEndToEnd(t *testing.T) {
 		"-store", "file",
 		"-data-dir", dataDir,
 		"-checkpoint-every", "1",
-		"-checkpoint-mode", "delta",
 		"-delta-compact-after", "65536",
 	}
 	start := func() *exec.Cmd {
@@ -268,9 +268,9 @@ func TestCrashRecoveryDeltaChainEndToEnd(t *testing.T) {
 	daemon.Wait()
 	c.Close()
 
-	// An interrupted delta write leaves a tmp file; plant one to pin the
-	// boot-time sweep even if the kill landed between checkpoints.
-	orphan := filepath.Join(dataDir, "shard-0000", "delta-999999.tmp")
+	// An interrupted fold leaves base.tmp; plant one to pin the boot-time
+	// sweep even if the kill landed elsewhere.
+	orphan := filepath.Join(dataDir, "shard-0000", "base.tmp")
 	if err := os.WriteFile(orphan, []byte("torn write"), 0o600); err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestCrashRecoveryDeltaChainEndToEnd(t *testing.T) {
 		}
 	}
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Errorf("orphaned delta tmp survived the boot sweep (stat err %v)", err)
+		t.Errorf("orphaned base.tmp survived the boot sweep (stat err %v)", err)
 	}
 	for addr, want := range acked {
 		got, err := c2.Read(addr)

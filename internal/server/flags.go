@@ -59,7 +59,6 @@ type StoreFlags struct {
 	ckptEvery *int
 	cacheBkts *int
 	syncPol   *string
-	ckptMode  *string
 	compactAt *int64
 	mmapReads *bool
 
@@ -109,8 +108,7 @@ func NewStoreFlags(fs *flag.FlagSet, opt StoreFlagOptions) *StoreFlags {
 		f.ckptEvery = fs.Int("checkpoint-every", 0, opt.Note+"file store: sealed checkpoint every N served slots (1 = durable acks, 0 = shutdown only)")
 		f.cacheBkts = fs.Int("cache-buckets", 0, opt.Note+"file store: bucket page cache size per level (0 = default 1024)")
 		f.syncPol = fs.String("sync", "none", opt.Note+"file store fsync policy: none | checkpoint | always")
-		f.ckptMode = fs.String("checkpoint-mode", "", opt.Note+"file store checkpoint strategy: full (rewrite base.bin each time; default) | delta (append O(dirty) hash-linked delta chain elements)")
-		f.compactAt = fs.Int64("delta-compact-after", 0, opt.Note+"delta mode: fold the chain into a fresh base once sealed delta bytes pass this threshold (0 = default 4 MiB)")
+		f.compactAt = fs.Int64("delta-compact-after", 0, opt.Note+"file store: fold the checkpoint log into a fresh base.bin once its sealed records pass this many bytes (0 = default 4 MiB)")
 		f.mmapReads = fs.Bool("mmap", false, opt.Note+"file store: serve clean bucket reads from a read-only mmap of each bucket file (unix only)")
 	}
 	return f
@@ -156,7 +154,6 @@ func (f *StoreFlags) Config() (Config, error) {
 		cfg.CheckpointEvery = *f.ckptEvery
 		cfg.CacheBuckets = *f.cacheBkts
 		cfg.Sync = *f.syncPol
-		cfg.CheckpointMode = *f.ckptMode
 		cfg.DeltaCompactAfter = *f.compactAt
 		cfg.MMap = *f.mmapReads
 	}

@@ -1,16 +1,13 @@
 package server
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	mrand "math/rand"
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
@@ -26,45 +23,33 @@ import (
 //     rewrite at will;
 //   - a sealed checkpoint CHAIN of the TRUSTED controller state — position
 //     maps, stash contents, tombstones, counters — plus the Merkle roots
-//     binding it to the bucket files, each element encrypted and MAC'd
-//     under the session key (crypt.Seal).
+//     binding it to the bucket files: base.bin, then the records appended
+//     to chain.log since. Each element is a u32 length and the Seal blob of
+//     a fixed-layout payload (header, then pathoram.AppendState or the
+//     padded pathoram.AppendDelta, then each level's redo), encoded into
+//     one reused buffer and sealed in place.
 //
-// The chain is base.bin (a full ShardState snapshot, persistedState) plus
-// zero or more delta-NNNNNN.bin files (incremental pathoram.ShardDelta
-// captures, persistedDelta) in strictly increasing sequence order. Every
-// delta names its position in the chain (Seq) and carries the SHA-256 of
-// its predecessor's sealed bytes (Prev), so a chain an adversary splices,
-// reorders or punches a hole in fails closed at recovery: a tampered
-// element fails authentication (crypt.ErrAuthFailed), a missing element is
-// a sequence gap (ErrChainGap), a reordered or substituted element breaks
-// the predecessor hash (ErrChainOrder). In "full" checkpoint mode (the
-// default) every checkpoint rewrites base.bin and the chain has one
-// element, exactly PR 8's protocol under a new file name; in "delta" mode a
-// checkpoint appends an O(dirty) delta, and a compactor folds the chain
-// back into a fresh base once the accumulated delta bytes pass
-// Config.DeltaCompactAfter (so recovery replay and chain storage stay
-// bounded).
+// A log record carries its sequence number and its predecessor's seal tag,
+// so a tampered record fails authentication (crypt.ErrAuthFailed), a
+// missing one is a gap (ErrChainGap) and a reordered or spliced one breaks
+// the chain (ErrChainOrder). A fresh base replaces the chain at the first
+// checkpoint, at every checkpoint under cadence 0, and once the log passes
+// Config.DeltaCompactAfter bytes; the log is then truncated.
 //
 // Crash consistency uses redo-in-checkpoint: between checkpoints every dirty
 // bucket page is pinned in the cache (FileStorage.RetainDirty), so the
-// bucket files never change behind the chain's back. A checkpoint then
-// (1) captures trusted state (full or delta) and the dirty pages as redo
-// records, (2) seals and atomically renames the blob into place, (3)
-// flushes the dirty pages. A crash at any point leaves a complete chain
-// plus bucket files that the chain's redo records — replayed in chain
-// order, idempotently — converge to exactly the state the newest element's
-// Merkle roots certify. Recovery therefore: authenticate and decode the
-// base, fold each delta in order (verifying Seq and Prev), replay all redo,
-// re-hash the bucket files against the final roots (tampering fails closed
-// with pathoram.ErrRootMismatch), and rebuild the stack.
+// bucket files never change behind the chain's back. A checkpoint encodes
+// trusted state plus the dirty pages as redo, makes the record durable (log
+// append, or base rename), and only then flushes the pages. So a crash
+// leaves a chain whose redo, replayed in order, converges the files to the
+// newest element's Merkle roots — or a torn final append whose pages were
+// never flushed, which recovery drops. docs/ARCHITECTURE.md walks through
+// the layout and the recovery cases.
 
 const (
 	baseFile = "base.bin"
 	baseTemp = "base.tmp"
-	// legacyCheckpointFile is PR 8's single-checkpoint name; a data dir
-	// written before the chain protocol is adopted by renaming it to
-	// base.bin at boot (its gob payload decodes as a Seq-0 base).
-	legacyCheckpointFile = "checkpoint.bin"
+	logFile  = "chain.log"
 	// initMarker exists while a shard directory is being freshly
 	// initialized: present on boot, the half-written bucket files are
 	// discarded and initialization restarts. Bucket files WITHOUT a
@@ -74,130 +59,88 @@ const (
 	initMarker = "INITIALIZING"
 )
 
-// deltaName and deltaTempName are the chain-element file names for seq;
-// fixed-width so lexicographic directory order is chain order.
-func deltaName(seq uint64) string     { return fmt.Sprintf("delta-%06d.bin", seq) }
-func deltaTempName(seq uint64) string { return fmt.Sprintf("delta-%06d.tmp", seq) }
+// recordMagic opens every checkpoint payload; the trailing digit is the
+// format version.
+const recordMagic = "TCORAMC1"
 
-// parseDeltaName extracts the sequence number from a delta file name. The
-// digit run is parsed without a width cap so chains whose sequence outgrows
-// the 6-digit minimum width still recover.
-func parseDeltaName(name string) (uint64, bool) {
-	digits, ok := strings.CutPrefix(name, "delta-")
-	if !ok {
-		return 0, false
-	}
-	digits, ok = strings.CutSuffix(digits, ".bin")
-	if !ok || digits == "" {
-		return 0, false
-	}
-	seq, err := strconv.ParseUint(digits, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return seq, true
-}
+// Record kinds.
+const (
+	kindBase  byte = 1 // full state: base.bin
+	kindDelta byte = 2 // padded delta: a chain.log record
+)
+
+// Record header layout: magic, kind, zero-padded backend name, restart
+// count, Seq, Prev.
+const (
+	backendBytes = 16
+	headerBytes  = len(recordMagic) + 1 + backendBytes + 8 + 8 + crypt.MACSize
+)
 
 // ErrNoCheckpoint is returned when a shard directory holds bucket files but
 // no checkpoint and no initialization marker — recovery is impossible and
 // reinitialization would destroy data, so boot refuses.
 var ErrNoCheckpoint = errors.New("server: bucket files present without a checkpoint; refusing to reinitialize")
 
-// ErrChainGap is returned when the delta chain has a sequence hole — an
-// element was deleted (or never made it to disk while its successors did),
-// so the trusted state cannot be reconstructed. Fail closed.
-var ErrChainGap = errors.New("server: checkpoint delta chain has a gap; refusing to recover")
+// ErrChainGap is returned when the checkpoint log has a sequence hole — a
+// record was removed while its successors stayed, so the trusted state
+// cannot be reconstructed. Fail closed.
+var ErrChainGap = errors.New("server: checkpoint log has a gap; refusing to recover")
 
-// ErrChainOrder is returned when a delta's predecessor hash (or its sealed
-// sequence number) does not match its position in the chain — the chain was
-// reordered or spliced from elements of different histories. Fail closed.
-var ErrChainOrder = errors.New("server: checkpoint delta chain predecessor mismatch (reordered or spliced chain); refusing to recover")
+// ErrChainOrder is returned when a record's sequence number or predecessor
+// tag does not match its position in the log — the log was reordered or
+// spliced from records of different histories. Fail closed.
+var ErrChainOrder = errors.New("server: checkpoint log out of order (reordered or spliced records); refusing to recover")
 
-// persistedState is the gob payload sealed into base.bin.
-type persistedState struct {
-	// Backend is the preset that wrote the checkpoint; with the level count
-	// of State it guards against restarting a data dir under a different
-	// stack shape (the trusted state would not fit).
-	Backend string
-	// Restarts counts recoveries; it salts the recovered RNG stream so a
-	// restarted shard does not replay the leaf sequence the pre-crash
-	// instance already consumed after the checkpoint.
-	Restarts uint64
-	// Seq is the chain position this base folds up to: deltas with
-	// sequence <= Seq predate it and are swept as stale at recovery (a
-	// crash between a compaction's base rename and its delta cleanup
-	// leaves exactly such files), deltas from Seq+1 upward extend it.
-	Seq uint64
-	// State is the captured trusted state, including per-level Merkle
-	// roots.
-	State *pathoram.ShardState
-	// Redo carries every bucket dirty in cache at capture time: ciphertext
-	// writes the bucket file had not absorbed yet. Replayed idempotently
-	// on recovery before root verification.
-	Redo []redoLevel
-}
+// ErrOldFormat is returned for a data dir written in a checkpoint format
+// older than the chain log — a gob-encoded base.bin, delta-NNNNNN.bin chain
+// files, or a single checkpoint.bin. Boot refuses it before touching any
+// file.
+var ErrOldFormat = errors.New("server: data dir holds an older checkpoint format; refusing to touch it")
 
-// persistedDelta is the gob payload sealed into one delta-NNNNNN.bin chain
-// element.
-type persistedDelta struct {
-	// Backend mirrors persistedState.Backend.
-	Backend string
-	// Restarts is the writer's restart count; recovery takes the value
-	// from the newest chain element (the chain survives restarts without
-	// a base rewrite, so the base's count can be stale).
-	Restarts uint64
-	// Seq is this element's chain position. It must equal the sequence in
-	// the file name — a mismatch means the file was renamed into a slot it
-	// was not sealed for (ErrChainOrder).
-	Seq uint64
-	// Prev is the SHA-256 of the predecessor chain element's sealed bytes
-	// (base.bin for the first delta). Each element is individually
-	// authenticated by crypt.Seal; Prev authenticates their ORDER.
-	Prev [sha256.Size]byte
-	// Delta is the O(dirty) trusted-state change set since the previous
-	// chain element.
-	Delta *pathoram.ShardDelta
-	// Redo mirrors persistedState.Redo: buckets dirty at this capture.
-	Redo []redoLevel
-}
+var le = binary.LittleEndian
 
-type redoLevel struct {
-	Level   int
-	Buckets []redoBucket
-}
-
-type redoBucket struct {
-	Idx        uint64
-	Ciphertext []byte
+// record is one decoded chain element.
+type record struct {
+	kind     byte
+	backend  string
+	restarts uint64
+	seq      uint64
+	prev     [crypt.MACSize]byte
+	tag      [crypt.MACSize]byte // its own seal tag: the next record's prev
+	state    *pathoram.ShardState
+	delta    *pathoram.ShardDelta
+	redo     [][]pathoram.RedoBucket // per level
 }
 
 // persister owns one file-backed shard's durable state: the per-level
-// FileStorages and the checkpoint protocol. After construction it is owned
-// by the shard's serving goroutine (the sealing Cipher is not
-// concurrency-safe, mirroring the per-shard ORAM ciphers).
+// FileStorages, the open chain log and the checkpoint protocol. After
+// construction it is owned by the shard's serving goroutine (the Sealer is
+// not concurrency-safe, mirroring the per-shard ORAM ciphers).
 type persister struct {
 	dir       string
 	shard     int
 	backend   string
-	cipher    *crypt.Cipher
+	sealer    *crypt.Sealer
 	stores    []*pathoram.FileStorage // by level
 	restarts  uint64
 	ckpts     uint64
 	recovered bool
 	sync      pathoram.SyncPolicy
 
-	// Chain state. mode selects full (every checkpoint rewrites base.bin)
-	// or delta (checkpoints append O(dirty) chain elements); seq/lastHash
-	// name the newest chain element and the hash the next delta must link
-	// to; chainBytes accumulates sealed delta sizes since the last base so
-	// the compactor can fold the chain past compactAfter bytes; haveBase
-	// gates delta writes until an initial base exists.
-	mode         string
+	// Chain state. bound is the public position-map entry count of a log
+	// record (CheckpointEvery × BatchK: one remap per level per fetched
+	// path in a cadence window), 0 when every checkpoint is a base;
+	// seq/lastTag name the newest element, which the next record extends;
+	// logSize is the length of chain.log's complete records, compared
+	// against compactAfter; haveBase gates records until a base exists.
+	log          *os.File
+	logSize      int64
 	compactAfter int64
+	bound        int
 	seq          uint64
-	lastHash     [sha256.Size]byte
-	chainBytes   int64
+	lastTag      [crypt.MACSize]byte
 	haveBase     bool
+	buf          []byte // the reused record buffer
 
 	// Checkpoint cost totals (ShardStats checkpoint_bytes/checkpoint_ns):
 	// sealed bytes written and wall time spent across all checkpoints.
@@ -220,60 +163,69 @@ func levelPath(dir string, level int) string {
 	return filepath.Join(dir, fmt.Sprintf("level-%d.oram", level))
 }
 
+// newPersister builds the persister of one shard from the config.
+func newPersister(cfg Config, shard int) (*persister, error) {
+	sync, err := pathoram.ParseSyncPolicy(cfg.Sync)
+	if err != nil {
+		return nil, err
+	}
+	return &persister{
+		dir:          shardDir(cfg.DataDir, shard),
+		shard:        shard,
+		backend:      cfg.Backend,
+		sealer:       crypt.NewSealer(crypt.NewCipher(cfg.Key, nil)),
+		sync:         sync,
+		compactAfter: cfg.DeltaCompactAfter,
+		bound:        cfg.CheckpointEvery * max(1, cfg.stackConfig().BatchK),
+	}, nil
+}
+
 // newFileShard builds (or recovers) one file-backed shard: the stack plus
 // the persister that will checkpoint it. Boot outcomes:
 //
-//   - checkpoint present           -> recover (fail closed on tampering);
+//   - older checkpoint format        -> ErrOldFormat, nothing touched;
+//   - checkpoint present             -> recover (fail closed on tampering);
 //   - no checkpoint, marker or
-//     empty/absent directory       -> fresh initialization;
+//     empty/absent directory         -> fresh initialization;
 //   - bucket files, no checkpoint,
-//     no marker                    -> ErrNoCheckpoint (fail closed).
+//     no marker                      -> ErrNoCheckpoint (fail closed).
 func newFileShard(cfg Config, shard int) (*pathoram.Stack, *persister, error) {
-	dir := shardDir(cfg.DataDir, shard)
-	sync, err := pathoram.ParseSyncPolicy(cfg.Sync)
+	p, err := newPersister(cfg, shard)
 	if err != nil {
 		return nil, nil, err
 	}
-	p := &persister{
-		dir:          dir,
-		shard:        shard,
-		backend:      cfg.Backend,
-		cipher:       crypt.NewCipher(cfg.Key, nil),
-		sync:         sync,
-		mode:         cfg.CheckpointMode,
-		compactAfter: cfg.DeltaCompactAfter,
+	if err := refuseOldFormat(p.dir); err != nil {
+		return nil, nil, err
 	}
-	// A pre-chain data dir carries its full checkpoint under the old name;
-	// adopt it as the chain's base (the gob payload decodes as a Seq-0
-	// persistedState, and no deltas exist yet).
-	if _, err := os.Stat(filepath.Join(dir, baseFile)); err != nil {
-		if _, lerr := os.Stat(filepath.Join(dir, legacyCheckpointFile)); lerr == nil {
-			if rerr := os.Rename(filepath.Join(dir, legacyCheckpointFile), filepath.Join(dir, baseFile)); rerr != nil {
-				return nil, nil, fmt.Errorf("adopting legacy checkpoint: %w", rerr)
-			}
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, baseFile)); err == nil {
-		b, err := p.recover(cfg, sync)
-		if err != nil {
-			p.closeStores()
-			return nil, nil, err
-		}
-		return b, p, nil
-	}
-	if _, err := os.Stat(filepath.Join(dir, initMarker)); err != nil {
+	boot := p.initialize
+	if _, err := os.Stat(filepath.Join(p.dir, baseFile)); err == nil {
+		boot = p.recover
+	} else if _, err := os.Stat(filepath.Join(p.dir, initMarker)); err != nil {
 		// No checkpoint and no marker: only an empty (or absent) directory
 		// may be initialized.
-		if ents, err := os.ReadDir(dir); err == nil && len(ents) > 0 {
-			return nil, nil, fmt.Errorf("%w (%s)", ErrNoCheckpoint, dir)
+		if ents, err := os.ReadDir(p.dir); err == nil && len(ents) > 0 {
+			return nil, nil, fmt.Errorf("%w (%s)", ErrNoCheckpoint, p.dir)
 		}
 	}
-	b, err := p.initialize(cfg, sync)
+	b, err := boot(cfg)
 	if err != nil {
 		p.closeStores()
 		return nil, nil, err
 	}
 	return b, p, nil
+}
+
+// refuseOldFormat fails with ErrOldFormat, naming the file, when the shard
+// directory holds a file only an older checkpoint format writes. (A gob
+// base.bin is recognized when the base is read.)
+func refuseOldFormat(dir string) error {
+	ents, _ := os.ReadDir(dir) // absent: a fresh shard
+	for _, e := range ents {
+		if name := e.Name(); name == "checkpoint.bin" || strings.HasPrefix(name, "delta-") && strings.HasSuffix(name, ".bin") {
+			return fmt.Errorf("%w: %s holds %s", ErrOldFormat, dir, name)
+		}
+	}
+	return nil
 }
 
 // storeConfig builds the FileStorage config for one level.
@@ -288,8 +240,8 @@ func storeConfig(cfg Config, dir string, level int, sync pathoram.SyncPolicy) pa
 
 // initialize creates the shard directory under the crash-safe marker
 // protocol, builds a fresh stack on new bucket files, and writes the
-// initial checkpoint before removing the marker.
-func (p *persister) initialize(cfg Config, sync pathoram.SyncPolicy) (*pathoram.Stack, error) {
+// initial checkpoint (a base) before removing the marker.
+func (p *persister) initialize(cfg Config) (*pathoram.Stack, error) {
 	if err := os.MkdirAll(p.dir, 0o700); err != nil {
 		return nil, err
 	}
@@ -297,9 +249,9 @@ func (p *persister) initialize(cfg Config, sync pathoram.SyncPolicy) (*pathoram.
 	if err := os.WriteFile(marker, []byte("initializing\n"), 0o600); err != nil {
 		return nil, err
 	}
-	sweepTemps(p.dir)
+	os.Remove(filepath.Join(p.dir, baseTemp))
 	factory := func(level int, g pathoram.Geometry) (pathoram.BucketStore, error) {
-		fs, err := pathoram.CreateFileStorage(g, storeConfig(cfg, p.dir, level, sync))
+		fs, err := pathoram.CreateFileStorage(g, storeConfig(cfg, p.dir, level, p.sync))
 		if err != nil {
 			return nil, err
 		}
@@ -313,16 +265,17 @@ func (p *persister) initialize(cfg Config, sync pathoram.SyncPolicy) (*pathoram.
 	// The Merkle tree is mandatory for file-backed shards: its roots are
 	// what every checkpoint binds the untrusted files to.
 	b.EnableIntegrity()
-	if p.mode == CheckpointDelta {
+	if p.bound > 0 {
 		b.TrackDirty()
 	}
 	// Settle the freshly initialized tree into the files, then cut the
 	// first checkpoint (always a base — the chain needs an anchor) and arm
 	// dirty-page pinning.
-	for _, fs := range p.stores {
-		if err := fs.Flush(); err != nil {
-			return nil, err
-		}
+	if err := p.flushStores(); err != nil {
+		return nil, err
+	}
+	if err := p.openLog(0); err != nil {
+		return nil, err
 	}
 	if err := p.checkpoint(b); err != nil {
 		return nil, err
@@ -335,75 +288,71 @@ func (p *persister) initialize(cfg Config, sync pathoram.SyncPolicy) (*pathoram.
 }
 
 // recover rebuilds the shard from its checkpoint chain: authenticate and
-// unseal the base, fold every delta in sequence order (each element's seal
-// authenticates its contents, its Prev hash authenticates its position),
-// replay the accumulated redo into the bucket files, re-verify against the
-// newest sealed Merkle roots, restore trusted state.
-func (p *persister) recover(cfg Config, sync pathoram.SyncPolicy) (*pathoram.Stack, error) {
-	// A crash mid-write leaves *.tmp orphans (base.tmp or delta-NNNNNN.tmp);
-	// none is part of the chain, so sweep them before reading it.
-	sweepTemps(p.dir)
-	blob, err := os.ReadFile(filepath.Join(p.dir, baseFile))
+// decode the base, fold every log record in order (each record's seal
+// authenticates its contents, its Seq and Prev its position), replay the
+// accumulated redo into the bucket files, re-verify against the newest
+// sealed Merkle roots, restore trusted state, and drop a torn tail.
+func (p *persister) recover(cfg Config) (*pathoram.Stack, error) {
+	base, err := p.readBase()
 	if err != nil {
 		return nil, err
-	}
-	plain, err := crypt.OpenSealed(p.cipher, blob)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint base failed authentication (tampered, truncated or wrong key): %w", err)
-	}
-	var ps persistedState
-	if err := gob.NewDecoder(bytes.NewReader(plain)).Decode(&ps); err != nil {
-		return nil, fmt.Errorf("decoding checkpoint base: %w", err)
 	}
 	// The trusted state only fits the stack shape that captured it; refuse
 	// a restart under another one before touching any file.
 	sc := cfg.stackConfig()
-	if wrote, want := shapeLabel(ps.Backend, len(ps.State.Levels)-1), shapeLabel(cfg.Backend, sc.Recursion); wrote != want {
+	if wrote, want := shapeLabel(base.backend, len(base.state.Levels)-1), shapeLabel(cfg.Backend, sc.Recursion); wrote != want {
 		return nil, fmt.Errorf("checkpoint was written by a %s stack, daemon configured for %s", wrote, want)
 	}
-	restarts := ps.Restarts
-	p.seq = ps.Seq
-	p.lastHash = sha256.Sum256(blob)
-	p.chainBytes = 0
-	if err := p.foldDeltas(cfg, &ps, &restarts); err != nil {
+	logImage, err := os.ReadFile(filepath.Join(p.dir, logFile))
+	if err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
 	geoms := sc.Geometries()
+	redo, end, err := p.fold(base, logImage, geoms)
+	if err != nil {
+		return nil, err
+	}
+	// A crash mid-write of a base leaves its temp file; it is not part of
+	// the chain.
+	os.Remove(filepath.Join(p.dir, baseTemp))
 	p.stores = make([]*pathoram.FileStorage, len(geoms))
 	for i, g := range geoms {
-		fs, err := pathoram.OpenFileStorage(g, storeConfig(cfg, p.dir, i, sync))
+		fs, err := pathoram.OpenFileStorage(g, storeConfig(cfg, p.dir, i, p.sync))
 		if err != nil {
 			return nil, err
 		}
 		p.stores[i] = fs
 	}
-	// Redo replay: writes the checkpoint captured that may not have
-	// reached the files. Idempotent, so a torn post-checkpoint flush (or a
-	// replayed replay after a crash during recovery) converges to the same
-	// bytes the sealed roots certify.
-	for _, rl := range ps.Redo {
-		if rl.Level < 0 || rl.Level >= len(p.stores) {
-			return nil, fmt.Errorf("checkpoint redo names level %d of %d", rl.Level, len(p.stores))
-		}
-		for _, rb := range rl.Buckets {
-			p.stores[rl.Level].WriteBucket(rb.Idx, rb.Ciphertext)
-		}
-	}
-	for _, fs := range p.stores {
-		if err := fs.Flush(); err != nil {
-			return nil, err
+	// Redo replay: writes the chain captured that may not have reached the
+	// files. Idempotent and in chain order, so a torn post-checkpoint flush
+	// (or a replayed replay after a crash during recovery) converges to the
+	// same bytes the sealed roots certify.
+	for _, levels := range redo {
+		for level, buckets := range levels {
+			for _, rb := range buckets {
+				if rb.Idx >= geoms[level].Buckets() || len(rb.Ciphertext) != geoms[level].BucketCipherBytes() {
+					return nil, fmt.Errorf("checkpoint redo names bucket %d (%d bytes) outside level %d's geometry", rb.Idx, len(rb.Ciphertext), level)
+				}
+				p.stores[level].WriteBucket(rb.Idx, rb.Ciphertext)
+			}
 		}
 	}
-	p.restarts = restarts + 1
+	if err := p.flushStores(); err != nil {
+		return nil, err
+	}
+	p.restarts++
 	factory := func(level int, g pathoram.Geometry) (pathoram.BucketStore, error) {
 		return p.stores[level], nil
 	}
-	b, err := pathoram.RecoverStack(sc, cfg.Key, shardRNG(cfg.Seed, p.shard, p.restarts), factory, ps.State)
+	b, err := pathoram.RecoverStack(sc, cfg.Key, shardRNG(cfg.Seed, p.shard, p.restarts), factory, base.state)
 	if err != nil {
 		return nil, err
 	}
-	if p.mode == CheckpointDelta {
+	if p.bound > 0 {
 		b.TrackDirty()
+	}
+	if err := p.openLog(int64(end)); err != nil {
+		return nil, err
 	}
 	// A stale marker can survive a crash between checkpoint rename and
 	// marker removal during initialization; the checkpoint won.
@@ -414,82 +363,166 @@ func (p *persister) recover(cfg Config, sync pathoram.SyncPolicy) (*pathoram.Sta
 	return b, nil
 }
 
-// foldDeltas extends the decoded base with every live delta chain element
-// in sequence order: stale deltas (seq <= base.Seq — leftovers of a crash
-// between compaction's base rename and its delta cleanup) are swept, the
-// live ones must form a contiguous run from base.Seq+1 whose elements
-// authenticate individually (seal) and positionally (Seq + Prev hash).
-// Their trusted-state deltas fold into ps.State and their redo records
-// append to ps.Redo in chain order (replay order matters: a later element's
-// redo must overwrite an earlier one's for buckets both touched). restarts
-// tracks the newest chain element's restart count.
-func (p *persister) foldDeltas(cfg Config, ps *persistedState, restarts *uint64) error {
-	ents, err := os.ReadDir(p.dir)
+// readBase reads, authenticates and decodes base.bin. A base that is not
+// one framed record but opens as a bare Seal blob is a gob checkpoint from
+// before the chain log: ErrOldFormat.
+func (p *persister) readBase() (*record, error) {
+	path := filepath.Join(p.dir, baseFile)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if len(blob) < 4 || int64(le.Uint32(blob)) != int64(len(blob)-4) {
+		if _, err := p.sealer.OpenInPlace(slices.Clone(blob)); err == nil {
+			return nil, fmt.Errorf("%w: %s is a gob-encoded checkpoint", ErrOldFormat, path)
+		}
+		return nil, fmt.Errorf("checkpoint base failed authentication (tampered, truncated or wrong key): %w", crypt.ErrAuthFailed)
+	}
+	base, err := p.openRecord(blob[4:])
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint base: %w", err)
+	}
+	if base.kind != kindBase {
+		return nil, fmt.Errorf("checkpoint base holds a kind-%d record", base.kind)
+	}
+	return base, nil
+}
+
+// splitLog cuts a chain.log image into its complete sealed records and
+// returns where they end: past end lies nothing, or a torn append — a
+// length prefix or body cut short by a crash mid-write.
+func splitLog(image []byte) (sealed [][]byte, end int) {
+	for len(image)-end >= 4 {
+		n := int64(le.Uint32(image[end:]))
+		if n > int64(len(image)-end-4) {
+			break
+		}
+		sealed = append(sealed, image[end+4:end+4+int(n)])
+		end += 4 + int(n)
+	}
+	return sealed, end
+}
+
+// fold authenticates chain.log's complete records and folds them onto base
+// in chain order: records with Seq ≤ base.seq before the first live one
+// are stale (a crash between a base's rename and the log truncate) and are
+// skipped; the live ones must run contiguously from base.seq+1, each
+// carrying its predecessor's tag, and their deltas fold into base.state
+// (checked against the level geometries). It returns the redo to replay, in
+// chain order, and the length of the log's complete records. It decrypts
+// the image in place and touches no file.
+func (p *persister) fold(base *record, image []byte, geoms []pathoram.Geometry) (redo [][][]pathoram.RedoBucket, end int, err error) {
+	sealed, end := splitLog(image)
+	recs := make([]*record, len(sealed))
+	for i, s := range sealed {
+		if recs[i], err = p.openRecord(s); err != nil {
+			return nil, 0, fmt.Errorf("%s record %d: %w", logFile, i, err)
+		}
+	}
+	for len(recs) > 0 && recs[0].seq <= base.seq {
+		recs = recs[1:]
+	}
+	redo = append(redo, base.redo)
+	want, prev := base.seq+1, base.tag
+	for i, r := range recs {
+		if r.seq != want {
+			if slices.ContainsFunc(recs[i+1:], func(r *record) bool { return r.seq == want }) {
+				return nil, 0, fmt.Errorf("%w: record %d found where %d belongs", ErrChainOrder, r.seq, want)
+			}
+			return nil, 0, fmt.Errorf("%w: record %d is missing", ErrChainGap, want)
+		}
+		if r.kind != kindDelta || r.prev != prev {
+			return nil, 0, fmt.Errorf("%w: record %d does not extend its predecessor", ErrChainOrder, r.seq)
+		}
+		if r.backend != base.backend {
+			return nil, 0, fmt.Errorf("record %d was written by backend %q, the base by %q", r.seq, r.backend, base.backend)
+		}
+		if err := pathoram.ApplyDelta(base.state, r.delta, geoms); err != nil {
+			return nil, 0, fmt.Errorf("applying record %d: %w", r.seq, err)
+		}
+		redo = append(redo, r.redo)
+		base.restarts, want, prev = r.restarts, want+1, r.tag
+	}
+	p.restarts, p.seq, p.lastTag = base.restarts, want-1, prev
+	return redo, end, nil
+}
+
+// openRecord authenticates one sealed record in place and decodes it.
+func (p *persister) openRecord(sealed []byte) (*record, error) {
+	var tag [crypt.MACSize]byte
+	copy(tag[:], sealed)
+	payload, err := p.sealer.OpenInPlace(sealed)
+	if err != nil {
+		return nil, fmt.Errorf("authentication failed (tampered, truncated or wrong key): %w", err)
+	}
+	r, err := decodeRecord(payload)
+	if err != nil {
+		return nil, err
+	}
+	r.tag = tag
+	return r, nil
+}
+
+// decodeRecord parses one record payload: the header, the stack state or
+// delta its kind names, and one redo section per level, with nothing left
+// over. The decoded payloads alias payload.
+func decodeRecord(payload []byte) (*record, error) {
+	if len(payload) < headerBytes || string(payload[:len(recordMagic)]) != recordMagic {
+		return nil, errors.New("checkpoint record has no valid header")
+	}
+	h := payload[len(recordMagic):headerBytes]
+	r := &record{
+		kind:     h[0],
+		backend:  strings.TrimRight(string(h[1:1+backendBytes]), "\x00"),
+		restarts: le.Uint64(h[1+backendBytes:]),
+		seq:      le.Uint64(h[9+backendBytes:]),
+	}
+	copy(r.prev[:], h[17+backendBytes:])
+	rest := payload[headerBytes:]
+	var levels int
+	var err error
+	switch r.kind {
+	case kindBase:
+		r.state, rest, err = pathoram.DecodeState(rest)
+		if err == nil {
+			levels = len(r.state.Levels)
+		}
+	case kindDelta:
+		r.delta, rest, err = pathoram.DecodeDelta(rest)
+		if err == nil {
+			levels = len(r.delta.Levels)
+		}
+	default:
+		err = fmt.Errorf("unknown record kind %d", r.kind)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("decoding checkpoint record: %w", err)
+	}
+	r.redo = make([][]pathoram.RedoBucket, levels)
+	for i := range r.redo {
+		if r.redo[i], rest, err = pathoram.DecodeRedo(rest); err != nil {
+			return nil, fmt.Errorf("decoding checkpoint redo: %w", err)
+		}
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("checkpoint record has %d trailing bytes", len(rest))
+	}
+	return r, nil
+}
+
+// openLog opens chain.log for appending at offset size, cutting off anything
+// past it (a torn tail, or a stale log under a fresh base).
+func (p *persister) openLog(size int64) error {
+	f, err := os.OpenFile(filepath.Join(p.dir, logFile), os.O_RDWR|os.O_CREATE, 0o600)
 	if err != nil {
 		return err
 	}
-	var seqs []uint64
-	for _, e := range ents {
-		seq, ok := parseDeltaName(e.Name())
-		if !ok {
-			continue
-		}
-		if seq <= ps.Seq {
-			os.Remove(filepath.Join(p.dir, e.Name()))
-			continue
-		}
-		seqs = append(seqs, seq)
+	if err := f.Truncate(size); err != nil {
+		f.Close()
+		return err
 	}
-	slices.Sort(seqs)
-	for i, seq := range seqs {
-		if want := ps.Seq + 1 + uint64(i); seq != want {
-			return fmt.Errorf("%w: missing %s, found %s", ErrChainGap, deltaName(want), deltaName(seq))
-		}
-		blob, err := os.ReadFile(filepath.Join(p.dir, deltaName(seq)))
-		if err != nil {
-			return err
-		}
-		plain, err := crypt.OpenSealed(p.cipher, blob)
-		if err != nil {
-			return fmt.Errorf("%s failed authentication (tampered, truncated or wrong key): %w", deltaName(seq), err)
-		}
-		var pd persistedDelta
-		if err := gob.NewDecoder(bytes.NewReader(plain)).Decode(&pd); err != nil {
-			return fmt.Errorf("decoding %s: %w", deltaName(seq), err)
-		}
-		if pd.Backend != cfg.Backend {
-			return fmt.Errorf("%s was written by backend %q, daemon configured for %q", deltaName(seq), pd.Backend, cfg.Backend)
-		}
-		if pd.Seq != seq {
-			return fmt.Errorf("%w: %s is sealed as sequence %d", ErrChainOrder, deltaName(seq), pd.Seq)
-		}
-		if pd.Prev != p.lastHash {
-			return fmt.Errorf("%w: %s does not extend its predecessor", ErrChainOrder, deltaName(seq))
-		}
-		if err := pathoram.ApplyDelta(ps.State, pd.Delta); err != nil {
-			return fmt.Errorf("applying %s: %w", deltaName(seq), err)
-		}
-		ps.Redo = append(ps.Redo, pd.Redo...)
-		*restarts = pd.Restarts
-		p.seq = seq
-		p.lastHash = sha256.Sum256(blob)
-		p.chainBytes += int64(len(blob))
-	}
+	p.log, p.logSize = f, size
 	return nil
-}
-
-// sweepTemps removes every *.tmp orphan a crash mid-write can leave in a
-// shard directory (base.tmp, delta-NNNNNN.tmp, or PR 8's checkpoint.tmp).
-func sweepTemps(dir string) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".tmp") {
-			os.Remove(filepath.Join(dir, e.Name()))
-		}
-	}
 }
 
 // armRetention pins dirty pages between checkpoints when a checkpoint
@@ -504,16 +537,16 @@ func (p *persister) armRetention(cfg Config) {
 	}
 }
 
-// checkpoint makes the stack's current trusted state durable: a base
-// rewrite in full mode, an O(dirty) chain append in delta mode — except
-// when the chain has no anchor yet (first checkpoint) or has outgrown
-// compactAfter bytes, in which case the compactor folds it into a fresh
-// base. Both paths end with the store flush that unpins the dirty pages.
+// checkpoint makes the stack's current trusted state durable: a record
+// appended to chain.log — except when the chain has no base yet (first
+// checkpoint), when the log has outgrown compactAfter bytes, or at cadence
+// 0, when a fresh base replaces the chain. Both paths end with the store
+// flush that unpins the dirty pages.
 func (p *persister) checkpoint(b *pathoram.Stack) error {
 	start := time.Now()
 	var err error
-	if p.mode == CheckpointDelta && p.haveBase && !p.needCompact() {
-		err = p.writeDelta(b)
+	if p.haveBase && p.bound > 0 && p.logSize < p.compactAfter {
+		err = p.appendRecord(b)
 	} else {
 		err = p.writeBase(b)
 	}
@@ -525,68 +558,34 @@ func (p *persister) checkpoint(b *pathoram.Stack) error {
 	return nil
 }
 
-// needCompact reports whether the delta chain passed the compaction
-// threshold (never in full mode, where chainBytes stays zero).
-func (p *persister) needCompact() bool {
-	return p.compactAfter > 0 && p.chainBytes >= p.compactAfter
-}
-
-// captureRedo snapshots every dirty bucket page as redo records.
-func (p *persister) captureRedo() []redoLevel {
-	var redo []redoLevel
-	for i, fs := range p.stores {
-		if fs.DirtyCount() == 0 {
-			continue
-		}
-		rl := redoLevel{Level: i, Buckets: make([]redoBucket, 0, fs.DirtyCount())}
-		fs.DirtyBuckets(func(idx uint64, ct []byte) {
-			rl.Buckets = append(rl.Buckets, redoBucket{Idx: idx, Ciphertext: append([]byte(nil), ct...)})
-		})
-		redo = append(redo, rl)
+// encode builds one framed, sealed record in the reused buffer: length
+// prefix and seal headroom, header, state or delta, per-level redo; then
+// seals the payload in place and fills in the length.
+func (p *persister) encode(b *pathoram.Stack, kind byte, seq uint64) ([]byte, error) {
+	buf := append(p.buf[:0], make([]byte, 4+crypt.SealOverhead)...)
+	var name [backendBytes]byte
+	copy(name[:], p.backend)
+	buf = append(append(append(buf, recordMagic...), kind), name[:]...)
+	buf = le.AppendUint64(le.AppendUint64(buf, p.restarts), seq)
+	buf = append(buf, p.lastTag[:]...)
+	var err error
+	if kind == kindBase {
+		buf, err = b.AppendState(buf)
+	} else {
+		buf, err = b.AppendDelta(buf, p.bound)
 	}
-	return redo
-}
-
-// seal gob-encodes and seals one chain element payload.
-func (p *persister) seal(payload any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(payload); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	return crypt.Seal(p.cipher, buf.Bytes())
-}
-
-// writeBlob writes a sealed chain element under the tmp+rename protocol,
-// fsyncing file and directory per the sync policy.
-func (p *persister) writeBlob(tmpName, finalName string, blob []byte) error {
-	tmp := filepath.Join(p.dir, tmpName)
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
-	if err != nil {
-		return err
+	for _, fs := range p.stores {
+		buf = fs.AppendDirty(buf)
 	}
-	if _, err := f.Write(blob); err != nil {
-		f.Close()
-		return err
+	p.buf = buf
+	if err := p.sealer.SealInPlace(buf[4:]); err != nil {
+		return nil, err
 	}
-	if p.sync != pathoram.SyncNone {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(p.dir, finalName)); err != nil {
-		return err
-	}
-	if p.sync != pathoram.SyncNone {
-		if d, err := os.Open(p.dir); err == nil {
-			d.Sync()
-			d.Close()
-		}
-	}
-	return nil
+	le.PutUint32(buf, uint32(len(buf)-4))
+	return buf, nil
 }
 
 // flushStores lets the buffered bucket writes reach the untrusted files
@@ -601,61 +600,77 @@ func (p *persister) flushStores() error {
 	return nil
 }
 
-// writeBase captures the full trusted state into a fresh base.bin, resets
-// the chain to it, and sweeps the deltas it folded (a crash between rename
-// and sweep leaves stale deltas that recovery removes by Seq).
-func (p *persister) writeBase(b *pathoram.Stack) error {
-	st, err := b.CaptureState()
+// appendRecord drains the stack's change journals into the next log record
+// — padded position-map entries plus the dirty-page redo, sealed and linked
+// to its predecessor — appends it, then flushes the stores.
+func (p *persister) appendRecord(b *pathoram.Stack) error {
+	rec, err := p.encode(b, kindDelta, p.seq+1)
 	if err != nil {
 		return err
 	}
-	ps := persistedState{Backend: p.backend, Restarts: p.restarts, Seq: p.seq, State: st, Redo: p.captureRedo()}
-	blob, err := p.seal(&ps)
-	if err != nil {
+	if _, err := p.log.WriteAt(rec, p.logSize); err != nil {
 		return err
 	}
-	if err := p.writeBlob(baseTemp, baseFile, blob); err != nil {
-		return err
-	}
-	for seq := ps.Seq; seq > 0; seq-- {
-		if os.Remove(filepath.Join(p.dir, deltaName(seq))) != nil {
-			break // deltas are contiguous; the first miss ends the sweep
+	if p.sync != pathoram.SyncNone {
+		if err := p.log.Sync(); err != nil {
+			return err
 		}
 	}
 	if err := p.flushStores(); err != nil {
 		return err
 	}
-	p.lastHash = sha256.Sum256(blob)
-	p.chainBytes = 0
-	p.haveBase = true
-	p.ckptBytes += uint64(len(blob))
+	p.seq++
+	copy(p.lastTag[:], rec[4:])
+	p.logSize += int64(len(rec))
+	p.ckptBytes += uint64(len(rec))
 	return nil
 }
 
-// writeDelta drains the stack's change journals into the next chain
-// element: O(dirty) trusted-state entries plus the dirty-page redo set,
-// sealed and linked to the predecessor by hash.
-func (p *persister) writeDelta(b *pathoram.Stack) error {
-	d, err := b.CaptureDelta()
+// writeBase captures the full trusted state into a fresh base.bin under
+// the tmp+rename protocol, then empties the log it folded and flushes the
+// stores.
+func (p *persister) writeBase(b *pathoram.Stack) error {
+	rec, err := p.encode(b, kindBase, p.seq)
 	if err != nil {
 		return err
 	}
-	seq := p.seq + 1
-	pd := persistedDelta{Backend: p.backend, Restarts: p.restarts, Seq: seq, Prev: p.lastHash, Delta: d, Redo: p.captureRedo()}
-	blob, err := p.seal(&pd)
+	tmp := filepath.Join(p.dir, baseTemp)
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
 	if err != nil {
 		return err
 	}
-	if err := p.writeBlob(deltaTempName(seq), deltaName(seq), blob); err != nil {
+	if _, err := f.Write(rec); err != nil {
+		f.Close()
+		return err
+	}
+	if p.sync != pathoram.SyncNone {
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return err
+		}
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, filepath.Join(p.dir, baseFile)); err != nil {
+		return err
+	}
+	if p.sync != pathoram.SyncNone {
+		if d, err := os.Open(p.dir); err == nil {
+			d.Sync()
+			d.Close()
+		}
+	}
+	if err := p.log.Truncate(0); err != nil {
 		return err
 	}
 	if err := p.flushStores(); err != nil {
 		return err
 	}
-	p.seq = seq
-	p.lastHash = sha256.Sum256(blob)
-	p.chainBytes += int64(len(blob))
-	p.ckptBytes += uint64(len(blob))
+	copy(p.lastTag[:], rec[4:])
+	p.logSize = 0
+	p.haveBase = true
+	p.ckptBytes += uint64(len(rec))
 	return nil
 }
 
@@ -667,11 +682,15 @@ func (p *persister) shutdown(b *pathoram.Stack) error {
 	return err
 }
 
+// closeStores releases the bucket files and the log.
 func (p *persister) closeStores() {
 	for _, fs := range p.stores {
 		if fs != nil {
 			fs.Close()
 		}
+	}
+	if p.log != nil {
+		p.log.Close()
 	}
 }
 

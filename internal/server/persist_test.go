@@ -2,11 +2,14 @@ package server
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -37,15 +40,17 @@ func fileStoreCfg(dir, backend string) Config {
 }
 
 // TestFileStoreRoundTrip is the clean-shutdown durability loop for every
-// backend kind and both checkpoint modes: write, close, reopen (recovered),
-// verify, write a second generation, close, reopen, verify both generations.
-// In delta mode the second and third boots recover through base + chain.
+// backend kind, with every checkpoint a base ("full": cadence 0, shutdown
+// only) and with a chain log ("delta": cadence 1): write, close, reopen
+// (recovered), verify, write a second generation, close, reopen, verify
+// both generations. Under "delta" the second and third boots recover
+// through base + log.
 func TestFileStoreRoundTrip(t *testing.T) {
-	for _, mode := range []string{CheckpointFull, CheckpointDelta} {
+	for mode, every := range map[string]int{"full": 0, "delta": 1} {
 		for _, backend := range []string{BackendFlat, BackendRecursive, BackendBatched} {
 			t.Run(mode+"/"+backend, func(t *testing.T) {
 				cfg := fileStoreCfg(t.TempDir(), backend)
-				cfg.CheckpointMode = mode
+				cfg.CheckpointEvery = every
 				st, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -247,14 +252,15 @@ func TestMemFileEquivalence(t *testing.T) {
 				fileCfg.TraceSlots = true
 				memCfg.TraceSlots = true
 			}
-			deltaCfg := fileStoreCfg(t.TempDir(), backend)
-			deltaCfg.CheckpointMode = CheckpointDelta
-			deltaCfg.TraceSlots = fileCfg.TraceSlots
+			// A wider cadence: fewer, padded log records.
+			wideCfg := fileCfg
+			wideCfg.DataDir = t.TempDir()
+			wideCfg.CheckpointEvery = 8
 			memRes, memTrace := run(memCfg)
 			fileRes, fileTrace := run(fileCfg)
-			deltaRes, deltaTrace := run(deltaCfg)
-			if len(memRes) != len(fileRes) || len(memRes) != len(deltaRes) {
-				t.Fatalf("op counts diverge: mem %d, file %d, delta %d", len(memRes), len(fileRes), len(deltaRes))
+			wideRes, wideTrace := run(wideCfg)
+			if len(memRes) != len(fileRes) || len(memRes) != len(wideRes) {
+				t.Fatalf("op counts diverge: mem %d, file %d, cadence-8 file %d", len(memRes), len(fileRes), len(wideRes))
 			}
 			for i := range memRes {
 				if (memRes[i].err == nil) != (fileRes[i].err == nil) {
@@ -263,15 +269,15 @@ func TestMemFileEquivalence(t *testing.T) {
 				if !bytes.Equal(memRes[i].data, fileRes[i].data) {
 					t.Fatalf("op %d result diverges between mem and file stores", i)
 				}
-				if (memRes[i].err == nil) != (deltaRes[i].err == nil) || !bytes.Equal(memRes[i].data, deltaRes[i].data) {
-					t.Fatalf("op %d result diverges between mem and delta-checkpointed file stores", i)
+				if (memRes[i].err == nil) != (wideRes[i].err == nil) || !bytes.Equal(memRes[i].data, wideRes[i].data) {
+					t.Fatalf("op %d result diverges between mem and cadence-8 file stores", i)
 				}
 			}
 			if backend == BackendBatched && !bytes.Equal(memTrace, fileTrace) {
 				t.Fatalf("slot-signature traces diverge between mem and file stores:\nmem  %s\nfile %s", memTrace, fileTrace)
 			}
-			if backend == BackendBatched && !bytes.Equal(memTrace, deltaTrace) {
-				t.Fatalf("slot-signature traces diverge between mem and delta-mode file stores:\nmem   %s\ndelta %s", memTrace, deltaTrace)
+			if backend == BackendBatched && !bytes.Equal(memTrace, wideTrace) {
+				t.Fatalf("slot-signature traces diverge between mem and cadence-8 file stores:\nmem  %s\nwide %s", memTrace, wideTrace)
 			}
 		})
 	}
@@ -322,11 +328,6 @@ func TestStoreConfigValidation(t *testing.T) {
 		t.Fatal("unknown store kind must be rejected")
 	}
 	bad = base
-	bad.CheckpointMode = CheckpointDelta
-	if err := bad.withDefaults().Validate(); err == nil {
-		t.Fatal("CheckpointMode without Store file must be rejected")
-	}
-	bad = base
 	bad.DeltaCompactAfter = 1 << 20
 	if err := bad.withDefaults().Validate(); err == nil {
 		t.Fatal("DeltaCompactAfter without Store file must be rejected")
@@ -339,17 +340,9 @@ func TestStoreConfigValidation(t *testing.T) {
 	bad = base
 	bad.Store = StoreFile
 	bad.DataDir = "/tmp/x"
-	bad.CheckpointMode = "incremental"
+	bad.DeltaCompactAfter = -1
 	if err := bad.withDefaults().Validate(); err == nil {
-		t.Fatal("unknown checkpoint mode must be rejected")
-	}
-	bad = base
-	bad.Store = StoreFile
-	bad.DataDir = "/tmp/x"
-	bad.CheckpointMode = CheckpointFull
-	bad.DeltaCompactAfter = 1 << 20
-	if err := bad.withDefaults().Validate(); err == nil {
-		t.Fatal("DeltaCompactAfter in full checkpoint mode must be rejected")
+		t.Fatal("negative DeltaCompactAfter must be rejected")
 	}
 
 	ok := base
@@ -364,17 +357,8 @@ func TestStoreConfigValidation(t *testing.T) {
 	if !cfg.Integrity {
 		t.Fatal("the file store must force Integrity on")
 	}
-	if cfg.CheckpointMode != CheckpointFull {
-		t.Fatalf("file-store default checkpoint mode is %q, want %q", cfg.CheckpointMode, CheckpointFull)
-	}
-
-	ok.CheckpointMode = CheckpointDelta
-	cfg = ok.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("valid delta-mode config rejected: %v", err)
-	}
 	if cfg.DeltaCompactAfter != 4<<20 {
-		t.Fatalf("delta mode default compaction threshold is %d, want %d", cfg.DeltaCompactAfter, 4<<20)
+		t.Fatalf("file-store default compaction threshold is %d, want %d", cfg.DeltaCompactAfter, 4<<20)
 	}
 }
 
@@ -412,96 +396,100 @@ func TestFileStoreStats(t *testing.T) {
 	}
 }
 
-// deltaFiles lists the shard's sealed chain elements in name (= sequence)
-// order.
-func deltaFiles(t *testing.T, shardDir string) []string {
+// logRecords splits a shard's chain.log into its framed records.
+func logRecords(t *testing.T, shardDir string) (image []byte, records [][]byte) {
 	t.Helper()
-	entries, err := os.ReadDir(shardDir)
+	image, err := os.ReadFile(filepath.Join(shardDir, logFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []string
-	for _, e := range entries {
-		name := e.Name()
-		if strings.HasPrefix(name, "delta-") && strings.HasSuffix(name, ".bin") {
-			out = append(out, filepath.Join(shardDir, name))
-		}
+	for off := 0; off < len(image); {
+		n := 4 + int(le.Uint32(image[off:]))
+		records = append(records, image[off:off+n])
+		off += n
 	}
-	return out
+	return image, records
 }
 
-// TestDeltaChainTamper pins the three fail-closed chain checks: a flipped
-// byte inside a middle delta is caught by the seal's MAC (crypt.ErrAuthFailed),
-// a deleted middle delta leaves a sequence hole (ErrChainGap), and swapping
-// the contents of two deltas breaks the sealed-sequence / predecessor-hash
-// binding (ErrChainOrder). A spliced, reordered, or truncated chain must
-// refuse recovery rather than resurrect stale trusted state.
-func TestDeltaChainTamper(t *testing.T) {
-	dir := t.TempDir()
-	cfg := fileStoreCfg(dir, BackendFlat)
-	cfg.Shards = 1
-	cfg.CheckpointMode = CheckpointDelta
-	st, err := New(cfg)
-	if err != nil {
+// writeLog replaces a shard's chain.log with records in the given order.
+func writeLog(t *testing.T, shardDir string, records ...[]byte) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(shardDir, logFile), bytes.Join(records, nil), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	for addr := uint64(0); addr < 16; addr++ {
-		if err := st.Write(addr, []byte{byte(addr)}); err != nil {
+}
+
+// TestDeltaChainTamper pins the three fail-closed checks on the checkpoint
+// log: a flipped byte inside a middle record is caught by the seal's MAC
+// (crypt.ErrAuthFailed), a removed middle record leaves a sequence hole
+// (ErrChainGap), and swapping two records, or splicing in the same-numbered
+// record of another history under the same key, breaks the sequence /
+// predecessor-tag binding (ErrChainOrder). A spliced, reordered, or
+// truncated log must refuse recovery rather than resurrect stale trusted
+// state — and the refusal must leave the files as they were.
+func TestDeltaChainTamper(t *testing.T) {
+	history := func(dir string, v byte) Config {
+		cfg := fileStoreCfg(dir, BackendFlat)
+		cfg.Shards = 1
+		st, err := New(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
+		for addr := uint64(0); addr < 16; addr++ {
+			if err := st.Write(addr, []byte{byte(addr) + v}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return cfg
 	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
+	cfg := history(dir, 0)
 	shardDir := filepath.Join(dir, "shard-0000")
-	chain := deltaFiles(t, shardDir)
-	if len(chain) < 4 {
-		t.Fatalf("CheckpointEvery=1 delta store left %d chain elements after 16 writes, want >= 4", len(chain))
+	image, recs := logRecords(t, shardDir)
+	otherDir := t.TempDir()
+	history(otherDir, 100)
+	_, otherRecs := logRecords(t, filepath.Join(otherDir, "shard-0000"))
+	if len(recs) < 4 {
+		t.Fatalf("CheckpointEvery=1 store logged %d records after 16 writes, want >= 4", len(recs))
 	}
-	mid := chain[len(chain)/2]
-
-	undo := flipByte(t, mid, -1)
-	if _, err := New(cfg); !errors.Is(err, crypt.ErrAuthFailed) {
-		t.Fatalf("boot over tampered delta: got %v, want ErrAuthFailed", err)
+	mid := len(recs) / 2
+	others := func(skip int) [][]byte {
+		return append(slices.Clone(recs[:skip]), recs[skip+1:]...)
 	}
-	undo()
-
-	saved, err := os.ReadFile(mid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(mid); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(cfg); !errors.Is(err, ErrChainGap) {
-		t.Fatalf("boot over chain with a deleted middle delta: got %v, want ErrChainGap", err)
-	}
-	if err := os.WriteFile(mid, saved, 0o600); err != nil {
-		t.Fatal(err)
+	boot := func(what string, want error) {
+		t.Helper()
+		before := dirSnapshot(t, dir)
+		if _, err := New(cfg); !errors.Is(err, want) {
+			t.Fatalf("boot over %s: got %v, want %v", what, err, want)
+		}
+		if !maps.EqualFunc(before, dirSnapshot(t, dir), bytes.Equal) {
+			t.Fatalf("refused boot over %s modified the data dir", what)
+		}
 	}
 
-	other := chain[len(chain)/2-1]
-	otherSaved, err := os.ReadFile(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(mid, otherSaved, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(other, saved, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(cfg); !errors.Is(err, ErrChainOrder) {
-		t.Fatalf("boot over a chain with two deltas swapped: got %v, want ErrChainOrder", err)
-	}
-	if err := os.WriteFile(mid, saved, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(other, otherSaved, 0o600); err != nil {
-		t.Fatal(err)
-	}
+	flipped := slices.Clone(recs[mid])
+	flipped[len(flipped)/2] ^= 0x01
+	writeLog(t, shardDir, append(append(slices.Clone(recs[:mid]), flipped), recs[mid+1:]...)...)
+	boot("a tampered record", crypt.ErrAuthFailed)
 
-	st, err = New(cfg)
+	writeLog(t, shardDir, others(mid)...)
+	boot("a log with a middle record removed", ErrChainGap)
+
+	swapped := slices.Clone(recs)
+	swapped[mid-1], swapped[mid] = swapped[mid], swapped[mid-1]
+	writeLog(t, shardDir, swapped...)
+	boot("a log with two records swapped", ErrChainOrder)
+
+	spliced := slices.Clone(recs)
+	spliced[mid] = otherRecs[mid]
+	writeLog(t, shardDir, spliced...)
+	boot("a log with another history's record spliced in", ErrChainOrder)
+
+	writeLog(t, shardDir, image)
+	st, err := New(cfg)
 	if err != nil {
 		t.Fatalf("boot after undoing all tampering: %v", err)
 	}
@@ -509,21 +497,89 @@ func TestDeltaChainTamper(t *testing.T) {
 	for addr := uint64(0); addr < 16; addr++ {
 		got, err := st.Read(addr)
 		if err != nil || got[0] != byte(addr) {
-			t.Fatalf("addr %d after chain recovery: %v %v", addr, got, err)
+			t.Fatalf("addr %d after log recovery: %v %v", addr, got, err)
 		}
 	}
 }
 
-// TestDeltaCompaction drives a chain past an absurdly low compaction
-// threshold and checks the chain is folded into a fresh base: at most one
-// delta outlives each fold, stale elements are swept, and recovery through
-// the compacted base still sees every write.
+// TestChainLogTornTail: a crash mid-append leaves a record cut short at the
+// end of the log — a partial length prefix, or a body shorter than its
+// prefix says. Its bucket pages were never flushed, so boot drops it and
+// recovers to the record before, and at cadence 1 every acknowledged write
+// is still there. A complete final record that fails its MAC is tampering,
+// not a torn write, and fails closed.
+func TestChainLogTornTail(t *testing.T) {
+	dir := t.TempDir()
+	cfg := fileStoreCfg(dir, BackendFlat)
+	cfg.Shards = 1
+	st, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for addr := uint64(0); addr < 24; addr++ {
+		if err := st.Write(addr, []byte{byte(addr), 0x7E}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	shardDir := filepath.Join(dir, "shard-0000")
+	image, recs := logRecords(t, shardDir)
+	last := recs[len(recs)-1]
+
+	flipped := slices.Clone(last)
+	flipped[len(flipped)-1] ^= 0x01
+	writeLog(t, shardDir, append(slices.Clone(recs[:len(recs)-1]), flipped)...)
+	if _, err := New(cfg); !errors.Is(err, crypt.ErrAuthFailed) {
+		t.Fatalf("boot over a corrupted full-length tail record: got %v, want ErrAuthFailed", err)
+	}
+
+	// The shutdown checkpoint came right after the last slot's, so cutting
+	// it loses nothing; the other tails are appends that never completed.
+	torn := map[string][]byte{
+		"last record cut mid-body": image[:len(image)-len(last)/2],
+		"two bytes of a prefix":    append(slices.Clone(image), 0x10, 0x00),
+		"prefix, half a body":      append(append(slices.Clone(image), le.AppendUint32(nil, 4096)...), make([]byte, 2048)...),
+	}
+	for name, tail := range torn {
+		// Every case boots its own copy: recovery and the reads after it
+		// move the bucket files on.
+		caseCfg := cfg
+		caseCfg.DataDir = t.TempDir()
+		if err := os.CopyFS(caseCfg.DataDir, os.DirFS(dir)); err != nil {
+			t.Fatal(err)
+		}
+		caseDir := filepath.Join(caseCfg.DataDir, "shard-0000")
+		writeLog(t, caseDir, tail)
+		st, err := New(caseCfg)
+		if err != nil {
+			t.Fatalf("%s: boot over a torn tail: %v", name, err)
+		}
+		for addr := uint64(0); addr < 24; addr++ {
+			got, err := st.Read(addr)
+			if err != nil || got[0] != byte(addr) || got[1] != 0x7E {
+				t.Fatalf("%s: acked block %d reads %v after recovery (%v)", name, addr, got, err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, recs := logRecords(t, caseDir); len(recs) == 0 {
+			t.Fatalf("%s: the recovered log holds no records", name)
+		}
+	}
+}
+
+// TestDeltaCompaction drives the log past an absurdly low compaction
+// threshold and checks it is folded into a fresh base: at most one record
+// outlives each fold, and recovery through the compacted base still sees
+// every write.
 func TestDeltaCompaction(t *testing.T) {
 	dir := t.TempDir()
 	cfg := fileStoreCfg(dir, BackendFlat)
 	cfg.Shards = 1
-	cfg.CheckpointMode = CheckpointDelta
-	cfg.DeltaCompactAfter = 1 // every delta trips the fold on the next checkpoint
+	cfg.DeltaCompactAfter = 1 // every record trips the fold on the next checkpoint
 	st, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -537,8 +593,8 @@ func TestDeltaCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	shardDir := filepath.Join(dir, "shard-0000")
-	if chain := deltaFiles(t, shardDir); len(chain) > 1 {
-		t.Fatalf("compact-after=1 chain holds %d deltas after close, want <= 1: %v", len(chain), chain)
+	if _, recs := logRecords(t, shardDir); len(recs) > 1 {
+		t.Fatalf("compact-after=1 log holds %d records after close, want <= 1", len(recs))
 	}
 	if _, err := os.Stat(filepath.Join(shardDir, "base.bin")); err != nil {
 		t.Fatalf("compacted store has no base: %v", err)
@@ -554,48 +610,6 @@ func TestDeltaCompaction(t *testing.T) {
 		if err != nil || got[0] != byte(addr) {
 			t.Fatalf("addr %d after compacted recovery: %v %v", addr, got, err)
 		}
-	}
-}
-
-// TestLegacyCheckpointMigration checks that a data dir written under the old
-// single-file protocol (checkpoint.bin) boots under the chain protocol: the
-// file is adopted as the sequence-0 base.
-func TestLegacyCheckpointMigration(t *testing.T) {
-	dir := t.TempDir()
-	cfg := fileStoreCfg(dir, BackendFlat)
-	cfg.Shards = 1
-	st, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for addr := uint64(0); addr < 8; addr++ {
-		if err := st.Write(addr, []byte{byte(addr)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	shardDir := filepath.Join(dir, "shard-0000")
-	if err := os.Rename(filepath.Join(shardDir, "base.bin"), filepath.Join(shardDir, "checkpoint.bin")); err != nil {
-		t.Fatal(err)
-	}
-	st, err = New(cfg)
-	if err != nil {
-		t.Fatalf("boot over a legacy checkpoint.bin: %v", err)
-	}
-	defer st.Close()
-	if ss := st.Stats().Shards[0]; ss.Recovery != "recovered" {
-		t.Fatalf("legacy boot outcome %q, want recovered", ss.Recovery)
-	}
-	for addr := uint64(0); addr < 8; addr++ {
-		got, err := st.Read(addr)
-		if err != nil || got[0] != byte(addr) {
-			t.Fatalf("addr %d after legacy migration: %v %v", addr, got, err)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(shardDir, "checkpoint.bin")); !os.IsNotExist(err) {
-		t.Fatalf("legacy checkpoint.bin still present after migration (stat err %v)", err)
 	}
 }
 
@@ -801,55 +815,186 @@ func TestCheckpointCadenceCountsEverySlot(t *testing.T) {
 	}
 }
 
-// TestRecoverDataDirFromBeforeStackUnification boots data dirs written by
-// the commit before pathoram.Stack existed (ba95740: separate ORAM /
-// Recursive / Batched backends, ShardState carrying its own on-chip map
-// copy) — one per preset, delta chains included. There is no checkpoint
-// format version to refuse them by, so they must recover: every write reads
-// back, and the dir keeps working through another close/reopen.
-// testdata/datadir-ba95740 was written by that commit's server.New with the
-// configs below (CheckpointEvery 8, 20 writes, clean Close).
-func TestRecoverDataDirFromBeforeStackUnification(t *testing.T) {
-	for _, p := range []struct {
-		name, backend, mode string
-		recursion           int
-	}{
-		{"flat", BackendFlat, CheckpointFull, 0},
-		{"recursive", BackendRecursive, CheckpointDelta, 2},
-		{"batched", BackendBatched, CheckpointDelta, 1},
-	} {
-		t.Run(p.name, func(t *testing.T) {
-			dir := t.TempDir()
-			if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "datadir-ba95740", p.name))); err != nil {
+// shardFiles lists a shard directory's file names and stats its chain.log.
+func shardFiles(t *testing.T, dir string) ([]string, os.FileInfo) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	fi, err := os.Stat(filepath.Join(dir, logFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names, fi
+}
+
+// TestCheckpointRecordLength pins the public length of a log record's
+// position-map section, and that steady-state checkpoints create no file. At cadence 8, whether each window's slots are all
+// dummies, all hit one address, or all hit distinct addresses, every level of
+// every record carries exactly CheckpointEvery × max(1, BatchK) entries —
+// one remap per level per fetched path — for each preset. A journal over
+// that bound fails the slot, and no record is written for it.
+func TestCheckpointRecordLength(t *testing.T) {
+	const every, windows = 8, 3
+	build := func(t *testing.T, backend string) *shard {
+		cfg := fileStoreCfg(t.TempDir(), backend)
+		cfg.Shards, cfg.Unpaced, cfg.CheckpointEvery = 1, false, every
+		cfg = cfg.withDefaults()
+		o, p, err := newStack(cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh, err := newShard(0, o, p, cfg, make(chan struct{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sh
+	}
+	serve := func(t *testing.T, sh *shard, addrs func(slot, member int) (uint64, bool)) error {
+		for i := 0; i < every*windows; i++ {
+			for j := 0; j < sh.oram.BatchK(); j++ {
+				if addr, ok := addrs(i, j); ok {
+					sh.depth.Add(1)
+					sh.queue <- &request{local: addr % sh.oram.Blocks(), resp: make(chan result, 1)}
+				}
+			}
+			if err := sh.slot(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	loads := map[string]func(slot, member int) (uint64, bool){
+		"all-dummy":    func(int, int) (uint64, bool) { return 0, false },
+		"one-hot":      func(int, int) (uint64, bool) { return 5, true },
+		"all-distinct": func(i, j int) (uint64, bool) { return uint64(i*8 + j), true },
+	}
+	for _, backend := range []string{BackendFlat, BackendRecursive, BackendBatched} {
+		for load, addrs := range loads {
+			sh := build(t, backend)
+			files, logInfo := shardFiles(t, sh.persist.dir)
+			if err := serve(t, sh, addrs); err != nil {
 				t.Fatal(err)
 			}
-			cfg := Config{Shards: 1, Blocks: 64, BlockBytes: 32, Backend: p.backend, Recursion: p.recursion,
-				Store: StoreFile, DataDir: dir, CheckpointEvery: 8, CheckpointMode: p.mode,
-				QueueDepth: 16, Unpaced: true, Key: crypt.Key{42}}
-			for boot := 0; boot < 2; boot++ {
+			// Steady-state checkpoints create no file: the same names, and
+			// the same chain.log, appended to in place.
+			if after, afterLog := shardFiles(t, sh.persist.dir); !slices.Equal(files, after) || !os.SameFile(logInfo, afterLog) {
+				t.Fatalf("%s/%s: checkpoints changed the shard's files: %v -> %v", backend, load, files, after)
+			}
+			want := every * sh.oram.BatchK()
+			image, err := os.ReadFile(filepath.Join(sh.persist.dir, logFile))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sealed, end := splitLog(image)
+			if len(sealed) != windows || end != len(image) {
+				t.Fatalf("%s/%s: %d slots logged %d records (%d of %d bytes complete), want %d", backend, load, every*windows, len(sealed), end, len(image), windows)
+			}
+			for i, s := range sealed {
+				r, err := sh.persist.openRecord(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for level, ld := range r.delta.Levels {
+					if ld.Bound != want {
+						t.Errorf("%s/%s: record %d level %d carries %d position-map entries, want %d", backend, load, i, level, ld.Bound, want)
+					}
+				}
+			}
+			sh.shutdownPersist()
+		}
+	}
+
+	sh := build(t, BackendFlat)
+	defer sh.persist.closeStores()
+	sh.persist.bound = every - 1
+	logged := sh.persist.logSize
+	if err := serve(t, sh, loads["all-distinct"]); !errors.Is(err, pathoram.ErrDeltaBound) {
+		t.Fatalf("a window of %d distinct addresses under bound %d: got %v, want ErrDeltaBound", every, every-1, err)
+	}
+	if fi, err := os.Stat(filepath.Join(sh.persist.dir, logFile)); err != nil || fi.Size() != logged {
+		t.Fatalf("the refused checkpoint changed the log (%v)", err)
+	}
+}
+
+// TestRefuseOldFormatDataDir: a data dir written in a checkpoint format
+// older than the chain log — a gob-encoded base.bin, delta-NNNNNN.bin chain
+// files, or a single checkpoint.bin — is refused for every preset with an
+// error naming the format, and left byte-identical.
+func TestRefuseOldFormatDataDir(t *testing.T) {
+	formats := []struct {
+		name string // what the refusal must name
+		make func(t *testing.T, shardDir string, cfg Config)
+	}{
+		{"gob-encoded", func(t *testing.T, shardDir string, cfg Config) {
+			var payload bytes.Buffer
+			legacy := struct {
+				Backend string
+				Seq     uint64
+				State   *pathoram.ShardState
+			}{cfg.Backend, 0, &pathoram.ShardState{Levels: make([]pathoram.LevelState, 1)}}
+			if err := gob.NewEncoder(&payload).Encode(legacy); err != nil {
+				t.Fatal(err)
+			}
+			blob, err := crypt.Seal(crypt.NewCipher(cfg.Key, nil), payload.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(shardDir, "base.bin"), blob, 0o600); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"delta-000001.bin", func(t *testing.T, shardDir string, _ Config) {
+			if err := os.WriteFile(filepath.Join(shardDir, "delta-000001.bin"), []byte("sealed delta"), 0o600); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"checkpoint.bin", func(t *testing.T, shardDir string, _ Config) {
+			if err := os.Rename(filepath.Join(shardDir, "base.bin"), filepath.Join(shardDir, "checkpoint.bin")); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, p := range []struct {
+		name, backend string
+		recursion     int
+	}{
+		{"flat", BackendFlat, 0},
+		{"recursive", BackendRecursive, 2},
+		{"batched", BackendBatched, 1},
+	} {
+		t.Run(p.name, func(t *testing.T) {
+			for _, f := range formats {
+				dir := t.TempDir()
+				cfg := Config{Shards: 1, Blocks: 64, BlockBytes: 32, Backend: p.backend, Recursion: p.recursion,
+					Store: StoreFile, DataDir: dir, CheckpointEvery: 8, QueueDepth: 16, Unpaced: true, Key: crypt.Key{42}}
 				st, err := New(cfg)
 				if err != nil {
-					t.Fatalf("boot %d: %v", boot, err)
-				}
-				if got := st.Stats().Shards[0].Recovery; got != "recovered" {
-					t.Errorf("boot %d outcome %q, want recovered", boot, got)
+					t.Fatal(err)
 				}
 				for addr := uint64(0); addr < 20; addr++ {
-					got, err := st.Read(addr)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := []byte{byte(addr) + byte(boot), 0x5A, byte(len(p.name))}
-					if !bytes.Equal(got[:3], want) {
-						t.Fatalf("boot %d: block %d reads %x, want %x", boot, addr, got[:3], want)
-					}
-					want[0]++
-					if err := st.Write(addr, want); err != nil {
+					if err := st.Write(addr, []byte{byte(addr)}); err != nil {
 						t.Fatal(err)
 					}
 				}
 				if err := st.Close(); err != nil {
 					t.Fatal(err)
+				}
+				f.make(t, filepath.Join(dir, "shard-0000"), cfg)
+				before := dirSnapshot(t, dir)
+				if st, err := New(cfg); err == nil {
+					st.Close()
+					t.Fatalf("%s: booted a data dir in an older format", f.name)
+				} else if !errors.Is(err, ErrOldFormat) || !strings.Contains(err.Error(), f.name) {
+					t.Fatalf("%s: refusal %q is not ErrOldFormat naming the format", f.name, err)
+				}
+				if !maps.EqualFunc(before, dirSnapshot(t, dir), bytes.Equal) {
+					t.Fatalf("%s: the refused boot modified the data dir", f.name)
 				}
 			}
 		})

@@ -49,13 +49,6 @@ const (
 	// StoreMem keeps each shard's bucket tree in RAM (the untrusted-DRAM
 	// model of the paper): fastest, nothing survives the process.
 	StoreMem = "mem"
-	// CheckpointFull rewrites base.bin (the whole sealed trusted state) on
-	// every checkpoint — PR 8's protocol, the default.
-	CheckpointFull = "full"
-	// CheckpointDelta appends an O(dirty) hash-linked delta chain element
-	// per checkpoint, compacted into a fresh base past DeltaCompactAfter.
-	CheckpointDelta = "delta"
-
 	// StoreFile keeps each shard's bucket tree in fixed-offset files under
 	// Config.DataDir, with an LRU page cache, sealed trusted-state
 	// checkpoints and fail-closed crash recovery.
@@ -142,15 +135,9 @@ type Config struct {
 	// consistency against process death, not power loss), "checkpoint"
 	// (fsync at checkpoint boundaries) or "always".
 	Sync string
-	// CheckpointMode selects the checkpoint strategy: CheckpointFull
-	// (default) rewrites the whole sealed trusted state every checkpoint;
-	// CheckpointDelta appends O(dirty) chain elements (base.bin +
-	// delta-NNNNNN.bin, hash-linked) so cadence-1 durability does not
-	// rewrite the full position map per slot.
-	CheckpointMode string
-	// DeltaCompactAfter folds the delta chain into a fresh base once the
-	// accumulated sealed delta bytes pass this threshold (delta mode only;
-	// default 4 MiB). Bounds recovery replay and chain storage.
+	// DeltaCompactAfter folds the checkpoint log into a fresh base.bin once
+	// the log's sealed records pass this many bytes (default 4 MiB). Bounds
+	// recovery replay and log storage.
 	DeltaCompactAfter int64
 	// MMap serves clean bucket reads from a read-only mapping of each
 	// bucket file instead of copying pages into the cache — the read path
@@ -245,10 +232,7 @@ func (c Config) withDefaults() Config {
 		if c.Sync == "" {
 			c.Sync = "none"
 		}
-		if c.CheckpointMode == "" {
-			c.CheckpointMode = CheckpointFull
-		}
-		if c.CheckpointMode == CheckpointDelta && c.DeltaCompactAfter == 0 {
+		if c.DeltaCompactAfter == 0 {
 			c.DeltaCompactAfter = 4 << 20
 		}
 	}
@@ -355,9 +339,6 @@ func (c Config) Validate() error {
 		if c.CheckpointEvery != 0 {
 			return fmt.Errorf("server: CheckpointEvery requires Store %q", StoreFile)
 		}
-		if c.CheckpointMode != "" {
-			return fmt.Errorf("server: CheckpointMode requires Store %q", StoreFile)
-		}
 		if c.DeltaCompactAfter != 0 {
 			return fmt.Errorf("server: DeltaCompactAfter requires Store %q", StoreFile)
 		}
@@ -389,17 +370,8 @@ func (c Config) Validate() error {
 		if _, err := pathoram.ParseSyncPolicy(c.Sync); err != nil {
 			return fmt.Errorf("server: %w", err)
 		}
-		switch c.CheckpointMode {
-		case "", CheckpointFull:
-			if c.DeltaCompactAfter != 0 {
-				return fmt.Errorf("server: DeltaCompactAfter requires CheckpointMode %q", CheckpointDelta)
-			}
-		case CheckpointDelta:
-			if c.DeltaCompactAfter < 0 {
-				return fmt.Errorf("server: DeltaCompactAfter must not be negative, got %d", c.DeltaCompactAfter)
-			}
-		default:
-			return fmt.Errorf("server: unknown CheckpointMode %q (want %q or %q)", c.CheckpointMode, CheckpointFull, CheckpointDelta)
+		if c.DeltaCompactAfter < 0 {
+			return fmt.Errorf("server: DeltaCompactAfter must not be negative, got %d", c.DeltaCompactAfter)
 		}
 	default:
 		return fmt.Errorf("server: unknown Store %q (want %q or %q)", c.Store, StoreMem, StoreFile)

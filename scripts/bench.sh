@@ -49,11 +49,7 @@ trap 'rm -f "$raw"' EXIT
 # durable tier; every record row carries a "store" field ("mem" or "file",
 # classified from the sub-benchmark name) so bench_compare.sh can refuse a
 # mem-vs-file comparison if a series is ever renamed across store kinds.
-# Likewise each row carries a "checkpoint_mode" field ("full", or "delta"
-# for the file-delta incremental-chain series) so a series renamed across
-# checkpoint strategies is refused rather than misjudged — a delta
-# checkpoint writes O(dirty) bytes where a full one rewrites all trusted
-# state, and their ns/op are not comparable. BenchmarkCalibration is the hardware yardstick: a fixed AES-CTR
+# BenchmarkCalibration is the hardware yardstick: a fixed AES-CTR
 # loop recorded in every BENCH_*.json so bench_compare.sh can normalize
 # away runner-generation drift instead of gating code against hardware.
 # Naming convention the gate depends on: slot-grid-paced throughput series
@@ -74,7 +70,6 @@ BEGIN { print "[" ; n = 0 }
 /^Benchmark/ {
     name = $1; sub(/-[0-9]+$/, "", name)
     store = (name ~ /\/file/) ? "file" : "mem"
-    mode = (name ~ /\/file-delta/) ? "delta" : "full"
     ns = ""; bytes = ""; allocs = ""; epoch = ""
     for (i = 2; i < NF; i++) {
         if ($(i+1) == "ns/op") ns = $i
@@ -84,7 +79,7 @@ BEGIN { print "[" ; n = 0 }
     }
     if (ns == "") next
     if (n++) printf ",\n"
-    printf "  {\"date\": \"%s\", \"commit\": \"%s\", \"name\": \"%s\", \"store\": \"%s\", \"checkpoint_mode\": \"%s\", \"ns_per_op\": %s", date, commit, name, store, mode, ns
+    printf "  {\"date\": \"%s\", \"commit\": \"%s\", \"name\": \"%s\", \"store\": \"%s\", \"ns_per_op\": %s", date, commit, name, store, ns
     if (bytes != "")  printf ", \"bytes_per_op\": %s", bytes
     if (allocs != "") printf ", \"allocs_per_op\": %s", allocs
     if (epoch != "")  printf ", \"routing_epoch\": %s", epoch

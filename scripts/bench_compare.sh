@@ -93,16 +93,15 @@ BENCH_ALLOW_DIRTY=1 scripts/bench.sh "$freshdir" >/dev/null
 fresh="$(ls -t "$freshdir"/BENCH_*.json | head -1)"
 echo "bench_compare: fresh record $fresh"
 
-# Extract "name ns_per_op store checkpoint_mode" rows from a bench JSON (our
-# own fixed format). Records written before the durable tier carry no "store"
-# field — every series then was RAM-backed, so absent means "mem"; records
-# written before the delta chain carry no "checkpoint_mode" field — every
-# checkpoint then rewrote the full state, so absent means "full".
+# Extract "name ns_per_op store" rows from a bench JSON (our own fixed
+# format). Records written before the durable tier carry no "store" field —
+# every series then was RAM-backed, so absent means "mem". Older records
+# also carry a "checkpoint_mode" field, which is skipped.
 extract() {
     grep -o '"name": "[^"]*"\(, "store": "[^"]*"\)\{0,1\}\(, "checkpoint_mode": "[^"]*"\)\{0,1\}, "ns_per_op": [0-9.e+]*' "$1" |
-        sed -e 's/"name": "\([^"]*\)", "store": "\([^"]*\)", "checkpoint_mode": "\([^"]*\)", "ns_per_op": \([0-9.e+]*\)/\1 \4 \2 \3/' \
-            -e 's/"name": "\([^"]*\)", "store": "\([^"]*\)", "ns_per_op": \([0-9.e+]*\)/\1 \3 \2 full/' \
-            -e 's/"name": "\([^"]*\)", "ns_per_op": \([0-9.e+]*\)/\1 \2 mem full/'
+        sed -e 's/, "checkpoint_mode": "[^"]*"//' \
+            -e 's/"name": "\([^"]*\)", "store": "\([^"]*\)", "ns_per_op": \([0-9.e+]*\)/\1 \3 \2/' \
+            -e 's/"name": "\([^"]*\)", "ns_per_op": \([0-9.e+]*\)/\1 \2 mem/'
 }
 
 extract "$baseline" | sort > "$workdir/base.txt"
@@ -135,7 +134,7 @@ fi
 
 awk -v tol="$tol" -v ratio="$ratio" -v cal="$cal_name" '
 FILENAME == ARGV[1] { older[$1] = 1; next }
-FILENAME == ARGV[2] { base[$1] = $2; bstore[$1] = $3; bmode[$1] = $4; next }
+FILENAME == ARGV[2] { base[$1] = $2; bstore[$1] = $3; next }
 {
     if ($1 == cal) next # the yardstick measures hardware; never gate it
     # A mem-backed baseline says nothing about a file-backed run (and vice
@@ -143,15 +142,6 @@ FILENAME == ARGV[2] { base[$1] = $2; bstore[$1] = $3; bmode[$1] = $4; next }
     # re-baselined, not compared. Refuse rather than misjudge.
     if (($1 in base) && bstore[$1] != $3) {
         printf "  STORE    %-55s baseline store %s, fresh store %s — refusing mem-vs-file comparison; commit a fresh baseline for the renamed series\n", $1, bstore[$1], $3
-        bad++
-        next
-    }
-    # Same rule one axis over: a full checkpoint rewrites all trusted state
-    # where a delta appends O(dirty) bytes — their ns/op are not comparable,
-    # so a series whose checkpoint mode changed under the same name is
-    # refused rather than misjudged.
-    if (($1 in base) && bmode[$1] != $4) {
-        printf "  CKPTMODE %-55s baseline checkpoint mode %s, fresh mode %s — refusing full-vs-delta comparison; commit a fresh baseline for the renamed series\n", $1, bmode[$1], $4
         bad++
         next
     }
