@@ -270,7 +270,7 @@ func TestClusterCDSIWANEndToEnd(t *testing.T) {
 			break
 		}
 		for _, tenant := range []string{"alice", "bob"} {
-			if _, err := topup.TenantRead(tenant, 1); err != nil {
+			if err := topup.Do(tenant, []server.Op{{Addr: 1}}); err != nil {
 				t.Fatalf("top-up %s read: %v", tenant, err)
 			}
 		}

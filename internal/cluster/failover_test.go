@@ -271,3 +271,113 @@ func TestRouterReplicationGeometry(t *testing.T) {
 		t.Errorf("unstripeable topology: err = %v", err)
 	}
 }
+
+// TestRouterFailsOverDrainingNode: a daemon shutting down closes its
+// listener and then its store, so connections it has already accepted
+// answer store_closed until the process exits. That code describes the
+// node, not the request, so the router fails over exactly as for a dead
+// transport: with node 0's store closed behind a live listener, no Read,
+// Write or ReadBatch member fails, node 0 is ejected, and the reads it lost
+// count as failovers and the writes it missed as write misses. Node 0 is
+// put back in the pool before each call, as the probe loop would (its pings
+// still answer), so every path meets the draining node first.
+func TestRouterFailsOverDrainingNode(t *testing.T) {
+	stores, addrs := startNodes(t, 2, server.Config{Shards: 1, Blocks: 64, BlockBytes: 64, Unpaced: true})
+	ccfg := fastFailoverCfg(addrs, 2)
+	ccfg.ProbeEvery = -1
+	r := startRouter(t, ccfg)
+	buf := make([]byte, 64)
+	for a := uint64(0); a < 8; a++ {
+		server.FillPayload(buf, a, 1, a)
+		if err := r.Write(a, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stores[0].Close()
+
+	var readFails, writeFails, batchFails int
+	r.cur.nodes[0].noteSuccess()
+	for a := uint64(0); a < 8; a++ {
+		if data, err := r.Read(a); err != nil || server.CheckPayload(data, a) != nil {
+			readFails++
+		}
+	}
+	r.cur.nodes[0].noteSuccess()
+	for a := uint64(0); a < 8; a++ {
+		server.FillPayload(buf, a, 2, a)
+		if err := r.Write(a, buf); err != nil {
+			writeFails++
+		}
+	}
+	r.cur.nodes[0].noteSuccess()
+	results, err := r.ReadBatch("", []uint64{0, 1, 2, 3, 4, 5, 6, 7})
+	if err != nil {
+		batchFails = 8
+	}
+	for a, res := range results {
+		if res.Err != nil || server.CheckPayload(res.Data, uint64(a)) != nil {
+			batchFails++
+		}
+	}
+	if readFails+writeFails+batchFails > 0 {
+		t.Errorf("draining node 0 failed %d/8 reads, %d/8 writes, %d/8 batch members; want 0",
+			readFails, writeFails, batchFails)
+	}
+	stats, err := r.ServiceStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n0 := stats.Nodes[0]
+	if n0.Ejections == 0 || n0.Failovers == 0 || n0.ReplicaWriteMisses == 0 {
+		t.Errorf("draining node 0: %d ejections, %d failovers, %d write misses; want each > 0",
+			n0.Ejections, n0.Failovers, n0.ReplicaWriteMisses)
+	}
+}
+
+// drainingNode answers every member of every submission store_closed, as a
+// store does for requests still queued when it closes.
+type drainingNode struct{ stubNode }
+
+func (drainingNode) Do(_ string, ops []server.Op) error {
+	for i := range ops {
+		ops[i].Err = server.ErrClosed
+	}
+	return nil
+}
+
+// TestRouterBatchMemberFailover: a batch member that comes back with a
+// recoverable per-member code takes the same failover walk as a member of a
+// failed sub-batch — served by the next replica, not passed through.
+func TestRouterBatchMemberFailover(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go server.Serve(l, drainingNode{stubNode{blocks: 64, block: make([]byte, 64)}})
+	_, live := startNode(t, server.Config{Shards: 1, Blocks: 64, BlockBytes: 64, Unpaced: true})
+	ccfg := fastFailoverCfg([]string{l.Addr().String(), live}, 2)
+	ccfg.ProbeEvery = -1
+	r := startRouter(t, ccfg)
+	batch := []uint64{0, 1, 2, 3, 4, 5, 6, 7}
+	buf := make([]byte, 64)
+	for _, a := range batch {
+		server.FillPayload(buf, a, 1, a)
+		if err := r.Write(a, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.cur.nodes[0].noteSuccess() // plan the even members onto the draining node
+	results, err := r.ReadBatch("", batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range results {
+		if res.Err != nil || server.CheckPayload(res.Data, batch[i]) != nil {
+			t.Errorf("member %d (addr %d) not failed over: %v", i, batch[i], res.Err)
+		}
+	}
+	if st := r.cur.nodes[0].status(); st.Healthy || st.Failovers == 0 {
+		t.Errorf("draining node 0 after the batch: healthy %v, %d failovers; want ejected with failovers", st.Healthy, st.Failovers)
+	}
+}

@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"time"
+
+	"tcoram/internal/server"
 )
 
 // Migration: when the node map changes (epoch bump), every block must move
@@ -175,7 +177,8 @@ func (r *Router) migrator(every time.Duration) {
 			if scrub < r.target {
 				// Fresh addresses are not yet servable (check() caps at the
 				// shared space), so no gate is needed: the scrub races no one.
-				if r.writeVia(&r.cur, "", scrub, zero) == nil {
+				op := server.Op{Addr: scrub, Write: true, Data: zero}
+				if r.walk(&r.cur, "", &op); op.Err == nil {
 					scrub++
 				}
 				continue
@@ -188,7 +191,7 @@ func (r *Router) migrator(every time.Duration) {
 
 // migrateStep copies the block at the watermark from the old topology to
 // the new one and advances the watermark, all under the address's stripe
-// gate — a client Read/Write of any address in the same stripe is excluded
+// gate — a client op on any address in the same stripe is excluded
 // for the duration, so the copy and the watermark flip are atomic with
 // respect to the data plane. A failed copy (all old replicas down, say)
 // leaves the watermark in place and is retried next tick.
@@ -209,11 +212,12 @@ func (r *Router) migrateStep() (done bool) {
 	g := r.gate(addr)
 	g.Lock()
 	defer g.Unlock()
-	data, err := r.readVia(r.prev, "", addr)
-	if err == nil {
-		err = r.writeVia(&r.cur, "", addr, data)
+	op := server.Op{Addr: addr}
+	if r.walk(r.prev, "", &op); op.Err != nil {
+		return false
 	}
-	if err != nil {
+	op.Write = true
+	if r.walk(&r.cur, "", &op); op.Err != nil {
 		return false
 	}
 	r.copied.Add(1)

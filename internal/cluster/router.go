@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -26,14 +28,15 @@ type topology struct {
 	blocks uint64
 }
 
-// Router is the cluster's data plane: it implements server.Service by
-// routing every Read/Write to the K replicas owning the address (NodeMap
+// Router is the cluster's data plane: it implements server.KV by routing
+// every op of a submission to the K replicas owning its address (NodeMap
 // above the target store's own ShardOf), failing over across replicas with
-// a recoverable-vs-fatal error taxonomy, and by aggregating every node's
-// stats into one cluster-wide view with a single leakage budget and the
-// routing epoch attached. Because it is a server.Service, the standard
-// daemon loop (server.Serve) turns it into a TCP proxy — cmd/oramproxy is
-// nothing but that composition.
+// a recoverable-vs-fatal error taxonomy, and server.Service by shims over
+// that Do plus an aggregation of every node's stats into one cluster-wide
+// view with a single leakage budget and the routing epoch attached.
+// Because it is a server.Service, the standard daemon loop (server.Serve)
+// turns it into a TCP proxy — cmd/oramproxy is nothing but that
+// composition.
 //
 // All methods are safe for concurrent use.
 type Router struct {
@@ -239,103 +242,56 @@ func (r *Router) check(addr uint64) error {
 	return nil
 }
 
-// Read fetches a block from the first healthy replica of its owning set.
-func (r *Router) Read(addr uint64) ([]byte, error) {
-	return r.TenantRead("", addr)
-}
-
-// Write stores a block on every replica of its owning set.
-func (r *Router) Write(addr uint64, data []byte) error {
-	return r.TenantWrite("", addr, data)
-}
-
-// TenantRead is Read charged to tenant's cluster-wide leakage sub-budget.
-func (r *Router) TenantRead(tenant string, addr uint64) ([]byte, error) {
-	if err := r.check(addr); err != nil {
-		return nil, err
-	}
-	if err := r.admitTenant(tenant); err != nil {
-		return nil, err
-	}
-	g := r.gate(addr)
-	g.RLock()
-	defer g.RUnlock()
-	return r.readVia(r.topoFor(addr), tenant, addr)
-}
-
-// TenantWrite is Write charged to tenant's cluster-wide sub-budget.
-func (r *Router) TenantWrite(tenant string, addr uint64, data []byte) error {
-	if err := r.check(addr); err != nil {
+// Do serves one submission across the cluster. A lone op goes straight to
+// its replica walk, whose first step is what planning would pick. A batch
+// of reads is planned member by member onto the first healthy replica of
+// its address's owning set, one sub-batch per node fans out concurrently
+// through that node's own Do, and the results reassemble in request order.
+// A member its planned node did not serve — the sub-batch failed as a
+// whole (the node died, or refused it: say its k is below the sub-batch),
+// or the member failed on its own — takes the same walk, so one bad node
+// costs its members latency, not answers.
+func (r *Router) Do(tenant string, ops []server.Op) error {
+	if err := server.CheckOps(ops, server.MaxBatchAddrs); err != nil {
 		return err
 	}
 	if err := r.admitTenant(tenant); err != nil {
 		return err
 	}
-	g := r.gate(addr)
-	g.RLock()
-	defer g.RUnlock()
-	return r.writeVia(r.topoFor(addr), tenant, addr, data)
-}
-
-// ReadBatch serves one client batch across the cluster: members are
-// planned onto the first healthy replica node that owns each address, one
-// sub-batch per node fans out concurrently through the node's own
-// batch_read verb, and the results reassemble in request order. A node
-// that fails its sub-batch (died mid-batch, or rejected it — e.g. its
-// configured k is smaller than the sub-batch) is retried member by member
-// through the full replica-failover read path, so one bad node degrades
-// its members to single-op service instead of failing the batch.
-func (r *Router) ReadBatch(tenant string, addrs []uint64) ([]server.BatchResult, error) {
-	if len(addrs) == 0 {
-		return nil, server.Errorf(server.CodeBadRequest, "cluster: empty batch")
-	}
-	if len(addrs) > server.MaxBatchAddrs {
-		return nil, server.Errorf(server.CodeBatchTooLarge, "cluster: batch of %d addresses exceeds the protocol limit of %d", len(addrs), server.MaxBatchAddrs)
-	}
-	if err := r.admitTenant(tenant); err != nil {
-		return nil, err
-	}
-
-	// Hold every distinct migration gate the batch touches, acquired in
+	// Hold every distinct migration gate the submission touches, acquired in
 	// ascending stripe order — the migrator takes one gate at a time, so
-	// ordered acquisition cannot deadlock against it or another batch.
-	var seen [gateCount]bool
-	gateIdx := make([]int, 0, len(addrs))
-	for _, addr := range addrs {
-		if gi := int(addr % gateCount); !seen[gi] {
-			seen[gi] = true
-			gateIdx = append(gateIdx, gi)
+	// ordered acquisition cannot deadlock against it or another submission.
+	var held [gateCount]bool
+	for _, op := range ops {
+		held[op.Addr%gateCount] = true
+	}
+	for gi := range held {
+		if held[gi] {
+			r.gates[gi].RLock()
 		}
 	}
-	sort.Ints(gateIdx)
-	for _, gi := range gateIdx {
-		r.gates[gi].RLock()
-	}
 	defer func() {
-		for _, gi := range gateIdx {
-			r.gates[gi].RUnlock()
+		for gi := range held {
+			if held[gi] {
+				r.gates[gi].RUnlock()
+			}
 		}
 	}()
 
-	// Plan each member onto the first healthy replica of its owning set,
-	// grouping members by serving node in request order.
-	type member struct {
-		idx   int // index in addrs/results
-		addr  uint64
-		local uint64
-		t     *topology
-		pri   int // replica priority actually planned
+	if len(ops) == 1 {
+		if ops[0].Err = r.check(ops[0].Addr); ops[0].Err == nil {
+			r.walk(r.topoFor(ops[0].Addr), tenant, &ops[0])
+		}
+		return nil
 	}
-	results := make([]server.BatchResult, len(addrs))
-	groups := make(map[*node][]member)
-	var order []*node
-	for i, addr := range addrs {
-		if err := r.check(addr); err != nil {
-			results[i].Err = err
+	ms := make([]member, 0, len(ops))
+	var repBuf [8]int
+	for i := range ops {
+		if ops[i].Err = r.check(ops[i].Addr); ops[i].Err != nil {
 			continue
 		}
-		t := r.topoFor(addr)
-		reps := t.m.ReplicaNodes(addr, make([]int, 0, 4))
+		t := r.topoFor(ops[i].Addr)
+		reps := t.m.ReplicaNodes(ops[i].Addr, repBuf[:0])
 		pri := 0
 		for p, ni := range reps {
 			if t.nodes[ni].healthy.Load() {
@@ -343,49 +299,169 @@ func (r *Router) ReadBatch(tenant string, addrs []uint64) ([]server.BatchResult,
 				break
 			}
 		}
-		n := t.nodes[reps[pri]]
-		if _, ok := groups[n]; !ok {
-			order = append(order, n)
-		}
-		groups[n] = append(groups[n], member{idx: i, addr: addr, local: t.m.ReplicaLocal(addr, pri, t.stripe), t: t, pri: pri})
+		ms = append(ms, member{i: i, t: t, pri: pri, n: t.nodes[reps[pri]]})
 	}
-
+	// Group by serving node; a node's members keep their request order.
+	slices.SortStableFunc(ms, func(a, b member) int { return cmp.Compare(a.n.index, b.n.index) })
+	sub := make([]server.Op, len(ms))
+	for j, m := range ms {
+		sub[j].Addr = m.t.m.ReplicaLocal(ops[m.i].Addr, m.pri, m.t.stripe)
+	}
 	var wg sync.WaitGroup
-	for _, n := range order {
-		ms := groups[n]
-		wg.Add(1)
-		go func(n *node, ms []member) {
-			defer wg.Done()
-			locals := make([]uint64, len(ms))
-			for j, m := range ms {
-				locals[j] = m.local
-			}
-			rs, err := n.pick().ReadBatch(tenant, locals)
-			if err == nil && len(rs) == len(ms) {
-				n.noteSuccess()
-				for j, m := range ms {
-					results[m.idx] = rs[j]
-					if rs[j].Err == nil && m.pri > 0 {
-						// Served by a successor: the primary lost this read.
-						reps := m.t.m.ReplicaNodes(m.addr, make([]int, 0, 4))
-						m.t.nodes[reps[0]].failovers.Add(1)
-					}
-				}
-				return
-			}
-			if err != nil && server.IsRecoverable(err) {
-				n.noteFailure(err)
-			}
-			// Sub-batch failed as a whole: degrade its members to the
-			// single-op failover path so surviving replicas still answer.
-			for _, m := range ms {
-				data, rerr := r.readVia(m.t, tenant, m.addr)
-				results[m.idx] = server.BatchResult{Data: data, Err: rerr}
-			}
-		}(n, ms)
+	for lo := 0; lo < len(ms); {
+		hi := lo + 1
+		for hi < len(ms) && ms[hi].n == ms[lo].n {
+			hi++
+		}
+		if hi == len(ms) {
+			send(tenant, ms[lo].n, sub[lo:hi]) // the last sub-batch rides this goroutine
+		} else {
+			wg.Add(1)
+			go func(n *node, part []server.Op) {
+				defer wg.Done()
+				send(tenant, n, part)
+			}(ms[lo].n, sub[lo:hi])
+		}
+		lo = hi
 	}
 	wg.Wait()
-	return results, nil
+	for j, m := range ms {
+		op := &ops[m.i]
+		if sub[j].Err != nil {
+			r.walk(m.t, tenant, op) // which decides whether the failure was the node's
+			continue
+		}
+		op.Data = sub[j].Data
+		if m.pri > 0 {
+			// Served by a successor: the primary lost this read.
+			m.t.nodes[m.t.m.PrimaryOf(op.Addr)].failovers.Add(1)
+		}
+	}
+	return nil
+}
+
+// member is one planned read of a batch: ops[i], to be served by replica
+// pri of its owning set in topology t, which is node n.
+type member struct {
+	i   int
+	t   *topology
+	pri int
+	n   *node
+}
+
+// send serves one node's sub-batch; a refusal of the whole of it becomes
+// every member's own failure.
+func send(tenant string, n *node, part []server.Op) {
+	err := n.pick().Do(tenant, part)
+	if err == nil {
+		n.noteSuccess()
+		return
+	}
+	if server.IsRecoverable(err) {
+		n.noteFailure(err)
+	}
+	for j := range part {
+		part[j].Err = err
+	}
+}
+
+// walk is the router's one failover walk: it serves op through topology t's
+// replicas of op.Addr in priority order, one Do each. A read takes the
+// first that answers, healthy replicas first and ejected ones as a last
+// resort. A write goes to every replica — ejected ones too, so a recovering
+// node diverges as little as possible — and succeeds on one ack; replicas
+// that missed it count as replica_write_misses, the measure of how stale a
+// rejoining node is. A recoverable failure ejects the node and moves on; a
+// fatal one ends the walk, since every replica would answer the same way.
+// While no replica serves, the walk backs off and passes again,
+// RetryAttempts times.
+func (r *Router) walk(t *topology, tenant string, op *server.Op) {
+	var repBuf [8]int
+	reps := t.m.ReplicaNodes(op.Addr, repBuf[:0])
+	passes := 2 // a read's second pass tries the ejected replicas it skipped
+	if op.Write {
+		passes = 1
+	}
+	var lastErr error
+	for attempt := 0; attempt < r.cfg.RetryAttempts; attempt++ {
+		if attempt > 0 {
+			time.Sleep(r.cfg.RetryBackoff.Delay(attempt - 1))
+		}
+		acked := 0
+		var tried [16]bool // replica priorities pass 0 tried this attempt
+		for pass := 0; pass < passes; pass++ {
+			for pri, ni := range reps {
+				n := t.nodes[ni]
+				if pass == 0 && !op.Write && !n.healthy.Load() {
+					continue // healthy replicas first
+				}
+				if pass == 1 && (pri >= len(tried) || tried[pri]) {
+					continue // already failed this attempt
+				}
+				if pri < len(tried) {
+					tried[pri] = true
+				}
+				one := [1]server.Op{{Addr: t.m.ReplicaLocal(op.Addr, pri, t.stripe), Write: op.Write, Data: op.Data}}
+				err := n.pick().Do(tenant, one[:])
+				if err = cmp.Or(err, one[0].Err); err == nil {
+					n.noteSuccess()
+					if op.Write {
+						acked++
+						continue
+					}
+					if pri > 0 {
+						// Served by a successor: the primary lost this read.
+						t.nodes[reps[0]].failovers.Add(1)
+					}
+					op.Data, op.Err = one[0].Data, nil
+					return
+				}
+				if !server.IsRecoverable(err) {
+					op.Err = err
+					return
+				}
+				n.noteFailure(err)
+				lastErr = err
+			}
+		}
+		if acked > 0 {
+			if acked < len(reps) {
+				for _, ni := range reps {
+					if !t.nodes[ni].healthy.Load() {
+						t.nodes[ni].writeMisses.Add(1)
+					}
+				}
+			}
+			op.Err = nil
+			return
+		}
+	}
+	op.Err = server.Errorf(server.CodeUnavailable, "cluster: address %d: none of its %d replicas served it: %v", op.Addr, len(reps), lastErr)
+}
+
+// Read fetches a block from the first healthy replica of its owning set.
+func (r *Router) Read(addr uint64) ([]byte, error) { return r.TenantRead("", addr) }
+
+// Write stores a block on every replica of its owning set.
+func (r *Router) Write(addr uint64, data []byte) error { return r.TenantWrite("", addr, data) }
+
+// TenantRead is a one-read Do.
+func (r *Router) TenantRead(tenant string, addr uint64) ([]byte, error) {
+	ops := [1]server.Op{{Addr: addr}}
+	err := r.Do(tenant, ops[:])
+	return ops[0].Data, cmp.Or(err, ops[0].Err)
+}
+
+// TenantWrite is a one-write Do.
+func (r *Router) TenantWrite(tenant string, addr uint64, data []byte) error {
+	ops := [1]server.Op{{Addr: addr, Write: true, Data: data}}
+	err := r.Do(tenant, ops[:])
+	return cmp.Or(err, ops[0].Err)
+}
+
+// ReadBatch is a batch-of-reads Do with index-aligned results.
+func (r *Router) ReadBatch(tenant string, addrs []uint64) ([]server.BatchResult, error) {
+	return server.ReadBatchVia(r, tenant, addrs)
 }
 
 // admitTenant refuses ops from a tenant whose cluster-wide leakage
@@ -407,92 +483,6 @@ func (r *Router) admitTenant(tenant string) error {
 		return server.Errorf(server.CodeTenantBudget, "cluster: tenant %q exhausted its leakage sub-budget (%.1f bits leaked, budget %.1f)", tenant, leaked, budget)
 	}
 	return nil
-}
-
-// readVia reads addr through topology t: healthy replicas in priority order
-// first, ejected ones as a last resort, with backed-off passes over the
-// whole set while every replica is down. A fatal (application-level) error
-// returns immediately — every replica would answer the same way.
-func (r *Router) readVia(t *topology, tenant string, addr uint64) ([]byte, error) {
-	reps := t.m.ReplicaNodes(addr, make([]int, 0, 4))
-	var lastErr error
-	for attempt := 0; attempt < r.cfg.RetryAttempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(r.cfg.RetryBackoff.Delay(attempt - 1))
-		}
-		var tried [16]bool // replica indices attempted in pass 0
-		for pass := 0; pass < 2; pass++ {
-			for pri, ni := range reps {
-				n := t.nodes[ni]
-				if pass == 0 && !n.healthy.Load() {
-					continue // healthy replicas first
-				}
-				if pass == 1 && (pri >= len(tried) || tried[pri]) {
-					continue // already failed this pass-0 attempt
-				}
-				if pri < len(tried) {
-					tried[pri] = true
-				}
-				data, err := n.pick().TenantRead(tenant, t.m.ReplicaLocal(addr, pri, t.stripe))
-				if err == nil {
-					n.noteSuccess()
-					if pri > 0 {
-						// Served by a successor: the primary lost this read.
-						t.nodes[reps[0]].failovers.Add(1)
-					}
-					return data, nil
-				}
-				if !server.IsRecoverable(err) {
-					return nil, err
-				}
-				n.noteFailure(err)
-				lastErr = err
-			}
-		}
-	}
-	return nil, server.Errorf(server.CodeUnavailable, "cluster: address %d: all %d replicas failed: %v", addr, len(reps), lastErr)
-}
-
-// writeVia writes addr through topology t, fanning out to all K replicas.
-// Every replica is attempted — including ejected ones, so a recovering node
-// diverges as little as possible — and the write succeeds if at least one
-// replica acknowledged it; replicas that missed it are counted
-// (replica_write_misses), the visible measure of how stale a rejoining node
-// is. Only when no replica acked does the router back off and retry.
-func (r *Router) writeVia(t *topology, tenant string, addr uint64, data []byte) error {
-	reps := t.m.ReplicaNodes(addr, make([]int, 0, 4))
-	var lastErr error
-	for attempt := 0; attempt < r.cfg.RetryAttempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(r.cfg.RetryBackoff.Delay(attempt - 1))
-		}
-		acked := 0
-		for pri, ni := range reps {
-			n := t.nodes[ni]
-			err := n.pick().TenantWrite(tenant, t.m.ReplicaLocal(addr, pri, t.stripe), data)
-			if err == nil {
-				n.noteSuccess()
-				acked++
-				continue
-			}
-			if !server.IsRecoverable(err) {
-				return err
-			}
-			n.noteFailure(err)
-			lastErr = err
-		}
-		if acked > 0 {
-			if acked < len(reps) {
-				for _, ni := range reps {
-					if !t.nodes[ni].healthy.Load() {
-						t.nodes[ni].writeMisses.Add(1)
-					}
-				}
-			}
-			return nil
-		}
-	}
-	return server.Errorf(server.CodeUnavailable, "cluster: address %d: no replica of %d acked the write: %v", addr, len(reps), lastErr)
 }
 
 // NodeStats polls every current-topology node concurrently and returns the

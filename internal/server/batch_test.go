@@ -32,7 +32,7 @@ func TestBatchReadWireRoundTrip(t *testing.T) {
 	for _, a := range addrs {
 		buf := make([]byte, 64)
 		FillPayload(buf, a, 7, a)
-		if err := cl.TenantWrite("alice", a, buf); err != nil {
+		if err := cl.Do("alice", []Op{{Addr: a, Write: true, Data: buf}}); err != nil {
 			t.Fatalf("tenant write %d: %v", a, err)
 		}
 	}

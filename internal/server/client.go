@@ -163,57 +163,60 @@ func (c *Client) do(req Request) (Response, error) {
 	return pr.resp, nil
 }
 
+// Do sends one submission as the verb its shape names — read, write or
+// batch_read — so the wire carries exactly what per-verb calls would. A
+// failed response to a single-op verb cannot be told apart from a refused
+// submission, so it comes back as Do's error (a *RemoteError); a batch_read
+// member's failure lands in its op as a *RemoteError. Transport failures
+// come back as themselves, recoverable in the cluster taxonomy.
+func (c *Client) Do(tenant string, ops []Op) error {
+	if err := CheckOps(ops, MaxBatchAddrs); err != nil {
+		return err
+	}
+	req := Request{Op: OpRead, Addr: ops[0].Addr, Tenant: tenant}
+	switch {
+	case ops[0].Write:
+		req.Op, req.Data = OpWrite, ops[0].Data
+	case len(ops) > 1:
+		req.Op, req.Addr, req.Addrs = OpBatchRead, 0, addrsOf(ops)
+	}
+	resp, err := c.do(req)
+	if err != nil {
+		return err
+	}
+	switch {
+	case req.Op == OpWrite:
+		ops[0].Err = nil
+	case req.Op == OpRead:
+		ops[0].Data, ops[0].Err = resp.Data, nil
+	case len(resp.Results) != len(ops):
+		return fmt.Errorf("server: batch response carries %d results for %d addresses", len(resp.Results), len(ops))
+	default:
+		for i, r := range resp.Results {
+			ops[i].Data, ops[i].Err = r.Data, nil
+			if !r.OK {
+				ops[i].Err = &RemoteError{Msg: r.Err, Code: r.Code}
+			}
+		}
+	}
+	return nil
+}
+
 // Read fetches a block.
 func (c *Client) Read(addr uint64) ([]byte, error) {
-	return c.TenantRead("", addr)
+	ops := [1]Op{{Addr: addr}}
+	err := c.Do("", ops[:])
+	return ops[0].Data, err
 }
 
 // Write stores a block.
 func (c *Client) Write(addr uint64, data []byte) error {
-	return c.TenantWrite("", addr, data)
+	return c.Do("", []Op{{Addr: addr, Write: true, Data: data}})
 }
 
-// TenantRead fetches a block, charging the op to tenant's leakage
-// sub-budget on the serving side ("" = untenanted).
-func (c *Client) TenantRead(tenant string, addr uint64) ([]byte, error) {
-	resp, err := c.do(Request{Op: OpRead, Addr: addr, Tenant: tenant})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Data, nil
-}
-
-// TenantWrite stores a block under tenant's sub-budget ("" = untenanted).
-func (c *Client) TenantWrite(tenant string, addr uint64, data []byte) error {
-	_, err := c.do(Request{Op: OpWrite, Addr: addr, Data: data, Tenant: tenant})
-	return err
-}
-
-// ReadBatch fetches up to the serving side's batch limit of blocks in one
-// batch_read round trip, returning one index-aligned result per address.
-// The returned error covers whole-batch failures (transport death, batch
-// rejected); per-address failures land in the corresponding BatchResult.Err
-// as *RemoteError without disturbing their neighbors.
+// ReadBatch fetches addrs as one batch of reads, with index-aligned results.
 func (c *Client) ReadBatch(tenant string, addrs []uint64) ([]BatchResult, error) {
-	if len(addrs) == 0 {
-		return nil, Errorf(CodeBadRequest, "server: empty batch")
-	}
-	resp, err := c.do(Request{Op: OpBatchRead, Addrs: addrs, Tenant: tenant})
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Results) != len(addrs) {
-		return nil, fmt.Errorf("server: batch response carries %d results for %d addresses", len(resp.Results), len(addrs))
-	}
-	results := make([]BatchResult, len(addrs))
-	for i, r := range resp.Results {
-		if r.OK {
-			results[i].Data = r.Data
-		} else {
-			results[i].Err = &RemoteError{Msg: r.Err, Code: r.Code}
-		}
-	}
-	return results, nil
+	return ReadBatchVia(c, tenant, addrs)
 }
 
 // Stats fetches the server's per-shard counters.

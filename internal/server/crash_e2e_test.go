@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"net"
 	"os"
@@ -151,7 +152,7 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	acked := make(map[uint64][]byte)
 	for i := 0; i < 150; i++ {
 		addr := uint64(i*7) % 256
-		if err := c.Write(addr, payload(i)); err != nil {
+		if err := doWrite(c, addr, payload(i)); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 		acked[addr] = payload(i)
@@ -178,7 +179,7 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 		}
 	}
 	for addr, want := range acked {
-		got, err := c2.Read(addr)
+		got, err := doRead(c2, addr)
 		if err != nil {
 			t.Fatalf("reading acked block %d after crash recovery: %v", addr, err)
 		}
@@ -187,10 +188,10 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 		}
 	}
 	// The recovered daemon keeps serving: new writes land and read back.
-	if err := c2.Write(9, []byte("post-crash")); err != nil {
+	if err := doWrite(c2, 9, []byte("post-crash")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c2.Read(9)
+	got, err := doRead(c2, 9)
 	if err != nil || !bytes.HasPrefix(got, []byte("post-crash")) {
 		t.Fatalf("post-recovery write/read: %q %v", got, err)
 	}
@@ -258,7 +259,7 @@ func TestCrashRecoveryDeltaChainEndToEnd(t *testing.T) {
 	acked := make(map[uint64][]byte)
 	for i := 0; i < 150; i++ {
 		addr := uint64(i*7) % 256
-		if err := c.Write(addr, payload(i)); err != nil {
+		if err := doWrite(c, addr, payload(i)); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 		acked[addr] = payload(i)
@@ -294,7 +295,7 @@ func TestCrashRecoveryDeltaChainEndToEnd(t *testing.T) {
 		t.Errorf("orphaned base.tmp survived the boot sweep (stat err %v)", err)
 	}
 	for addr, want := range acked {
-		got, err := c2.Read(addr)
+		got, err := doRead(c2, addr)
 		if err != nil {
 			t.Fatalf("reading acked block %d after chain recovery: %v", addr, err)
 		}
@@ -302,13 +303,26 @@ func TestCrashRecoveryDeltaChainEndToEnd(t *testing.T) {
 			t.Errorf("acked block %d reads %q after chain recovery, want prefix %q", addr, got[:len(want)], want)
 		}
 	}
-	if err := c2.Write(9, []byte("post-crash")); err != nil {
+	if err := doWrite(c2, 9, []byte("post-crash")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c2.Read(9)
+	got, err := doRead(c2, 9)
 	if err != nil || !bytes.HasPrefix(got, []byte("post-crash")) {
 		t.Fatalf("post-recovery write/read: %q %v", got, err)
 	}
+}
+
+// doRead and doWrite are one-op submissions through a KV's Do.
+func doRead(kv KV, addr uint64) ([]byte, error) {
+	ops := []Op{{Addr: addr}}
+	err := kv.Do("", ops)
+	return ops[0].Data, cmp.Or(err, ops[0].Err)
+}
+
+func doWrite(kv KV, addr uint64, data []byte) error {
+	ops := []Op{{Addr: addr, Write: true, Data: data}}
+	err := kv.Do("", ops)
+	return cmp.Or(err, ops[0].Err)
 }
 
 // freeLoopbackPort reserves an ephemeral loopback port and releases it for

@@ -18,16 +18,58 @@ const maxLineBytes = 1 << 20
 // (backpressure on top of the per-shard queues).
 const connConcurrency = 256
 
-// Service is what a JSON-lines daemon serves: the KV data ops plus a stats
-// snapshot. *Store satisfies it directly; the cluster router satisfies it by
-// fanning out to remote daemons, which is how cmd/oramproxy reuses this
-// entire connection-handling layer unchanged.
+// Service is what a JSON-lines daemon serves: the per-verb data methods and
+// a stats snapshot. *Store satisfies it directly; the cluster router
+// satisfies it by fanning out to remote daemons, which is how cmd/oramproxy
+// reuses this entire connection-handling layer unchanged. Both also
+// implement KV, and the daemon serves every data request through its Do;
+// a Service without one goes through the per-verb methods (serviceKV).
 type Service interface {
-	KV
+	Read(addr uint64) ([]byte, error)
+	Write(addr uint64, data []byte) error
+	TenantRead(tenant string, addr uint64) ([]byte, error)
+	TenantWrite(tenant string, addr uint64, data []byte) error
+	ReadBatch(tenant string, addrs []uint64) ([]BatchResult, error)
 	// ServiceStats snapshots the serving-side counters. A local store can
 	// never fail here; a router polling remote nodes can, and the error is
 	// surfaced to the stats caller instead of tearing down the connection.
 	ServiceStats() (Stats, error)
+}
+
+// serviceKV adapts a Service that has no Do of its own — a stub, a traced
+// wrapper — by the same shape rule: a write and a lone read go to the
+// single-op verbs, a batch to ReadBatch.
+type serviceKV struct{ Service }
+
+func (s serviceKV) Do(tenant string, ops []Op) error {
+	if err := CheckOps(ops, MaxBatchAddrs); err != nil {
+		return err
+	}
+	if ops[0].Write {
+		ops[0].Err = s.TenantWrite(tenant, ops[0].Addr, ops[0].Data)
+		return nil
+	}
+	if len(ops) == 1 {
+		ops[0].Data, ops[0].Err = s.TenantRead(tenant, ops[0].Addr)
+		return nil
+	}
+	results, err := s.ReadBatch(tenant, addrsOf(ops))
+	if err != nil {
+		return err
+	}
+	for i, r := range results {
+		ops[i].Data, ops[i].Err = r.Data, r.Err
+	}
+	return nil
+}
+
+// addrsOf lists the ops' addresses.
+func addrsOf(ops []Op) []uint64 {
+	addrs := make([]uint64, len(ops))
+	for i, op := range ops {
+		addrs[i] = op.Addr
+	}
+	return addrs
 }
 
 // Serve accepts connections on l and speaks the JSON-lines protocol against
@@ -48,6 +90,10 @@ func Serve(l net.Listener, svc Service) error {
 // in-process harnesses can serve a net.Pipe or a single accepted socket.
 func HandleConn(conn net.Conn, svc Service) {
 	defer conn.Close()
+	kv, ok := svc.(KV)
+	if !ok {
+		kv = serviceKV{svc}
+	}
 
 	out := make(chan Response, connConcurrency)
 	var writer sync.WaitGroup
@@ -93,8 +139,8 @@ func HandleConn(conn net.Conn, svc Service) {
 		if len(line) == 0 {
 			continue
 		}
-		var req Request
-		if err := json.Unmarshal(line, &req); err != nil {
+		c := new(call)
+		if err := json.Unmarshal(line, &c.req); err != nil {
 			// Always answer malformed lines with ID 0: req may hold a
 			// partially-decoded ID from before the parse error, and echoing
 			// it would attribute this failure to some other pipelined
@@ -103,35 +149,22 @@ func HandleConn(conn net.Conn, svc Service) {
 			out <- Response{ID: 0, OK: false, Err: fmt.Sprintf("server: bad request: %v", err), Code: CodeBadRequest}
 			continue
 		}
-		switch req.Op {
+		switch c.req.Op {
 		case OpPing:
-			out <- Response{ID: req.ID, OK: true}
-		case OpStats:
-			// A router's stats poll fans out over the network, so it runs off
-			// the scan loop like a data op — a slow node must not stall
-			// pipelined reads behind it.
+			out <- Response{ID: c.req.ID, OK: true}
+		case OpStats, OpRead, OpWrite, OpBatchRead:
+			// Data ops block on slots, and a router's stats poll fans out
+			// over the network, so both run off the scan loop — a slow shard
+			// or node must not stall pipelined requests behind it.
 			sem <- struct{}{}
 			inflight.Add(1)
-			go func(req Request) {
+			go func(c *call) {
 				defer inflight.Done()
 				defer func() { <-sem }()
-				stats, err := svc.ServiceStats()
-				if err != nil {
-					out <- errResponse(req.ID, err)
-					return
-				}
-				out <- Response{ID: req.ID, OK: true, Stats: &stats}
-			}(req)
-		case OpRead, OpWrite, OpBatchRead:
-			sem <- struct{}{}
-			inflight.Add(1)
-			go func(req Request) {
-				defer inflight.Done()
-				defer func() { <-sem }()
-				out <- dispatch(svc, req)
-			}(req)
+				out <- c.serve(kv, svc)
+			}(c)
 		default:
-			out <- Response{ID: req.ID, OK: false, Err: fmt.Sprintf("server: unknown op %q", req.Op), Code: CodeUnknownOp}
+			out <- Response{ID: c.req.ID, OK: false, Err: fmt.Sprintf("server: unknown op %q", c.req.Op), Code: CodeUnknownOp}
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -145,39 +178,58 @@ func HandleConn(conn net.Conn, svc Service) {
 	writer.Wait()
 }
 
-// dispatch executes one blocking data op against the service.
-func dispatch(svc Service, req Request) Response {
+// call is one request in flight on a connection: the decoded line and the
+// op a single-op verb decodes into, allocated together so serving a read or
+// a write costs no allocation of its own.
+type call struct {
+	req Request
+	one [1]Op
+}
+
+// serve answers a stats request, or decodes a data request into ops, makes
+// one Do call and encodes the outcome: a refused submission or a single-op
+// verb's failed op fails the whole response, a batch_read member's failure
+// only its own result.
+func (c *call) serve(kv KV, svc Service) Response {
+	req := &c.req
+	var ops []Op
 	switch req.Op {
-	case OpRead:
-		data, err := svc.TenantRead(req.Tenant, req.Addr)
+	case OpStats:
+		stats, err := svc.ServiceStats()
 		if err != nil {
 			return errResponse(req.ID, err)
 		}
-		return Response{ID: req.ID, OK: true, Data: data}
-	case OpWrite:
-		if err := svc.TenantWrite(req.Tenant, req.Addr, req.Data); err != nil {
-			return errResponse(req.ID, err)
+		return Response{ID: req.ID, OK: true, Stats: &stats}
+	case OpBatchRead:
+		ops = make([]Op, len(req.Addrs))
+		for i, a := range req.Addrs {
+			ops[i].Addr = a
+		}
+	default:
+		c.one[0] = Op{Addr: req.Addr, Write: req.Op == OpWrite, Data: req.Data}
+		ops = c.one[:]
+	}
+	if err := kv.Do(req.Tenant, ops); err != nil {
+		return errResponse(req.ID, err)
+	}
+	if req.Op != OpBatchRead {
+		switch {
+		case ops[0].Err != nil:
+			return errResponse(req.ID, ops[0].Err)
+		case req.Op == OpRead:
+			return Response{ID: req.ID, OK: true, Data: ops[0].Data}
 		}
 		return Response{ID: req.ID, OK: true}
-	case OpBatchRead:
-		// A rejected batch (too large, empty, tenant over budget) is a
-		// normal failed response on a healthy connection; only per-address
-		// outcomes ride in Results.
-		results, err := svc.ReadBatch(req.Tenant, req.Addrs)
-		if err != nil {
-			return errResponse(req.ID, err)
-		}
-		wire := make([]WireResult, len(results))
-		for i, r := range results {
-			if r.Err != nil {
-				wire[i] = WireResult{OK: false, Err: r.Err.Error(), Code: ErrorCode(r.Err)}
-			} else {
-				wire[i] = WireResult{OK: true, Data: r.Data}
-			}
-		}
-		return Response{ID: req.ID, OK: true, Results: wire}
 	}
-	return Response{ID: req.ID, OK: false, Err: "server: unreachable op", Code: CodeInternal}
+	wire := make([]WireResult, len(ops))
+	for i, op := range ops {
+		if op.Err != nil {
+			wire[i] = WireResult{OK: false, Err: op.Err.Error(), Code: ErrorCode(op.Err)}
+		} else {
+			wire[i] = WireResult{OK: true, Data: op.Data}
+		}
+	}
+	return Response{ID: req.ID, OK: true, Results: wire}
 }
 
 // IsClosedErr reports whether err is the uninteresting error a listener

@@ -17,24 +17,6 @@ import (
 // Store or a TCP Client), validating every read and reporting a
 // sim.ServiceReport.
 
-// KV is the data surface of the service, satisfied by *Store, *Client,
-// *RetryClient, and the cluster router: untenanted single ops, their
-// tenant-tagged forms, and the batch verb the contact-discovery path runs
-// on. Read/Write are the degenerate untenanted forms every implementation
-// defines as TenantRead("", …)/TenantWrite("", …).
-type KV interface {
-	Read(addr uint64) ([]byte, error)
-	Write(addr uint64, data []byte) error
-	// TenantRead and TenantWrite are Read/Write charged to tenant's
-	// leakage sub-budget ("" = untenanted).
-	TenantRead(tenant string, addr uint64) ([]byte, error)
-	TenantWrite(tenant string, addr uint64, data []byte) error
-	// ReadBatch serves up to the implementation's batch limit of addresses
-	// in one round: whole-batch failures return an error, per-address
-	// failures land in the index-aligned results.
-	ReadBatch(tenant string, addrs []uint64) ([]BatchResult, error)
-}
-
 // payload layout for verifiable blocks: a magic tag, the block's own
 // address, and the writer/sequence pair. Blocks never written read as all
 // zeroes; anything else must carry the magic and the matching address or
@@ -97,10 +79,10 @@ type LoadConfig struct {
 	// Tenant tags every operation for the serving side's per-tenant
 	// leakage accountant ("" = untenanted).
 	Tenant string
-	// BatchSize > 1 groups consecutive reads into ReadBatch submissions of
-	// up to this many addresses (writes and think-time pauses flush the
-	// pending batch first) — the contact-discovery submission shape.
-	// 0 or 1 sends every op through the single-op verbs.
+	// BatchSize > 1 groups consecutive reads into Do submissions of up to
+	// this many addresses (writes and think-time pauses flush the pending
+	// batch first) — the contact-discovery submission shape. 0 or 1 submits
+	// every op on its own.
 	BatchSize int
 	// WAN, when enabled, shapes every client's link: ops serialize through
 	// WAN.KBps of bandwidth and pay WAN.RTT of propagation delay.
@@ -184,33 +166,33 @@ func RunLoad(dial func() (KV, error), statsFn func() (Stats, error), cfg LoadCon
 			}
 			buf := make([]byte, cfg.BlockBytes)
 			local := make([]time.Duration, 0, cfg.OpsPerClient)
-			var pending []uint64
-			// flush submits the accumulated reads as one batch_read. Each
-			// member observes the whole batch's round-trip latency — that is
-			// what a contact-discovery client experiences for every address
-			// in its submission.
+			batch := max(cfg.BatchSize, 1)
+			pending := make([]Op, 0, batch)
+			// flush submits the pending ops as one Do. Each member observes
+			// the whole submission's round-trip latency — that is what a
+			// contact-discovery client experiences for every address in its
+			// batch.
 			flush := func() {
 				if len(pending) == 0 {
 					return
 				}
 				t0 := time.Now()
-				results, err := kv.ReadBatch(cfg.Tenant, pending)
-				if err != nil {
-					lost.Add(uint64(len(pending)))
-					pending = pending[:0]
-					return
-				}
-				batchLat := time.Since(t0)
-				for i, r := range results {
-					if r.Err != nil {
+				err := kv.Do(cfg.Tenant, pending)
+				lat := time.Since(t0)
+				for _, op := range pending {
+					switch {
+					case err != nil || op.Err != nil:
 						lost.Add(1)
 						continue
+					case op.Write:
+						writes.Add(1)
+					default:
+						if CheckPayload(op.Data, op.Addr) != nil {
+							corrupted.Add(1)
+						}
+						reads.Add(1)
 					}
-					if err := CheckPayload(r.Data, pending[i]); err != nil {
-						corrupted.Add(1)
-					}
-					reads.Add(1)
-					local = append(local, batchLat)
+					local = append(local, lat)
 				}
 				pending = pending[:0]
 			}
@@ -224,36 +206,17 @@ func RunLoad(dial func() (KV, error), statsFn func() (Stats, error), cfg LoadCon
 					flush()
 					time.Sleep(op.Pause)
 				}
-				if cfg.BatchSize > 1 && !op.Write {
-					pending = append(pending, op.Addr)
-					if len(pending) >= cfg.BatchSize {
-						flush()
-					}
-					continue
-				}
 				if op.Write {
 					flush() // a write closes the submission in progress
-				}
-				t0 := time.Now()
-				if op.Write {
 					FillPayload(buf, op.Addr, uint32(cl), uint64(i))
-					if err := kv.TenantWrite(cfg.Tenant, op.Addr, buf); err != nil {
-						lost.Add(1)
-						continue
-					}
-					writes.Add(1)
-				} else {
-					data, err := kv.TenantRead(cfg.Tenant, op.Addr)
-					if err != nil {
-						lost.Add(1)
-						continue
-					}
-					if err := CheckPayload(data, op.Addr); err != nil {
-						corrupted.Add(1)
-					}
-					reads.Add(1)
+					pending = append(pending, Op{Addr: op.Addr, Write: true, Data: buf})
+					flush()
+					continue
 				}
-				local = append(local, time.Since(t0))
+				pending = append(pending, Op{Addr: op.Addr})
+				if len(pending) >= batch {
+					flush()
+				}
 			}
 			flush()
 			mu.Lock()

@@ -17,26 +17,21 @@ import (
 // single-connection composition for callers that talk to one daemon (or one
 // proxy) and want a dropped connection to heal instead of surfacing.
 
-// IsRecoverable reports whether err is a failure that says nothing about
-// the request itself: the connection died, was refused, or timed out, so
-// the same operation may succeed on a replica or on a fresh connection.
-// Application-level rejections (out of range, oversized payload, store
-// closed) are not recoverable: every replica would answer the same way,
-// and retrying would only repeat the rejection. The one coded exception is
-// CodeUnavailable — "nobody reachable holds this right now" — which is
-// transient by definition, so it stays retryable even after crossing a
-// proxy hop as a *RemoteError.
+// IsRecoverable reports whether err says nothing about the request itself,
+// so the same operation may succeed on a replica or a fresh connection: the
+// connection died, was refused, or timed out, or the answer was coded
+// CodeUnavailable (transient by definition) or CodeStoreClosed (a daemon
+// shutting down closes its listener, then its store, so open connections
+// answer store_closed while every replica still serves). Other rejections
+// (out of range, oversized payload, tenant over budget) are not: every
+// replica would answer the same way.
 func IsRecoverable(err error) bool {
-	if err == nil {
-		return false
-	}
-	var remote *RemoteError
-	if errors.As(err, &remote) {
-		return remote.Code == CodeUnavailable
-	}
-	var coded *Error
-	if errors.As(err, &coded) {
-		return coded.Code == CodeUnavailable
+	switch ErrorCode(err) {
+	case CodeUnavailable, CodeStoreClosed:
+		return true
+	case CodeInternal: // uncoded: recoverable only as a transport failure
+	default:
+		return false // nil, or a rejection every replica would repeat
 	}
 	switch {
 	case errors.Is(err, ErrClientClosed),
@@ -208,46 +203,13 @@ func (c *RetryClient) isClosed() bool {
 	return c.closed
 }
 
-// Read fetches a block, retrying across connections.
-func (c *RetryClient) Read(addr uint64) (data []byte, err error) {
-	err = c.do(func(cl *Client) error {
-		data, err = cl.Read(addr)
-		return err
-	})
-	return data, err
-}
-
-// Write stores a block, retrying across connections. A retried write may be
-// applied twice when the first connection died after the daemon served it —
-// idempotent by construction, since a block write is a full overwrite.
-func (c *RetryClient) Write(addr uint64, data []byte) error {
-	return c.do(func(cl *Client) error { return cl.Write(addr, data) })
-}
-
-// TenantRead fetches a block under tenant's sub-budget, retrying across
-// connections.
-func (c *RetryClient) TenantRead(tenant string, addr uint64) (data []byte, err error) {
-	err = c.do(func(cl *Client) error {
-		data, err = cl.TenantRead(tenant, addr)
-		return err
-	})
-	return data, err
-}
-
-// TenantWrite stores a block under tenant's sub-budget, retrying across
-// connections (idempotent like Write).
-func (c *RetryClient) TenantWrite(tenant string, addr uint64, data []byte) error {
-	return c.do(func(cl *Client) error { return cl.TenantWrite(tenant, addr, data) })
-}
-
-// ReadBatch fetches a batch, retrying whole-batch transport failures across
-// connections; per-address failures inside an accepted batch pass through.
-func (c *RetryClient) ReadBatch(tenant string, addrs []uint64) (results []BatchResult, err error) {
-	err = c.do(func(cl *Client) error {
-		results, err = cl.ReadBatch(tenant, addrs)
-		return err
-	})
-	return results, err
+// Do runs one submission, retrying whole-submission recoverable failures
+// across connections; per-op failures inside an accepted batch pass
+// through. A retried write may be applied twice when the first connection
+// died after the daemon served it — idempotent by construction, since a
+// block write is a full overwrite.
+func (c *RetryClient) Do(tenant string, ops []Op) error {
+	return c.do(func(cl *Client) error { return cl.Do(tenant, ops) })
 }
 
 // Stats fetches the server's counters, retrying across connections.

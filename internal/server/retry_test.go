@@ -11,9 +11,10 @@ import (
 )
 
 // TestIsRecoverable pins the error taxonomy the cluster's failover runs on:
-// transport-level failures are recoverable (the same request may succeed on
-// a replica or a fresh connection), application-level rejections are not
-// (every replica would answer the same way).
+// transport-level failures and the coded node conditions (unavailable,
+// store_closed) are recoverable (the same request may succeed on a replica
+// or a fresh connection), application-level rejections are not (every
+// replica would answer the same way).
 func TestIsRecoverable(t *testing.T) {
 	recoverable := []error{
 		ErrClientClosed,
@@ -25,6 +26,13 @@ func TestIsRecoverable(t *testing.T) {
 		syscall.EPIPE,
 		fmt.Errorf("dial: %w", syscall.ECONNREFUSED), // wrapped
 		&net.OpError{Op: "read", Err: errors.New("timeout")},
+		// Coded conditions of the node, not the request: nobody reachable
+		// holds the data, or the store is shutting down behind a live
+		// listener. Both count on either side of a proxy hop.
+		&RemoteError{Msg: "unavailable", Code: CodeUnavailable},
+		&RemoteError{Msg: "store closed", Code: CodeStoreClosed},
+		ErrClosed,
+		fmt.Errorf("op failed: %w", &RemoteError{Msg: "store closed", Code: CodeStoreClosed}),
 	}
 	for _, err := range recoverable {
 		if !IsRecoverable(err) {
@@ -36,6 +44,8 @@ func TestIsRecoverable(t *testing.T) {
 		&RemoteError{Msg: "address 9 out of range (4 blocks)"},
 		fmt.Errorf("op failed: %w", &RemoteError{Msg: "store closed"}), // wrapped
 		errors.New("something else entirely"),
+		&RemoteError{Msg: "address 9 out of range (4 blocks)", Code: CodeOutOfRange},
+		Errorf(CodeTenantBudget, "tenant over budget"),
 	}
 	for _, err := range fatal {
 		if IsRecoverable(err) {
@@ -127,7 +137,7 @@ func TestRetryClientSurvivesConnectionLoss(t *testing.T) {
 	defer rc.Close()
 	buf := make([]byte, 64)
 	FillPayload(buf, 3, 1, 1)
-	if err := rc.Write(3, buf); err != nil {
+	if err := rc.Do("", []Op{{Addr: 3, Write: true, Data: buf}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -136,11 +146,11 @@ func TestRetryClientSurvivesConnectionLoss(t *testing.T) {
 	rc.cl.conn.Close()
 	rc.mu.Unlock()
 
-	data, err := rc.Read(3)
-	if err != nil {
+	ops := []Op{{Addr: 3}}
+	if err := rc.Do("", ops); err != nil {
 		t.Fatalf("read after connection loss: %v", err)
 	}
-	if err := CheckPayload(data, 3); err != nil {
+	if err := CheckPayload(ops[0].Data, 3); err != nil {
 		t.Fatal(err)
 	}
 	if rc.Redials() == 0 {
@@ -150,7 +160,7 @@ func TestRetryClientSurvivesConnectionLoss(t *testing.T) {
 	// Application rejections pass through without consuming the redial
 	// budget's sleep path.
 	var remote *RemoteError
-	if _, err := rc.Read(999); !errors.As(err, &remote) {
+	if err := rc.Do("", []Op{{Addr: 999}}); !errors.As(err, &remote) {
 		t.Errorf("out-of-range read through RetryClient returned %v, want *RemoteError", err)
 	}
 }
@@ -177,7 +187,7 @@ func TestRetryClientClosedStaysClosed(t *testing.T) {
 	if err := rc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rc.Read(0); !errors.Is(err, ErrClientClosed) {
+	if err := rc.Do("", []Op{{Addr: 0}}); !errors.Is(err, ErrClientClosed) {
 		t.Errorf("read on a closed RetryClient returned %v, want ErrClientClosed", err)
 	}
 	if rc.Redials() != 0 {

@@ -3,8 +3,8 @@
 // of simulated cycles. It partitions a flat block address space across N
 // independent Path ORAM shards (the partitioning idea of Stefanov et al.'s
 // "Towards Practical Oblivious RAM", applied for parallelism), gives each
-// shard its own goroutine, request queue and rate enforcer, and exposes a
-// batching Read/Write/Stats front end.
+// shard its own goroutine, request queue and rate enforcer, and exposes one
+// batching front end, Do, beside Stats.
 //
 // Security model, inherited from the paper's memory controller:
 //
@@ -26,6 +26,7 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strconv"
@@ -501,107 +502,91 @@ func (s *Store) localAddr(addr uint64) uint64 {
 	return addr / uint64(s.cfg.Shards)
 }
 
-// Read returns a copy of the block's contents (zeroes if never written).
-// It blocks until a slot on the owning shard serves the request.
-func (s *Store) Read(addr uint64) ([]byte, error) {
-	return s.TenantRead("", addr)
-}
-
-// Write stores data into the block. len(data) must not exceed BlockBytes;
-// shorter payloads are zero-padded. It blocks until a slot serves the
-// request.
-func (s *Store) Write(addr uint64, data []byte) error {
-	return s.TenantWrite("", addr, data)
-}
-
-// TenantRead is Read charged to tenant's leakage sub-budget ("" =
-// untenanted, never refused).
-func (s *Store) TenantRead(tenant string, addr uint64) ([]byte, error) {
-	if err := s.admitTenant(tenant); err != nil {
-		return nil, err
+// Do serves one submission. Every member is enqueued under one closed-check,
+// so a batch is atomic against Close, and same-shard members land
+// contiguously in that shard's queue, which is what lets takeBatch lift
+// them into one slot (on the batched backend a whole client batch rides one
+// multi-path slot where its addresses share a shard). An oversized payload
+// or an out-of-range address fails only its own op. Do blocks until a slot
+// has served every member.
+func (s *Store) Do(tenant string, ops []Op) error {
+	if err := CheckOps(ops, s.cfg.MaxBatch()); err != nil {
+		return err
 	}
-	req := &request{addr: addr, tenant: tenant, resp: make(chan result, 1)}
-	if err := s.submit(req); err != nil {
-		return nil, err
-	}
-	res := <-req.resp
-	return res.data, res.err
-}
-
-// TenantWrite is Write charged to tenant's leakage sub-budget.
-func (s *Store) TenantWrite(tenant string, addr uint64, data []byte) error {
 	if err := s.admitTenant(tenant); err != nil {
 		return err
 	}
-	if len(data) > s.cfg.BlockBytes {
-		return Errorf(CodeOversized, "server: payload is %d bytes, block is %d", len(data), s.cfg.BlockBytes)
-	}
-	buf := make([]byte, s.cfg.BlockBytes)
-	copy(buf, data)
-	req := &request{addr: addr, tenant: tenant, write: true, data: buf, resp: make(chan result, 1)}
-	if err := s.submit(req); err != nil {
-		return err
-	}
-	res := <-req.resp
-	return res.err
-}
-
-// ReadBatch serves up to MaxBatch addresses as one batch: members are
-// enqueued together, so on the batched backend a whole client batch rides
-// one multi-path slot where the addresses land on one shard. The error
-// return covers whole-batch rejections (empty, too large, tenant over
-// budget, store closed); per-address failures (out of range) land in the
-// matching BatchResult.Err without failing their neighbors.
-func (s *Store) ReadBatch(tenant string, addrs []uint64) ([]BatchResult, error) {
-	if len(addrs) == 0 {
-		return nil, Errorf(CodeBadRequest, "server: empty batch")
-	}
-	if max := s.cfg.MaxBatch(); len(addrs) > max {
-		return nil, Errorf(CodeBatchTooLarge, "server: batch of %d addresses exceeds the store's limit of %d", len(addrs), max)
-	}
-	if err := s.admitTenant(tenant); err != nil {
-		return nil, err
-	}
-	results := make([]BatchResult, len(addrs))
-	reqs := make([]*request, len(addrs))
-	for i, addr := range addrs {
-		if addr >= s.cfg.Blocks {
-			results[i].Err = Errorf(CodeOutOfRange, "server: address %d out of range (%d blocks)", addr, s.cfg.Blocks)
+	reqs := make([]request, len(ops))
+	for i := range ops {
+		op := &ops[i]
+		switch {
+		case op.Write && len(op.Data) > s.cfg.BlockBytes:
+			op.Err = Errorf(CodeOversized, "server: payload is %d bytes, block is %d", len(op.Data), s.cfg.BlockBytes)
+			continue
+		case op.Addr >= s.cfg.Blocks:
+			op.Err = Errorf(CodeOutOfRange, "server: address %d out of range (%d blocks)", op.Addr, s.cfg.Blocks)
 			continue
 		}
-		sh := s.shards[s.ShardOf(addr)]
-		req := &request{addr: addr, local: s.localAddr(addr), tenant: tenant, resp: make(chan result, 1)}
-		if sh.enf != nil {
+		req := &reqs[i]
+		*req = request{addr: op.Addr, local: s.localAddr(op.Addr), write: op.Write, tenant: tenant, resp: make(chan result, 1)}
+		if op.Write {
+			req.data = make([]byte, s.cfg.BlockBytes)
+			copy(req.data, op.Data)
+		}
+		if sh := s.shards[s.ShardOf(op.Addr)]; sh.enf != nil {
 			req.arrival = sh.enf.Now()
 		}
-		reqs[i] = req
 	}
-	// All members enqueue under one closed-check so a batch is atomic
-	// against Close; same-shard members land contiguously in that shard's
-	// queue, which is what lets takeBatch lift them into one slot.
+	// The closed check and the enqueue happen under the read lock so Close
+	// cannot declare the queues drained while a submission is in flight.
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	for i, req := range reqs {
-		if req == nil {
-			continue
+	for i := range reqs {
+		if req := &reqs[i]; req.resp != nil {
+			sh := s.shards[s.ShardOf(req.addr)]
+			sh.depth.Add(1)
+			sh.queue <- req
 		}
-		sh := s.shards[s.ShardOf(addrs[i])]
-		sh.depth.Add(1)
-		sh.queue <- req
 	}
 	s.mu.RUnlock()
-	for i, req := range reqs {
-		if req == nil {
-			continue
+	for i := range reqs {
+		if reqs[i].resp != nil {
+			res := <-reqs[i].resp
+			ops[i].Err = res.err
+			if !ops[i].Write {
+				ops[i].Data = res.data
+			}
 		}
-		res := <-req.resp
-		results[i].Data = res.data
-		results[i].Err = res.err
 	}
-	return results, nil
+	return nil
+}
+
+// Read returns a copy of the block's contents (zeroes if never written).
+func (s *Store) Read(addr uint64) ([]byte, error) { return s.TenantRead("", addr) }
+
+// Write stores data into the block (zero-padded to BlockBytes).
+func (s *Store) Write(addr uint64, data []byte) error { return s.TenantWrite("", addr, data) }
+
+// TenantRead is a one-read Do.
+func (s *Store) TenantRead(tenant string, addr uint64) ([]byte, error) {
+	ops := [1]Op{{Addr: addr}}
+	err := s.Do(tenant, ops[:])
+	return ops[0].Data, cmp.Or(err, ops[0].Err)
+}
+
+// TenantWrite is a one-write Do.
+func (s *Store) TenantWrite(tenant string, addr uint64, data []byte) error {
+	ops := [1]Op{{Addr: addr, Write: true, Data: data}}
+	err := s.Do(tenant, ops[:])
+	return cmp.Or(err, ops[0].Err)
+}
+
+// ReadBatch is a batch-of-reads Do with index-aligned results.
+func (s *Store) ReadBatch(tenant string, addrs []uint64) ([]BatchResult, error) {
+	return ReadBatchVia(s, tenant, addrs)
 }
 
 // admitTenant refuses ops from a tenant whose leakage sub-budget is
@@ -624,30 +609,6 @@ func (s *Store) admitTenant(tenant string) error {
 	if leaked > budget {
 		return Errorf(CodeTenantBudget, "server: tenant %q exhausted its leakage sub-budget (%.1f bits leaked, budget %.1f)", tenant, leaked, budget)
 	}
-	return nil
-}
-
-// submit validates and routes a request to its shard's queue, blocking when
-// the queue is full (backpressure).
-func (s *Store) submit(req *request) error {
-	if req.addr >= s.cfg.Blocks {
-		return Errorf(CodeOutOfRange, "server: address %d out of range (%d blocks)", req.addr, s.cfg.Blocks)
-	}
-	sh := s.shards[s.ShardOf(req.addr)]
-	req.local = s.localAddr(req.addr)
-	if sh.enf != nil {
-		req.arrival = sh.enf.Now()
-	}
-	// The closed check and the enqueue happen under the read lock so Close
-	// cannot declare the queues drained while a submit is in flight.
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return ErrClosed
-	}
-	sh.depth.Add(1)
-	sh.queue <- req
-	s.mu.RUnlock()
 	return nil
 }
 

@@ -73,10 +73,10 @@ func TestTenantBudgetIndependentTrips(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for i := uint64(0); time.Now().Before(deadline); i++ {
 		a := i % 256
-		if _, err := cl.TenantRead("bob", a); err != nil {
+		if err := cl.Do("bob", []Op{{Addr: a}}); err != nil {
 			t.Fatalf("bob refused: %v", err)
 		}
-		if _, err := cl.TenantRead("alice", a); err != nil {
+		if err := cl.Do("alice", []Op{{Addr: a}}); err != nil {
 			aliceErr = err
 			break
 		}
@@ -91,21 +91,33 @@ func TestTenantBudgetIndependentTrips(t *testing.T) {
 
 	// The refusal is per-tenant and per-op: alice stays dead, bob serves on,
 	// on the same connection. Batches are refused the same way.
-	if _, err := cl.TenantRead("alice", 1); ErrorCode(err) != CodeTenantBudget {
+	if err := cl.Do("alice", []Op{{Addr: 1}}); ErrorCode(err) != CodeTenantBudget {
 		t.Errorf("alice re-admitted: %v", err)
 	}
-	if err := cl.TenantWrite("alice", 1, make([]byte, 64)); ErrorCode(err) != CodeTenantBudget {
+	if err := cl.Do("alice", []Op{{Addr: 1, Write: true, Data: make([]byte, 64)}}); ErrorCode(err) != CodeTenantBudget {
 		t.Errorf("alice write admitted: %v", err)
 	}
 	if _, err := cl.ReadBatch("alice", []uint64{1, 2}); ErrorCode(err) != CodeTenantBudget {
 		t.Errorf("alice batch admitted: %v", err)
 	}
-	if _, err := cl.TenantRead("bob", 9); err != nil {
+	if err := cl.Do("bob", []Op{{Addr: 9}}); err != nil {
 		t.Errorf("bob refused after alice tripped: %v", err)
 	}
 	// Anonymous (empty-tenant) traffic carries no sub-budget and is served.
 	if _, err := cl.Read(9); err != nil {
 		t.Errorf("anonymous read refused: %v", err)
+	}
+	// The tenant string is unauthenticated: the ops alice was refused are
+	// served once she renames herself. This pins today's evasion — a
+	// sub-budget bounds honest tenants only (docs/LEAKAGE.md).
+	if err := cl.Do("alice2", []Op{{Addr: 1}}); err != nil {
+		t.Errorf("renamed tenant refused: %v", err)
+	}
+	if err := cl.Do("alice2", []Op{{Addr: 1, Write: true, Data: make([]byte, 64)}}); err != nil {
+		t.Errorf("renamed tenant's write refused: %v", err)
+	}
+	if _, err := cl.ReadBatch("alice2", []uint64{1, 2}); err != nil {
+		t.Errorf("renamed tenant's batch refused: %v", err)
 	}
 
 	stats := st.Stats()

@@ -81,47 +81,29 @@ func wireBytes(payload int) int {
 	return (payload+2)/3*4 + 48
 }
 
-func (w *wanKV) shaped(reqBytes int, op func() (respBytes int, err error)) error {
+// Do sends the submission's request bytes up the link and its response
+// bytes back down: per op an address, plus a write's payload up and a
+// read's block down, each line with its JSON framing.
+func (w *wanKV) Do(tenant string, ops []Op) error {
+	up := 48
+	for _, op := range ops {
+		up += 16
+		if op.Write {
+			up += wireBytes(len(op.Data))
+		}
+	}
 	w.propagate()
-	w.link(reqBytes)
-	respBytes, err := op()
-	w.link(respBytes)
+	w.link(up)
+	err := w.kv.Do(tenant, ops)
+	down := 48
+	for _, op := range ops {
+		if !op.Write {
+			down += wireBytes(len(op.Data))
+		}
+	}
+	w.link(down)
 	w.propagate()
 	return err
-}
-
-func (w *wanKV) Read(addr uint64) ([]byte, error) {
-	return w.TenantRead("", addr)
-}
-
-func (w *wanKV) Write(addr uint64, data []byte) error {
-	return w.TenantWrite("", addr, data)
-}
-
-func (w *wanKV) TenantRead(tenant string, addr uint64) (data []byte, err error) {
-	err = w.shaped(64, func() (int, error) {
-		data, err = w.kv.TenantRead(tenant, addr)
-		return wireBytes(len(data)), err
-	})
-	return data, err
-}
-
-func (w *wanKV) TenantWrite(tenant string, addr uint64, data []byte) error {
-	return w.shaped(wireBytes(len(data)), func() (int, error) {
-		return 48, w.kv.TenantWrite(tenant, addr, data)
-	})
-}
-
-func (w *wanKV) ReadBatch(tenant string, addrs []uint64) (results []BatchResult, err error) {
-	err = w.shaped(48+12*len(addrs), func() (int, error) {
-		results, err = w.kv.ReadBatch(tenant, addrs)
-		n := 48
-		for _, r := range results {
-			n += wireBytes(len(r.Data)) + 16
-		}
-		return n, err
-	})
-	return results, err
 }
 
 var _ KV = (*wanKV)(nil)

@@ -10,18 +10,13 @@ import (
 // wrapper, so every millisecond a test measures belongs to the shaping.
 type instantKV struct{ data []byte }
 
-func (k *instantKV) Read(addr uint64) ([]byte, error) { return k.data, nil }
-func (k *instantKV) Write(uint64, []byte) error       { return nil }
-func (k *instantKV) TenantRead(string, uint64) ([]byte, error) {
-	return k.data, nil
-}
-func (k *instantKV) TenantWrite(string, uint64, []byte) error { return nil }
-func (k *instantKV) ReadBatch(tenant string, addrs []uint64) ([]BatchResult, error) {
-	out := make([]BatchResult, len(addrs))
-	for i := range out {
-		out[i].Data = k.data
+func (k *instantKV) Do(_ string, ops []Op) error {
+	for i := range ops {
+		if !ops[i].Write {
+			ops[i].Data = k.data
+		}
 	}
-	return out, nil
+	return nil
 }
 
 // TestWANShapingDelaysOps: a wrapped operation pays at least the configured
@@ -32,7 +27,7 @@ func TestWANShapingDelaysOps(t *testing.T) {
 	// One read moves ~200 wire bytes (64 B request, base64 response) over a
 	// 10 KB/s link ≈ 19 ms of serialization, plus the 20 ms RTT.
 	t0 := time.Now()
-	if _, err := kv.TenantRead("", 1); err != nil {
+	if err := kv.Do("", []Op{{Addr: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(t0); elapsed < 30*time.Millisecond {
@@ -53,7 +48,7 @@ func TestWANShapingSerializesLink(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := kv.TenantRead("", 1); err != nil {
+			if err := kv.Do("", []Op{{Addr: 1}}); err != nil {
 				t.Error(err)
 			}
 		}()

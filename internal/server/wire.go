@@ -20,6 +20,9 @@ import (
 // accountant; batch_read is the first-class verb of the contact-discovery
 // serving path — one request carries up to k addresses, one response carries
 // per-address results, and the single-op verbs are its degenerate k=1 form.
+// All three decode into one KV.Do submission ([]Op) and back: a single-op
+// verb's failure fails the whole response, a batch member's only its own
+// result.
 //
 // Ops:
 //
@@ -64,15 +67,15 @@ const (
 	// CodeBatchTooLarge: a batch carries more addresses than the serving
 	// side's public batch limit (Config.MaxBatch / MaxBatchAddrs).
 	CodeBatchTooLarge = "batch_too_large"
-	// CodeStoreClosed: the store is shut down.
+	// CodeStoreClosed: the store is shut down — a condition of the node, not
+	// the request, so a router fails over on it.
 	CodeStoreClosed = "store_closed"
 	// CodeTenantBudget: the request's tenant has exhausted its per-tenant
 	// leakage sub-budget and new ops are refused until the operator raises
 	// it.
 	CodeTenantBudget = "tenant_budget_exhausted"
 	// CodeUnavailable: the serving side could not reach any replica that
-	// holds the data right now — a transient condition worth retrying, unlike
-	// every other code.
+	// holds the data right now — a transient condition worth retrying.
 	CodeUnavailable = "unavailable"
 	// CodeInternal: any failure that carries no more specific code.
 	CodeInternal = "internal"
@@ -122,12 +125,71 @@ type WireResult struct {
 	Code string `json:"code,omitempty"`
 }
 
+// Op is one member of a KV.Do submission: a read of Addr, or a write of Data
+// (at most BlockBytes, zero-padded) to Addr. Do writes the op's own outcome
+// back: Err (out of range, oversized payload, no replica reachable, …) and a
+// successful read's block in Data.
+type Op struct {
+	Addr  uint64
+	Write bool
+	Data  []byte
+	Err   error
+}
+
+// KV is the data surface of the service. *Store, *Client, *RetryClient,
+// the WAN shaper and the cluster router each implement it once.
+type KV interface {
+	// Do serves one submission, of a shape CheckOps accepts, charged to
+	// tenant's leakage sub-budget ("" = untenanted). A non-nil return
+	// refuses the whole submission — empty, over the batch limit, tenant
+	// over budget, store closed, transport failure; otherwise every op
+	// carries its own outcome.
+	Do(tenant string, ops []Op) error
+}
+
+// CheckOps is the one shape rule of KV.Do: exactly the shapes the wire
+// carries — one read, one write, or 1..limit reads.
+func CheckOps(ops []Op, limit int) error {
+	if len(ops) == 0 {
+		return Errorf(CodeBadRequest, "server: empty batch")
+	}
+	if len(ops) > limit {
+		return Errorf(CodeBatchTooLarge, "server: batch of %d addresses exceeds the store's limit of %d", len(ops), limit)
+	}
+	if len(ops) > 1 {
+		for _, op := range ops {
+			if op.Write {
+				return Errorf(CodeBadRequest, "server: a batch carries reads only")
+			}
+		}
+	}
+	return nil
+}
+
 // BatchResult is one batch member's outcome on the Go side of the KV
 // surface: Data on success, a non-nil Err (a *RemoteError when it crossed
 // the wire) otherwise.
 type BatchResult struct {
 	Data []byte
 	Err  error
+}
+
+// ReadBatchVia runs addrs through kv as one batch of reads and returns the
+// index-aligned results: the body of the ReadBatch shims that Store, Client
+// and the cluster router keep for their existing callers.
+func ReadBatchVia(kv KV, tenant string, addrs []uint64) ([]BatchResult, error) {
+	ops := make([]Op, len(addrs))
+	for i, a := range addrs {
+		ops[i].Addr = a
+	}
+	if err := kv.Do(tenant, ops); err != nil {
+		return nil, err
+	}
+	results := make([]BatchResult, len(ops))
+	for i, op := range ops {
+		results[i] = BatchResult{Data: op.Data, Err: op.Err}
+	}
+	return results, nil
 }
 
 // Error is a coded application-level failure: the text is for humans, the
