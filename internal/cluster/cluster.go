@@ -183,6 +183,11 @@ func (c Config) Validate() error {
 			return fmt.Errorf("cluster: TenantBudgets[%q] must not be negative, got %v", name, bits)
 		}
 	}
+	// Admission reads an account refreshed on the probe tick; without the
+	// probe loop it would go stale after NewRouter's first poll.
+	if len(c.TenantBudgets) > 0 && c.ProbeEvery < 0 {
+		return fmt.Errorf("cluster: TenantBudgets need the probe loop, but ProbeEvery is %v", c.ProbeEvery)
+	}
 	if c.RetryAttempts < 0 {
 		return fmt.Errorf("cluster: RetryAttempts must not be negative, got %d", c.RetryAttempts)
 	}

@@ -3,8 +3,10 @@ package cluster
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"tcoram/internal/core"
+	"tcoram/internal/leakage"
 	"tcoram/internal/server"
 )
 
@@ -100,15 +102,15 @@ func TestParseNodes(t *testing.T) {
 // budget their sum exceeds.
 func TestAggregate(t *testing.T) {
 	nodes := []server.Stats{
-		{LeakedBits: 4, Shards: []server.ShardStats{
+		{Account: leakage.Account{LeakedBits: 4}, Shards: []server.ShardStats{
 			{Shard: 0, LeakedBits: 4, RateChanges: []core.RateChange{{Epoch: 0, Rate: 995}, {Epoch: 1, Rate: 45}}},
 		}},
-		{LeakedBits: 6, Shards: []server.ShardStats{
+		{Account: leakage.Account{LeakedBits: 6}, Shards: []server.ShardStats{
 			{Shard: 0, LeakedBits: 2},
 			{Shard: 1, LeakedBits: 4},
 		}},
 	}
-	agg := Aggregate(nodes, 2048, 64, 8)
+	agg := Aggregate(nodes, 2048, 64, 8, nil)
 	if agg.LeakedBits != 10 {
 		t.Errorf("LeakedBits = %v, want 10", agg.LeakedBits)
 	}
@@ -134,9 +136,53 @@ func TestAggregate(t *testing.T) {
 	if agg.Blocks != 2048 || agg.BlockBytes != 64 || agg.LeakageBudgetBits != 8 {
 		t.Errorf("geometry/budget = (%d, %d, %v)", agg.Blocks, agg.BlockBytes, agg.LeakageBudgetBits)
 	}
-	under := Aggregate(nodes, 2048, 64, 16)
+	under := Aggregate(nodes, 2048, 64, 16, nil)
 	if under.LeakageExceeded {
 		t.Error("budget 16 ≥ 10 leaked, but LeakageExceeded is true")
+	}
+}
+
+// TestRouterEnforcesTenantBudget trips a sub-budget at the proxy. A router
+// started before alice's traffic refuses her once a probe tick sees her
+// over budget; a router started after she crossed it refuses her first op,
+// from the account NewRouter polled; and a config whose probe loop is off
+// cannot carry sub-budgets at all, since nothing would refresh the account.
+func TestRouterEnforcesTenantBudget(t *testing.T) {
+	nodeCfg := server.Config{
+		Shards:        1,
+		Blocks:        256,
+		BlockBytes:    64,
+		ClockHz:       1_000_000,
+		ORAMLatency:   5,
+		Rates:         []uint64{45, 195, 495, 995}, // |R| = 4 → 2 bits per transition
+		InitialRate:   995,
+		EpochFirstLen: 20_000, // 20 ms first epoch, growth 2
+		EpochGrowth:   2,
+	}
+	_, addrs := startNodes(t, 2, nodeCfg)
+	budgets := map[string]float64{"alice": 3}
+	probing := startRouter(t, Config{Nodes: addrs, Epoch: 1, TenantBudgets: budgets, ProbeEvery: 10 * time.Millisecond})
+
+	var err error
+	for i, deadline := uint64(0), time.Now().Add(10*time.Second); err == nil && time.Now().Before(deadline); i++ {
+		err = probing.Do("alice", []server.Op{{Addr: i % 256}})
+	}
+	if server.ErrorCode(err) != server.CodeTenantBudget {
+		t.Fatalf("alice's ops through a probing router ended with %v, want code %s", err, server.CodeTenantBudget)
+	}
+
+	fresh := startRouter(t, Config{Nodes: addrs, Epoch: 1, TenantBudgets: budgets, ProbeEvery: time.Hour})
+	if err := fresh.Do("alice", []server.Op{{Addr: 1}}); server.ErrorCode(err) != server.CodeTenantBudget {
+		t.Errorf("a fresh router admitted alice's first op: %v", err)
+	}
+	ops := []server.Op{{Addr: 1}}
+	if err := fresh.Do("bob", ops); err != nil || ops[0].Err != nil {
+		t.Errorf("unbudgeted bob refused: %v, %v", err, ops[0].Err)
+	}
+
+	_, err = NewRouter(Config{Nodes: addrs, Epoch: 1, TenantBudgets: budgets, ProbeEvery: -1})
+	if err == nil || !strings.Contains(err.Error(), "TenantBudgets") || !strings.Contains(err.Error(), "ProbeEvery") {
+		t.Errorf("sub-budgets without a probe loop: %v, want an error naming TenantBudgets and ProbeEvery", err)
 	}
 }
 

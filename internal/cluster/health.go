@@ -129,9 +129,9 @@ func (r *Router) prober(every time.Duration) {
 			}
 			if len(r.cfg.TenantBudgets) > 0 {
 				// Budget enforcement rides the probe cadence: the tick
-				// refreshes the per-tenant account so a tenant that crossed
+				// refreshes the admission account so a tenant that crossed
 				// its sub-budget starts being refused within one period.
-				r.refreshTenants()
+				r.ServiceStats()
 			}
 		}
 	}

@@ -64,7 +64,7 @@ func (r *Router) initMigration(prevMap NodeMap, byAddr map[string]*node) error {
 		}
 		prev.nodes = append(prev.nodes, n)
 	}
-	minBlocks, err := r.learnGeometry(prev.nodes)
+	_, minBlocks, err := r.learnGeometry(prev.nodes)
 	if err != nil {
 		return fmt.Errorf("cluster: previous topology: %w", err)
 	}

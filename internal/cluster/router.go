@@ -4,11 +4,11 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"tcoram/internal/leakage"
 	"tcoram/internal/server"
 )
 
@@ -63,12 +63,11 @@ type Router struct {
 	copied     atomic.Uint64
 	gates      [gateCount]sync.RWMutex
 
-	// tenantLeaks caches the cluster-wide per-tenant leaked bits (summed
-	// over every node's attribution), refreshed by the prober and by every
-	// stats poll. Admission reads the cache instead of fanning a stats
-	// round-trip onto every data op; nil until the first refresh, during
-	// which all tenants are admitted.
-	tenantLeaks atomic.Pointer[map[string]float64]
+	// admit is the judged cluster-wide account tenant admission reads
+	// instead of fanning a stats round-trip onto every data op: the node
+	// accounts merged and judged at the last stats poll — NewRouter's, then
+	// every probe tick's and every ServiceStats'.
+	admit atomic.Pointer[leakage.Account]
 
 	stop      chan struct{}
 	wg        sync.WaitGroup
@@ -112,12 +111,13 @@ func NewRouter(cfg Config) (*Router, error) {
 		byAddr[addr] = n
 	}
 
-	// One stats round-trip per node doubles as the liveness check and
-	// teaches the router each node's capacity.
-	minBlocks, err := r.learnGeometry(r.cur.nodes)
+	// One stats round-trip per node doubles as the liveness check, teaches
+	// the router each node's capacity and seeds the admission account.
+	nodeStats, minBlocks, err := r.learnGeometry(r.cur.nodes)
 	if err != nil {
 		return nil, err
 	}
+	r.aggregate(nodeStats)
 	if minBlocks < uint64(m.Replicas) {
 		return nil, fmt.Errorf("cluster: replication factor %d exceeds the smallest node's %d blocks", m.Replicas, minBlocks)
 	}
@@ -151,29 +151,31 @@ func NewRouter(cfg Config) (*Router, error) {
 }
 
 // learnGeometry polls each node's stats, enforces a uniform block size, and
-// returns the smallest node capacity.
-func (r *Router) learnGeometry(nodes []*node) (uint64, error) {
+// returns the snapshots with the smallest node capacity.
+func (r *Router) learnGeometry(nodes []*node) ([]server.Stats, uint64, error) {
 	minBlocks := uint64(0)
-	for _, n := range nodes {
+	stats := make([]server.Stats, len(nodes))
+	for i, n := range nodes {
 		st, err := n.pick().Stats()
 		if err != nil {
-			return 0, fmt.Errorf("cluster: node %d (%s): %w", n.index, n.addr, err)
+			return nil, 0, fmt.Errorf("cluster: node %d (%s): %w", n.index, n.addr, err)
 		}
 		if st.Blocks == 0 {
-			return 0, fmt.Errorf("cluster: node %d (%s) reports zero blocks", n.index, n.addr)
+			return nil, 0, fmt.Errorf("cluster: node %d (%s) reports zero blocks", n.index, n.addr)
 		}
 		if r.blockBytes == 0 {
 			r.blockBytes = st.BlockBytes
 		} else if st.BlockBytes != r.blockBytes {
-			return 0, fmt.Errorf("cluster: node %d (%s) serves %d-byte blocks, the cluster serves %d",
+			return nil, 0, fmt.Errorf("cluster: node %d (%s) serves %d-byte blocks, the cluster serves %d",
 				n.index, n.addr, st.BlockBytes, r.blockBytes)
 		}
 		r.nodeBlocks = append(r.nodeBlocks, st.Blocks)
 		if minBlocks == 0 || st.Blocks < minBlocks {
 			minBlocks = st.Blocks
 		}
+		stats[i] = st
 	}
-	return minBlocks, nil
+	return stats, minBlocks, nil
 }
 
 // Blocks returns the cluster-wide address space the router serves right
@@ -255,8 +257,8 @@ func (r *Router) Do(tenant string, ops []server.Op) error {
 	if err := server.CheckOps(ops, server.MaxBatchAddrs); err != nil {
 		return err
 	}
-	if err := r.admitTenant(tenant); err != nil {
-		return err
+	if err := r.admit.Load().Refusal(tenant); err != nil {
+		return &server.Error{Code: server.CodeTenantBudget, Msg: "cluster: " + err.Error()}
 	}
 	// Hold every distinct migration gate the submission touches, acquired in
 	// ascending stripe order — the migrator takes one gate at a time, so
@@ -464,27 +466,6 @@ func (r *Router) ReadBatch(tenant string, addrs []uint64) ([]server.BatchResult,
 	return server.ReadBatchVia(r, tenant, addrs)
 }
 
-// admitTenant refuses ops from a tenant whose cluster-wide leakage
-// sub-budget is exhausted, judged against the cached per-tenant account
-// (refreshed by the prober and every stats poll).
-func (r *Router) admitTenant(tenant string) error {
-	if tenant == "" || len(r.cfg.TenantBudgets) == 0 {
-		return nil
-	}
-	budget, ok := r.cfg.TenantBudgets[tenant]
-	if !ok || budget <= 0 {
-		return nil
-	}
-	leaks := r.tenantLeaks.Load()
-	if leaks == nil {
-		return nil // no account polled yet
-	}
-	if leaked := (*leaks)[tenant]; leaked > budget {
-		return server.Errorf(server.CodeTenantBudget, "cluster: tenant %q exhausted its leakage sub-budget (%.1f bits leaked, budget %.1f)", tenant, leaked, budget)
-	}
-	return nil
-}
-
 // NodeStats polls every current-topology node concurrently and returns the
 // raw per-node snapshots, indexed by node. It fails on the first
 // unreachable node; ServiceStats is the lenient aggregation that keeps
@@ -526,19 +507,15 @@ func (r *Router) pollNodes() ([]server.Stats, []error) {
 }
 
 // ServiceStats aggregates every node's snapshot into one cluster-wide
-// server.Stats: the per-shard entries of all nodes concatenated (tagged
-// with their node index, so rate_changes histories stay per-shard and
-// adversary replay works unchanged), leaked bits summed across the cluster,
-// the single cluster-wide budget judged against that sum, and the routing
-// epoch, map fingerprint, per-node health, and migration progress attached.
+// server.Stats (Aggregate, under the router's budgets) and attaches the
+// routing epoch, map fingerprint, per-node health, and migration progress.
 // An unreachable node contributes an empty snapshot (and shows up ejected
 // in nodes[]) instead of failing the whole poll — the stats plane must
-// survive exactly the node loss the data plane survives. Per-node budgets,
-// if any node was started with one, are deliberately not surfaced: the
-// cluster session has one timing channel and one account.
+// survive exactly the node loss the data plane survives. The judged
+// account becomes the admission account.
 func (r *Router) ServiceStats() (server.Stats, error) {
 	stats, _ := r.pollNodes()
-	agg := Aggregate(stats, r.Blocks(), r.blockBytes, r.cfg.LeakageBudgetBits)
+	agg := r.aggregate(stats)
 	agg.RoutingEpoch = r.cur.m.Epoch
 	agg.MapFingerprint = r.cur.m.Fingerprint()
 	agg.Replicas = r.cur.m.Replicas
@@ -547,88 +524,36 @@ func (r *Router) ServiceStats() (server.Stats, error) {
 	for _, n := range r.allNodes() {
 		agg.Nodes = append(agg.Nodes, n.status())
 	}
-	r.overlayTenantBudgets(&agg)
 	return agg, nil
 }
 
-// overlayTenantBudgets applies the cluster-level sub-budgets to the
-// aggregated per-tenant account (node-level budgets were dropped by
-// Aggregate — the cluster session has one account), adds zero rows for
-// budgeted tenants with no traffic yet, and refreshes the admission cache.
-func (r *Router) overlayTenantBudgets(agg *server.Stats) {
-	if len(r.cfg.TenantBudgets) == 0 && len(agg.Tenants) == 0 {
-		return
-	}
-	leaks := make(map[string]float64, len(agg.Tenants))
-	for i := range agg.Tenants {
-		ts := &agg.Tenants[i]
-		leaks[ts.Tenant] = ts.LeakedBits
-		if budget, ok := r.cfg.TenantBudgets[ts.Tenant]; ok && budget > 0 {
-			ts.BudgetBits = budget
-			ts.Exceeded = ts.LeakedBits > budget
-		}
-	}
-	for t, budget := range r.cfg.TenantBudgets {
-		if _, ok := leaks[t]; !ok && budget > 0 {
-			agg.Tenants = append(agg.Tenants, server.TenantStat{Tenant: t, BudgetBits: budget})
-			leaks[t] = 0
-		}
-	}
-	sort.Slice(agg.Tenants, func(i, j int) bool { return agg.Tenants[i].Tenant < agg.Tenants[j].Tenant })
-	r.tenantLeaks.Store(&leaks)
+// aggregate is Aggregate under the router's budgets; its judged account
+// becomes the one tenant admission reads.
+func (r *Router) aggregate(nodes []server.Stats) server.Stats {
+	agg := Aggregate(nodes, r.Blocks(), r.blockBytes, r.cfg.LeakageBudgetBits, r.cfg.TenantBudgets)
+	acct := agg.Account
+	r.admit.Store(&acct)
+	return agg
 }
 
-// refreshTenants re-polls the nodes and refreshes the per-tenant admission
-// cache — the prober's budget-enforcement tick.
-func (r *Router) refreshTenants() {
-	stats, _ := r.pollNodes()
-	leaks := make(map[string]float64)
-	for _, st := range stats {
-		for _, ts := range st.Tenants {
-			leaks[ts.Tenant] += ts.LeakedBits
-		}
-	}
-	r.tenantLeaks.Store(&leaks)
-}
-
-// Aggregate merges per-node stats into the cluster view. Split out of
-// ServiceStats so tests (and offline tooling fed per-node records) can
-// aggregate without a live router.
-func Aggregate(nodes []server.Stats, blocks uint64, blockBytes int, budgetBits float64) server.Stats {
-	agg := server.Stats{
-		Blocks:            blocks,
-		BlockBytes:        blockBytes,
-		LeakageBudgetBits: budgetBits,
-	}
-	tenants := make(map[string]server.TenantStat)
+// Aggregate merges per-node stats into the cluster view: the per-shard
+// entries of all nodes concatenated (tagged with their node index, so
+// rate_changes histories stay per-shard and adversary replay works
+// unchanged), and the node accounts merged and judged against the cluster's
+// session budget and tenant sub-budgets. Node-level budgets, if any node
+// was started with one, are dropped: the cluster session has one account.
+// Split out of ServiceStats so tests (and offline tooling fed per-node
+// records) can aggregate without a live router.
+func Aggregate(nodes []server.Stats, blocks uint64, blockBytes int, budgetBits float64, tenantBudgets map[string]float64) server.Stats {
+	agg := server.Stats{Blocks: blocks, BlockBytes: blockBytes}
 	for node, st := range nodes {
 		for _, sh := range st.Shards {
 			sh.Node = node
 			agg.Shards = append(agg.Shards, sh)
 		}
-		agg.LeakedBits += st.LeakedBits
-		// Per-tenant accounts sum across nodes; node-level budget fields
-		// are dropped like the node-level session budget is — the cluster
-		// judges tenants against its own sub-budgets (ServiceStats).
-		for _, ts := range st.Tenants {
-			cur := tenants[ts.Tenant]
-			cur.Tenant = ts.Tenant
-			cur.Transitions += ts.Transitions
-			cur.LeakedBits += ts.LeakedBits
-			tenants[ts.Tenant] = cur
-		}
+		agg.Account.Merge(st.Account)
 	}
-	if len(tenants) > 0 {
-		names := make([]string, 0, len(tenants))
-		for t := range tenants {
-			names = append(names, t)
-		}
-		sort.Strings(names)
-		for _, t := range names {
-			agg.Tenants = append(agg.Tenants, tenants[t])
-		}
-	}
-	agg.LeakageExceeded = budgetBits > 0 && agg.LeakedBits > budgetBits
+	agg.Account.Judge(budgetBits, tenantBudgets)
 	return agg
 }
 

@@ -248,7 +248,7 @@ func RunLoad(dial func() (KV, error), statsFn func() (Stats, error), cfg LoadCon
 		rep.RealAccesses = ar - br
 		rep.DummyAccesses = ad - bd
 		rep.Shards = len(after.Shards)
-		rep.RateChanges = after.Transitions() - before.Transitions()
+		rep.RateChanges = after.Transitions - before.Transitions
 		rep.LeakedBits = after.LeakedBits - before.LeakedBits
 	}
 	if ep := firstErr.Load(); ep != nil {

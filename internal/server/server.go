@@ -28,10 +28,10 @@ package server
 import (
 	"cmp"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"tcoram/internal/core"
 	"tcoram/internal/crypt"
@@ -434,6 +434,9 @@ func (c Config) Validate() error {
 type Store struct {
 	cfg    Config
 	shards []*shard
+	// admit is the judged account Do admits budgeted tenants against (see
+	// admission).
+	admit atomic.Pointer[leakage.Account]
 
 	mu     sync.RWMutex // guards closed against in-flight submits
 	closed bool
@@ -513,8 +516,10 @@ func (s *Store) Do(tenant string, ops []Op) error {
 	if err := CheckOps(ops, s.cfg.MaxBatch()); err != nil {
 		return err
 	}
-	if err := s.admitTenant(tenant); err != nil {
-		return err
+	if s.cfg.TenantBudgets[tenant] > 0 { // only a budgeted tenant can be refused
+		if err := s.admission().Refusal(tenant); err != nil {
+			return &Error{Code: CodeTenantBudget, Msg: "server: " + err.Error()}
+		}
 	}
 	reqs := make([]request, len(ops))
 	for i := range ops {
@@ -589,94 +594,39 @@ func (s *Store) ReadBatch(tenant string, addrs []uint64) ([]BatchResult, error) 
 	return ReadBatchVia(s, tenant, addrs)
 }
 
-// admitTenant refuses ops from a tenant whose leakage sub-budget is
-// exhausted. Only tenants named in TenantBudgets are ever refused; the
-// check reads the current per-shard attribution, so the refusal begins
-// with the first op after the budget-crossing epoch transition.
-func (s *Store) admitTenant(tenant string) error {
-	if tenant == "" || len(s.cfg.TenantBudgets) == 0 {
-		return nil
-	}
-	budget, ok := s.cfg.TenantBudgets[tenant]
-	if !ok || budget <= 0 {
-		return nil
-	}
-	var transitions uint64
+// admission returns the store's judged account as of the shard ledgers'
+// current state, so a tenant's refusal begins with its first op after the
+// budget-crossing epoch transition. The ledgers' summed transitions date the
+// cached account, which is rebuilt only after an epoch boundary.
+func (s *Store) admission() *leakage.Account {
+	var n uint64
 	for _, sh := range s.shards {
-		transitions += sh.tenantTransitions(tenant)
+		n += sh.ledger.Transitions()
 	}
-	leaked := float64(leakage.ORAMTimingBits(len(s.cfg.Rates), int(transitions)))
-	if leaked > budget {
-		return Errorf(CodeTenantBudget, "server: tenant %q exhausted its leakage sub-budget (%.1f bits leaked, budget %.1f)", tenant, leaked, budget)
+	if a := s.admit.Load(); a != nil && a.Transitions == n {
+		return a
 	}
-	return nil
+	a := s.Stats().Account
+	s.admit.Store(&a)
+	return &a
 }
 
-// Stats returns a snapshot of per-shard activity, including the store-level
-// leakage account: every epoch transition on every shard reveals one
-// lg|R|-bit rate choice to a timing observer, and the cumulative total is
-// compared against the configured budget.
+// Stats returns a snapshot of per-shard activity, including the store's
+// leakage account: the shard ledgers merged and judged against the
+// configured session budget and tenant sub-budgets.
 func (s *Store) Stats() Stats {
 	st := Stats{
-		Shards:            make([]ShardStats, len(s.shards)),
-		Blocks:            s.cfg.Blocks,
-		BlockBytes:        s.cfg.BlockBytes,
-		LeakageBudgetBits: s.cfg.LeakageBudgetBits,
+		Shards:     make([]ShardStats, len(s.shards)),
+		Blocks:     s.cfg.Blocks,
+		BlockBytes: s.cfg.BlockBytes,
 	}
 	for i, sh := range s.shards {
-		ss := sh.stats()
-		transitions := 0
-		for _, rc := range ss.RateChanges {
-			if rc.Epoch > 0 { // the epoch-0 entry is the public initial rate, not a choice
-				transitions++
-			}
-		}
-		ss.LeakedBits = float64(leakage.ORAMTimingBits(len(s.cfg.Rates), transitions))
-		st.LeakedBits += ss.LeakedBits
-		st.Shards[i] = ss
+		var acct leakage.Account
+		st.Shards[i], acct = sh.stats()
+		st.Account.Merge(acct)
 	}
-	st.LeakageExceeded = s.cfg.LeakageBudgetBits > 0 && st.LeakedBits > s.cfg.LeakageBudgetBits
-	st.Tenants = s.tenantStats(st.Shards)
+	st.Account.Judge(s.cfg.LeakageBudgetBits, s.cfg.TenantBudgets)
 	return st
-}
-
-// tenantStats builds the per-tenant leakage account from the shards'
-// attribution maps, including budgeted tenants that have not sent traffic
-// yet (their rows show the configured budget at zero spend).
-func (s *Store) tenantStats(shards []ShardStats) []TenantStat {
-	transitions := make(map[string]uint64)
-	for _, ss := range shards {
-		for t, n := range ss.TenantTransitions {
-			transitions[t] += n
-		}
-	}
-	for t := range s.cfg.TenantBudgets {
-		if _, ok := transitions[t]; !ok {
-			transitions[t] = 0
-		}
-	}
-	if len(transitions) == 0 {
-		return nil
-	}
-	names := make([]string, 0, len(transitions))
-	for t := range transitions {
-		names = append(names, t)
-	}
-	sort.Strings(names)
-	out := make([]TenantStat, 0, len(names))
-	for _, t := range names {
-		ts := TenantStat{
-			Tenant:      t,
-			Transitions: transitions[t],
-			LeakedBits:  float64(leakage.ORAMTimingBits(len(s.cfg.Rates), int(transitions[t]))),
-		}
-		if budget, ok := s.cfg.TenantBudgets[t]; ok && budget > 0 {
-			ts.BudgetBits = budget
-			ts.Exceeded = ts.LeakedBits > budget
-		}
-		out = append(out, ts)
-	}
-	return out
 }
 
 // ServiceStats adapts Stats to the daemon's Service interface (a local
@@ -721,20 +671,12 @@ type Stats struct {
 	Shards     []ShardStats `json:"shards"`
 	Blocks     uint64       `json:"blocks"`
 	BlockBytes int          `json:"block_bytes"`
-	// LeakedBits is the cumulative ORAM-timing-channel leakage across all
-	// shards: transitions × lg|R| bits, the paper's per-epoch bound realized
-	// on live traffic. LeakageBudgetBits echoes the configured budget (0 =
-	// none) and LeakageExceeded flags an overrun.
-	LeakedBits        float64 `json:"leaked_bits"`
-	LeakageBudgetBits float64 `json:"leakage_budget_bits,omitempty"`
-	LeakageExceeded   bool    `json:"leakage_exceeded,omitempty"`
-	// Tenants is the per-tenant slice of the leakage account, sorted by
-	// tenant name: epoch transitions attributed to each tenant's activity
-	// and the resulting leaked bits, with the sub-budget and its trip flag
-	// for budgeted tenants. One tenant tripping its sub-budget never
-	// spends another's — see docs/LEAKAGE.md for what the attribution does
-	// and does not compose to.
-	Tenants []TenantStat `json:"tenants,omitempty"`
+	// Account is the ORAM-timing-channel leakage account across all shards
+	// (or, aggregated by a routing proxy, all nodes): transitions, leaked
+	// bits, the session budget and its trip flag, and one row per tenant.
+	// One tenant tripping its sub-budget never spends another's — see
+	// docs/LEAKAGE.md for what the attribution does and does not compose to.
+	leakage.Account
 
 	// Cluster routing metadata, populated only when the stats were
 	// aggregated by a routing proxy (internal/cluster). RoutingEpoch and
@@ -752,20 +694,9 @@ type Stats struct {
 	Nodes              []NodeStatus `json:"nodes,omitempty"`
 }
 
-// TenantStat is one tenant's slice of the leakage account. Transitions
-// counts epoch transitions that occurred while the tenant was active
-// (attribution: every tenant active in an epoch is charged that epoch's
-// full lg|R|-bit transition — leakage is not divisible between observers).
-// LeakedBits = Transitions × lg|R|. BudgetBits echoes the configured
-// sub-budget (0 = unbudgeted) and Exceeded flags an overrun, at which
-// point the store refuses the tenant's new ops with CodeTenantBudget.
-type TenantStat struct {
-	Tenant      string  `json:"tenant"`
-	Transitions uint64  `json:"transitions"`
-	LeakedBits  float64 `json:"leaked_bits"`
-	BudgetBits  float64 `json:"budget_bits,omitempty"`
-	Exceeded    bool    `json:"leakage_exceeded,omitempty"`
-}
+// TenantStat is one tenant's row of the leakage account. Once Exceeded,
+// the store refuses the tenant's new ops with CodeTenantBudget.
+type TenantStat = leakage.Row
 
 // NodeStatus is one cluster node's health record as seen by the routing
 // proxy: whether it is currently in the serving pool, and the cumulative
@@ -876,21 +807,6 @@ func (s Stats) Totals() (real, dummy, coalesced uint64) {
 	return
 }
 
-// Transitions counts epoch transitions across shards — the number of
-// lg|R|-bit rate choices the timing channel has revealed. The epoch-0
-// history entry is the public initial rate, not a choice, so it is skipped.
-func (s Stats) Transitions() uint64 {
-	var n uint64
-	for _, sh := range s.Shards {
-		for _, rc := range sh.RateChanges {
-			if rc.Epoch > 0 {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // Slip sums the grid-slip counters across shards: total overdue slots and
 // the worst per-shard lag in cycles.
 func (s Stats) Slip() (overdueSlots, maxLagCycles uint64) {
@@ -914,7 +830,7 @@ func (s Stats) LeakageSummary() string {
 		}
 	}
 	return fmt.Sprintf("timing channel leaked %.1f bits over %d epoch transitions (%s)",
-		s.LeakedBits, s.Transitions(), budget)
+		s.LeakedBits, s.Transitions, budget)
 }
 
 // SlipWarning renders the grid-slip warning line, or ok=false when the

@@ -1062,11 +1062,11 @@ func TestLeakageBudgetTrips(t *testing.T) {
 	for {
 		time.Sleep(20 * time.Millisecond)
 		stats = st.Stats()
-		if stats.Transitions() > 0 || time.Now().After(deadline) {
+		if stats.Transitions > 0 || time.Now().After(deadline) {
 			break
 		}
 	}
-	if stats.Transitions() == 0 {
+	if stats.Transitions == 0 {
 		t.Fatal("no epoch transitions within 2 s of 10 ms-seeded epochs")
 	}
 	if !stats.LeakageExceeded {

@@ -2,11 +2,11 @@ package server
 
 import (
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"tcoram/internal/core"
+	"tcoram/internal/leakage"
 	"tcoram/internal/pathoram"
 )
 
@@ -62,16 +62,13 @@ type shard struct {
 	ops          []pathoram.BatchOp
 	peaksScratch []int
 
-	// Per-tenant leakage attribution. activeTenants and lastEpoch are
+	// ledger is the shard's leakage account. activeTenants and lastEpoch are
 	// loop-private: tenants are recorded as their requests are served, and
-	// when the enforcer's epoch advances every tenant active in the closing
-	// epoch is charged that transition (its demand fed the learner's rate
-	// choice). tenantTrans is the shared tally, read by the store's
-	// admission check and stats under tmu.
+	// when the enforcer's epoch advances the ledger charges the transitions
+	// and the tenants active in the closing epoch.
+	ledger        *leakage.Ledger
 	activeTenants map[string]struct{}
 	lastEpoch     int
-	tmu           sync.Mutex
-	tenantTrans   map[string]uint64
 
 	// persist is the shard's checkpoint engine (nil for RAM-backed shards);
 	// owned by the run goroutine like the ORAM itself. When deferAcks is set
@@ -116,8 +113,8 @@ func newShard(id int, o *pathoram.Stack, p *persister, cfg Config, stop chan str
 		queue: make(chan *request, cfg.QueueDepth),
 		stop:  stop,
 	}
+	sh.ledger = leakage.NewLedger(len(cfg.Rates))
 	sh.activeTenants = make(map[string]struct{})
-	sh.tenantTrans = make(map[string]uint64)
 	if sh.enf != nil {
 		sh.lastEpoch = sh.enf.Epoch()
 	}
@@ -169,7 +166,12 @@ func (sh *shard) slot() error {
 	real := len(sh.batch) > 0
 	if sh.enf != nil {
 		sh.enf.TakeSlot(arrival, real)
-		sh.noteEpochTenants()
+		// TakeSlot is what advances the epoch, so the charge lands before
+		// the store's admission check sees the tenant's next op.
+		if epoch := sh.enf.Epoch(); epoch != sh.lastEpoch {
+			sh.ledger.Advance(epoch-sh.lastEpoch, sh.activeTenants)
+			sh.lastEpoch = epoch
+		}
 	}
 	err := sh.serveBatch()
 	if err == nil {
@@ -230,42 +232,12 @@ func (sh *shard) awaitSlot(timer *time.Timer) bool {
 	}
 }
 
-// noteEpochTenants charges the epoch transition the enforcer just crossed
-// to every tenant that was active in the closing epoch, then resets the
-// active set. Runs right after TakeSlot (which is what advances the epoch),
-// so the charge lands before the budget check admits the tenant's next op.
-// A multi-epoch jump is charged as one transition: the schedule revealed
-// one new rate choice, however many epoch boundaries elapsed idle.
-func (sh *shard) noteEpochTenants() {
-	epoch := sh.enf.Epoch()
-	if epoch == sh.lastEpoch {
-		return
-	}
-	sh.lastEpoch = epoch
-	if len(sh.activeTenants) == 0 {
-		return
-	}
-	sh.tmu.Lock()
-	for t := range sh.activeTenants {
-		sh.tenantTrans[t]++
-	}
-	sh.tmu.Unlock()
-	clear(sh.activeTenants)
-}
-
 // noteTenant records a served request's tenant as active in the current
 // epoch (loop-private; untenanted traffic is not tracked).
 func (sh *shard) noteTenant(tenant string) {
 	if tenant != "" {
 		sh.activeTenants[tenant] = struct{}{}
 	}
-}
-
-// tenantTransitions reports the transitions charged to tenant so far.
-func (sh *shard) tenantTransitions(tenant string) uint64 {
-	sh.tmu.Lock()
-	defer sh.tmu.Unlock()
-	return sh.tenantTrans[tenant]
 }
 
 // maybeCheckpoint runs the checkpoint cadence after every slot, real or
@@ -511,12 +483,13 @@ func (sh *shard) publishStats() {
 	}
 }
 
-// stats snapshots the shard's counters. Every enforcer-side field (rate,
-// epoch, slip counters, rate-change history) comes from the WallEnforcer's
-// own mutex-guarded state in one pass, so a snapshot is self-consistent:
-// Rate always matches the last RateChanges entry even when a transition
-// fired mid-slot, before the serving loop got back around.
-func (sh *shard) stats() ShardStats {
+// stats snapshots the shard's counters and its leakage account. The
+// rate-change history is cut to the transitions the ledger has charged: the
+// enforcer applies a transition when the loop asks for the next slot, while
+// the ledger charges it once that slot, the first under the new rate and so
+// the one that reveals it, is issued.
+func (sh *shard) stats() (ShardStats, leakage.Account) {
+	acct := sh.ledger.Snapshot()
 	ss := ShardStats{
 		Shard:           sh.id,
 		Queue:           int(sh.depth.Load()),
@@ -540,23 +513,24 @@ func (sh *shard) stats() ShardStats {
 	if p := sh.levelPeaks.Load(); p != nil {
 		ss.StashPeaks = slices.Clone(*p)
 	}
-	sh.tmu.Lock()
-	if len(sh.tenantTrans) > 0 {
-		ss.TenantTransitions = make(map[string]uint64, len(sh.tenantTrans))
-		for t, n := range sh.tenantTrans {
-			ss.TenantTransitions[t] = n
+	ss.LeakedBits = acct.LeakedBits
+	if len(acct.Tenants) > 0 {
+		ss.TenantTransitions = make(map[string]uint64, len(acct.Tenants))
+		for _, r := range acct.Tenants {
+			ss.TenantTransitions[r.Tenant] = r.Transitions
 		}
 	}
-	sh.tmu.Unlock()
 	if sh.enf != nil {
 		ss.OverdueSlots, ss.MaxLagCycles = sh.enf.Slip()
 		ss.RateChanges = sh.enf.RateChanges()
-		// The enforcer sets its rate and the history entry together, so the
-		// last entry (never absent: epoch 0 is recorded at construction) is
-		// the in-force rate — deriving both from one snapshot keeps Rate
-		// and RateChanges from ever contradicting each other.
+		if charged := acct.Transitions + 1; uint64(len(ss.RateChanges)) > charged {
+			ss.RateChanges = ss.RateChanges[:charged]
+		}
+		// The last entry (never absent: epoch 0 is recorded at construction)
+		// is the rate of the last slot issued — deriving Rate and Epoch from
+		// it keeps them from ever contradicting RateChanges.
 		last := ss.RateChanges[len(ss.RateChanges)-1]
 		ss.Rate, ss.Epoch = last.Rate, last.Epoch
 	}
-	return ss
+	return ss, acct
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"tcoram/internal/adversary"
 )
 
 func TestParseTenantBudgets(t *testing.T) {
@@ -153,6 +155,65 @@ func TestTenantBudgetIndependentTrips(t *testing.T) {
 	}
 	if alice.LeakedBits <= alice.BudgetBits {
 		t.Errorf("alice refused at %v bits under her %v budget", alice.LeakedBits, alice.BudgetBits)
+	}
+}
+
+// TestTenantChargedOncePerActiveEpoch pins the attribution rule across idle
+// boundaries: alice is active in one epoch, then the shard crosses at least
+// three more boundaries with no traffic. The store's account counts every
+// boundary, exactly as the adversary's replay of the published history
+// does, while alice is charged the one transition that closed her epoch.
+func TestTenantChargedOncePerActiveEpoch(t *testing.T) {
+	cfg := Config{
+		Shards:        1,
+		Blocks:        256,
+		BlockBytes:    64,
+		ClockHz:       1_000_000,
+		ORAMLatency:   5,
+		Rates:         []uint64{45, 195, 495, 995},
+		InitialRate:   995,
+		EpochFirstLen: 20_000, // boundaries at 20/60/140/300 ms
+		EpochGrowth:   2,
+		TenantBudgets: map[string]float64{"alice": 3, "bob": 1000},
+	}
+	st, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Do("alice", []Op{{Addr: 1}}); err != nil {
+		t.Fatal(err)
+	}
+
+	var stats Stats
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		stats = st.Stats()
+		if stats.Transitions >= 4 || time.Now().After(deadline) {
+			break
+		}
+	}
+	if stats.Transitions < 4 {
+		t.Fatalf("%d transitions within 10 s of 20 ms-seeded epochs, want ≥ 4", stats.Transitions)
+	}
+	rec := adversary.ReconstructSchedule(stats.Shards[0].RateChanges, len(cfg.Rates))
+	if uint64(rec.Transitions) != stats.Transitions || rec.Bits != stats.LeakedBits {
+		t.Errorf("store account %d transitions / %v bits, replay %d / %v",
+			stats.Transitions, stats.LeakedBits, rec.Transitions, rec.Bits)
+	}
+	want := []TenantStat{
+		{Tenant: "alice", Transitions: 1, LeakedBits: 2, BudgetBits: 3},
+		{Tenant: "bob", BudgetBits: 1000},
+	}
+	if len(stats.Tenants) != len(want) {
+		t.Fatalf("Tenants = %+v, want %+v", stats.Tenants, want)
+	}
+	for i := range want {
+		if stats.Tenants[i] != want[i] {
+			t.Errorf("row %d = %+v, want %+v", i, stats.Tenants[i], want[i])
+		}
+	}
+	if err := st.Do("alice", []Op{{Addr: 1}}); err != nil {
+		t.Errorf("alice refused at 2 bits under her 3-bit budget: %v", err)
 	}
 }
 
