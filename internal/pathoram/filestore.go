@@ -70,12 +70,8 @@ type FileStorageConfig struct {
 	CacheBuckets int
 	// Sync selects the fsync policy.
 	Sync SyncPolicy
-	// MMap maps the bucket file read-only and serves clean-bucket reads
-	// straight from the mapping instead of copying pages into the cache —
-	// the read path for bucket files bigger than the configured page
-	// cache. Writes are unaffected: they still buffer in pinned dirty
-	// pages (the redo-in-checkpoint invariant), and dirty pages shadow the
-	// mapping until Flush. Unix-only; construction fails elsewhere.
+	// MMap is accepted and ignored: every bucket read goes through the
+	// page cache. It remains so existing callers keep compiling.
 	MMap bool
 }
 
@@ -104,7 +100,6 @@ type FileStorage struct {
 	// instead of scanning the cache; sortDirty orders it by index.
 	dirty  []*filePage
 	retain bool
-	mmap   []byte // read-only whole-file mapping when cfg.MMap
 	stats  StorageStats
 }
 
@@ -131,12 +126,6 @@ func CreateFileStorage(g Geometry, cfg FileStorageConfig) (*FileStorage, error) 
 	}
 	if cfg.Sync != SyncNone {
 		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	if cfg.MMap {
-		if err := s.mapFile(); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -171,12 +160,6 @@ func OpenFileStorage(g Geometry, cfg FileStorageConfig) (*FileStorage, error) {
 	} else if fi.Size() < s.fileSize() {
 		f.Close()
 		return nil, fmt.Errorf("%w: %s holds %d bytes, want %d", ErrFileGeometry, cfg.Path, fi.Size(), s.fileSize())
-	}
-	if cfg.MMap {
-		if err := s.mapFile(); err != nil {
-			f.Close()
-			return nil, err
-		}
 	}
 	return s, nil
 }
@@ -357,26 +340,8 @@ func (s *FileStorage) writeOut(p *filePage) {
 }
 
 // ReadBucket implements Storage. The returned slice aliases the cache page
-// (or, under MMap, the file mapping) and is valid until the next operation
-// on the store.
+// and is valid until the next operation on the store.
 func (s *FileStorage) ReadBucket(idx uint64) []byte {
-	if s.mmap != nil {
-		// Dirty pages shadow the mapping: they hold writes the file has
-		// not absorbed yet (pinned until Flush under the checkpoint
-		// protocol). Everything else reads straight from the mapping — no
-		// page copy, no cache churn, and after a Flush the mapping is
-		// coherent with the flushed bytes (MAP_SHARED over the same file).
-		if el, ok := s.cache[idx]; ok {
-			if p := el.Value.(*filePage); p.dirtyAt >= 0 {
-				s.stats.CacheHits++
-				s.lru.MoveToFront(el)
-				return p.data
-			}
-		}
-		s.stats.MMapReads++
-		off := s.bucketOffset(idx)
-		return s.mmap[off : off+int64(s.bucketSize)]
-	}
 	return s.page(idx, true).data
 }
 
@@ -429,10 +394,8 @@ func (s *FileStorage) Flush() error {
 	return nil
 }
 
-// Close releases the mapping (if any) and the file handle without flushing
-// (see BucketStore.Close).
+// Close releases the file handle without flushing (see BucketStore.Close).
 func (s *FileStorage) Close() error {
-	s.unmapFile()
 	return s.f.Close()
 }
 

@@ -35,18 +35,31 @@ func levelFileName(level int) string {
 // TestFileStorageMatchesByteStorage drives identically seeded ORAMs over a
 // RAM store and a file store (with a cache far smaller than the tree, so
 // eviction and reload paths are exercised) and requires identical results
-// and identical adversary-visible bucket bytes.
+// and identical adversary-visible bucket bytes. The ignored MMap option must
+// change nothing, down to the StorageStats.
 func TestFileStorageMatchesByteStorage(t *testing.T) {
+	var stats []StorageStats
+	for _, mmap := range []bool{false, true} {
+		stats = append(stats, checkFileMatchesByteStorage(t, FileStorageConfig{
+			Path:         filepath.Join(t.TempDir(), "buckets.oram"),
+			CacheBuckets: 8,
+			MMap:         mmap,
+		}))
+	}
+	if stats[0] != stats[1] {
+		t.Errorf("MMap changed the store's IO stats: %+v vs %+v", stats[0], stats[1])
+	}
+}
+
+func checkFileMatchesByteStorage(t *testing.T, cfg FileStorageConfig) StorageStats {
+	t.Helper()
 	g := GeometryForBlocks(256, 3, 64)
 	key := crypt.Key{1, 2, 3}
 	mem, err := NewORAM(g, key, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := CreateFileStorage(g, FileStorageConfig{
-		Path:         filepath.Join(t.TempDir(), "buckets.oram"),
-		CacheBuckets: 8,
-	})
+	fs, err := CreateFileStorage(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,6 +106,7 @@ func TestFileStorageMatchesByteStorage(t *testing.T) {
 	if mem.StorageStats() != (StorageStats{}) {
 		t.Errorf("RAM store reported nonzero IO stats: %+v", mem.StorageStats())
 	}
+	return st
 }
 
 // TestFileGeometryMismatch pins the fail-fast on reopening a bucket file
@@ -280,69 +294,6 @@ func TestRetainDirtyPinsFile(t *testing.T) {
 		t.Fatalf("%d dirty pages survived Flush", fs.DirtyCount())
 	}
 	fs.Close()
-}
-
-// TestFileStorageMMapReads reruns the mem/file equivalence workload with the
-// mmap read path enabled: results and adversary-visible bytes must still
-// match the RAM store exactly (dirty cached pages shadow the mapping), and
-// the mapping must actually serve reads.
-func TestFileStorageMMapReads(t *testing.T) {
-	if !MMapSupported {
-		t.Skip("mmap bucket reads unsupported on this platform")
-	}
-	g := GeometryForBlocks(256, 3, 64)
-	key := crypt.Key{1, 2, 3}
-	mem, err := NewORAM(g, key, rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := CreateFileStorage(g, FileStorageConfig{
-		Path:         filepath.Join(t.TempDir(), "buckets.oram"),
-		CacheBuckets: 8, // tiny cache: clean reads fall through to the mapping
-		MMap:         true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	file, err := NewORAMOn(g, key, rand.New(rand.NewSource(7)), fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-
-	buf := make([]byte, g.BlockBytes)
-	for i := 0; i < 200; i++ {
-		addr := uint64(i*37) % 256
-		buf[0], buf[1] = byte(i), byte(addr)
-		if _, err := mem.Access(OpWrite, addr, buf); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := file.Access(OpWrite, addr, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 200; i++ {
-		addr := uint64(i*53) % 256
-		a, err := mem.Access(OpRead, addr, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := file.Access(OpRead, addr, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("read %d: mem and mmap-backed stores diverge", addr)
-		}
-	}
-	for idx := uint64(0); idx < g.Buckets(); idx++ {
-		if !bytes.Equal(mem.Storage().Snapshot(idx), file.Storage().Snapshot(idx)) {
-			t.Fatalf("bucket %d bytes diverge between mem and mmap-backed stores", idx)
-		}
-	}
-	if st := fs.Stats(); st.MMapReads == 0 {
-		t.Errorf("mmap store served no reads from the mapping: %+v", st)
-	}
 }
 
 // TestFileStorageSteadyStateZeroAllocs pins the page cache's recycling: once

@@ -51,7 +51,6 @@ type StorageStats struct {
 	CacheMisses uint64
 	FileReads   uint64 // buckets read from the backing file
 	FileWrites  uint64 // buckets written to the backing file
-	MMapReads   uint64 // clean-bucket reads served from the file mapping
 }
 
 func (s StorageStats) add(o StorageStats) StorageStats {
@@ -60,7 +59,6 @@ func (s StorageStats) add(o StorageStats) StorageStats {
 		CacheMisses: s.CacheMisses + o.CacheMisses,
 		FileReads:   s.FileReads + o.FileReads,
 		FileWrites:  s.FileWrites + o.FileWrites,
-		MMapReads:   s.MMapReads + o.MMapReads,
 	}
 }
 

@@ -40,7 +40,7 @@ func (c Config) stackConfig() pathoram.StackConfig {
 		sc.Recursion = c.Recursion
 	}
 	if c.Backend == BackendBatched {
-		sc.BatchK, sc.EvictEvery, sc.StashHighWater = c.BatchK, c.EvictEvery, c.BatchHighWater
+		sc.BatchK, sc.EvictEvery = c.BatchK, c.EvictEvery
 	}
 	return sc
 }

@@ -275,6 +275,9 @@ func TestCrashRecoveryDeltaChainEndToEnd(t *testing.T) {
 	if err := os.WriteFile(orphan, []byte("torn write"), 0o600); err != nil {
 		t.Fatal(err)
 	}
+	// The restarted daemon must not fold: a fold writes base.tmp itself, so
+	// one caught mid-write would read as an orphan that survived the sweep.
+	args = append(args, "-delta-compact-after", "1073741824")
 
 	start()
 	c2 := dial()

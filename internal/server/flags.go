@@ -46,7 +46,6 @@ type StoreFlags struct {
 	integrity  *bool
 	batchK     *int
 	evictEvery *int
-	batchHW    *int
 	hz         *uint64
 	olat       *uint64
 	rates      *string
@@ -60,7 +59,6 @@ type StoreFlags struct {
 	cacheBkts *int
 	syncPol   *string
 	compactAt *int64
-	mmapReads *bool
 
 	// Budget is the embedded leakage-budget group, also registrable on its
 	// own (NewBudgetFlags) for binaries without a store, like oramproxy.
@@ -93,7 +91,6 @@ func NewStoreFlags(fs *flag.FlagSet, opt StoreFlagOptions) *StoreFlags {
 		integrity:  fs.Bool("integrity", false, opt.Note+"Merkle-verify every level's untrusted storage"),
 		batchK:     fs.Int("batch-k", 4, opt.Note+"batched: distinct blocks fetched per slot (public parameter k, also the batch_read limit)"),
 		evictEvery: fs.Int("evict-every", 4, opt.Note+"batched: slots between deterministic eviction passes (public parameter K)"),
-		batchHW:    fs.Int("batch-highwater", 0, opt.Note+"batched: stash high-water mark forcing an early eviction pass (0 = default)"),
 		hz:         fs.Uint64("hz", 1_000_000, opt.Note+"enforcer cycle frequency (cycles/s)"),
 		olat:       fs.Uint64("olat", 15, opt.Note+"ORAM access latency in cycles"),
 		rates:      fs.String("rates", "85", opt.Note+"comma-separated allowed rate set (cycles, ascending)"),
@@ -109,7 +106,6 @@ func NewStoreFlags(fs *flag.FlagSet, opt StoreFlagOptions) *StoreFlags {
 		f.cacheBkts = fs.Int("cache-buckets", 0, opt.Note+"file store: bucket page cache size per level (0 = default 1024)")
 		f.syncPol = fs.String("sync", "none", opt.Note+"file store fsync policy: none | checkpoint | always")
 		f.compactAt = fs.Int64("delta-compact-after", 0, opt.Note+"file store: fold the checkpoint log into a fresh base.bin once its sealed records pass this many bytes (0 = default 4 MiB)")
-		f.mmapReads = fs.Bool("mmap", false, opt.Note+"file store: serve clean bucket reads from a read-only mmap of each bucket file (unix only)")
 	}
 	return f
 }
@@ -138,7 +134,6 @@ func (f *StoreFlags) Config() (Config, error) {
 		Integrity:         *f.integrity,
 		BatchK:            *f.batchK,
 		EvictEvery:        *f.evictEvery,
-		BatchHighWater:    *f.batchHW,
 		ClockHz:           *f.hz,
 		ORAMLatency:       *f.olat,
 		Rates:             rateSet,
@@ -155,7 +150,6 @@ func (f *StoreFlags) Config() (Config, error) {
 		cfg.CacheBuckets = *f.cacheBkts
 		cfg.Sync = *f.syncPol
 		cfg.DeltaCompactAfter = *f.compactAt
-		cfg.MMap = *f.mmapReads
 	}
 	return cfg, nil
 }

@@ -234,7 +234,6 @@ func storeConfig(cfg Config, dir string, level int, sync pathoram.SyncPolicy) pa
 		Path:         levelPath(dir, level),
 		CacheBuckets: cfg.CacheBuckets,
 		Sync:         sync,
-		MMap:         cfg.MMap,
 	}
 }
 

@@ -333,11 +333,6 @@ func TestStoreConfigValidation(t *testing.T) {
 		t.Fatal("DeltaCompactAfter without Store file must be rejected")
 	}
 	bad = base
-	bad.MMap = true
-	if err := bad.withDefaults().Validate(); err == nil {
-		t.Fatal("MMap without Store file must be rejected")
-	}
-	bad = base
 	bad.Store = StoreFile
 	bad.DataDir = "/tmp/x"
 	bad.DeltaCompactAfter = -1
@@ -362,8 +357,10 @@ func TestStoreConfigValidation(t *testing.T) {
 	}
 }
 
-// TestFileStoreStats checks that a file-backed store surfaces the
-// storage-tier counters and checkpoint count through ShardStats.
+// TestFileStoreStats runs a write/read/recover loop over an 8-bucket page
+// cache, so reads miss and reload from the bucket file, and checks that a
+// file-backed store surfaces the storage-tier counters and checkpoint count
+// through ShardStats.
 func TestFileStoreStats(t *testing.T) {
 	cfg := fileStoreCfg(t.TempDir(), BackendFlat)
 	cfg.Shards = 1
@@ -372,9 +369,8 @@ func TestFileStoreStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
 	for addr := uint64(0); addr < 64; addr++ {
-		if err := st.Write(addr, []byte{1}); err != nil {
+		if err := st.Write(addr, []byte{byte(addr)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -393,6 +389,30 @@ func TestFileStoreStats(t *testing.T) {
 	}
 	if ss.Recovery != "fresh" {
 		t.Errorf("boot outcome %q, want fresh", ss.Recovery)
+	}
+	for addr := uint64(0); addr < 64; addr++ {
+		got, err := st.Read(addr)
+		if err != nil || got[0] != byte(addr) {
+			t.Fatalf("addr %d through an 8-bucket cache: %v %v", addr, got, err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err = New(cfg)
+	if err != nil {
+		t.Fatalf("recovery over an 8-bucket cache: %v", err)
+	}
+	defer st.Close()
+	if got := st.Stats().Shards[0].Recovery; got != "recovered" {
+		t.Errorf("boot outcome after restart %q, want recovered", got)
+	}
+	for addr := uint64(0); addr < 64; addr++ {
+		got, err := st.Read(addr)
+		if err != nil || got[0] != byte(addr) {
+			t.Fatalf("addr %d after recovery: %v %v", addr, got, err)
+		}
 	}
 }
 
@@ -609,52 +629,6 @@ func TestDeltaCompaction(t *testing.T) {
 		got, err := st.Read(addr)
 		if err != nil || got[0] != byte(addr) {
 			t.Fatalf("addr %d after compacted recovery: %v %v", addr, got, err)
-		}
-	}
-}
-
-// TestFileStoreMMap runs a write/read/recover loop with mmap bucket reads
-// enabled and checks the mapping actually serves reads (MMapReads > 0) while
-// results stay correct — dirty cached pages must shadow the mapping.
-func TestFileStoreMMap(t *testing.T) {
-	if !pathoram.MMapSupported {
-		t.Skip("mmap bucket reads unsupported on this platform")
-	}
-	cfg := fileStoreCfg(t.TempDir(), BackendFlat)
-	cfg.Shards = 1
-	cfg.MMap = true
-	cfg.CacheBuckets = 8 // tiny cache so clean reads fall through to the mapping
-	st, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for addr := uint64(0); addr < 64; addr++ {
-		if err := st.Write(addr, []byte{byte(addr)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for addr := uint64(0); addr < 64; addr++ {
-		got, err := st.Read(addr)
-		if err != nil || got[0] != byte(addr) {
-			t.Fatalf("addr %d through mmap store: %v %v", addr, got, err)
-		}
-	}
-	if ss := st.Stats().Shards[0]; ss.MMapReads == 0 {
-		t.Error("mmap-enabled store served no reads from the mapping")
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err = New(cfg)
-	if err != nil {
-		t.Fatalf("recovery with mmap enabled: %v", err)
-	}
-	defer st.Close()
-	for addr := uint64(0); addr < 64; addr++ {
-		got, err := st.Read(addr)
-		if err != nil || got[0] != byte(addr) {
-			t.Fatalf("addr %d after mmap recovery: %v %v", addr, got, err)
 		}
 	}
 }

@@ -89,11 +89,6 @@ type Config struct {
 	// background eviction pass (default 4; ignored for other backends).
 	// Public, like BatchK.
 	EvictEvery int
-	// BatchHighWater forces an early eviction pass when a batched shard's
-	// data-level stash reaches this occupancy (0 = the backend's derived
-	// default). A safety valve, not part of the steady-state schedule;
-	// ShardStats.ForcedEvictions counts how often it fired.
-	BatchHighWater int
 	// TraceSlots records a pathoram.SlotSig per served slot on every batched
 	// shard (Backend must be BackendBatched), retrievable with SlotTraces
 	// after Close. A test-and-audit hook: the traces are the adversary's view
@@ -140,11 +135,6 @@ type Config struct {
 	// the log's sealed records pass this many bytes (default 4 MiB). Bounds
 	// recovery replay and log storage.
 	DeltaCompactAfter int64
-	// MMap serves clean bucket reads from a read-only mapping of each
-	// bucket file instead of copying pages into the cache — the read path
-	// for bucket files bigger than the page cache. Writes still buffer in
-	// pinned dirty pages (the checkpoint redo invariant). Unix-only.
-	MMap bool
 
 	// ClockHz is the wall-clock frequency of the enforcer's cycle domain in
 	// cycles per second (default 1_000_000: one cycle per microsecond).
@@ -317,11 +307,6 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("server: unknown Backend %q (want %q, %q or %q)", c.Backend, BackendFlat, BackendRecursive, BackendBatched)
 	}
-	// BatchHighWater's 0 means "derive the default"; below that it names no
-	// occupancy. Every other stack range check is the stack's own.
-	if c.Backend == BackendBatched && c.BatchHighWater < 0 {
-		return fmt.Errorf("server: BatchHighWater must not be negative, got %d", c.BatchHighWater)
-	}
 	// Z == 0 means the caller validates before applying defaults: the stack
 	// has no shape yet, and the defaulted config re-validates inside New.
 	if c.Z != 0 {
@@ -342,9 +327,6 @@ func (c Config) Validate() error {
 		}
 		if c.DeltaCompactAfter != 0 {
 			return fmt.Errorf("server: DeltaCompactAfter requires Store %q", StoreFile)
-		}
-		if c.MMap {
-			return fmt.Errorf("server: MMap requires Store %q", StoreFile)
 		}
 		// The RAM store backs each tree with one contiguous allocation; the
 		// cap that used to be a constructor panic is rejected here with an
@@ -778,18 +760,19 @@ type ShardStats struct {
 	Failed bool `json:"failed,omitempty"`
 	// Store-tier counters, populated only for file-backed shards.
 	// CacheHits/CacheMisses count bucket page cache lookups; FileReads and
-	// FileWrites count bucket-sized file IOs; MMapReads counts clean-bucket
-	// reads served straight from the file mapping (MMap mode); Checkpoints
-	// counts sealed trusted-state checkpoints written, CheckpointBytes the
-	// total sealed bytes they wrote and CheckpointNS the total wall time
-	// they took — together they make full-vs-delta amortization visible
-	// (delta mode writes O(dirty) bytes per checkpoint instead of
-	// O(state)). Recovery reports the shard's boot outcome: "fresh" (new
-	// data dir) or "recovered" (rebuilt from a checkpoint after a restart).
-	CacheHits       uint64 `json:"cache_hits,omitempty"`
-	CacheMisses     uint64 `json:"cache_misses,omitempty"`
-	FileReads       uint64 `json:"file_reads,omitempty"`
-	FileWrites      uint64 `json:"file_writes,omitempty"`
+	// FileWrites count bucket-sized file IOs; Checkpoints counts sealed
+	// trusted-state checkpoints written, CheckpointBytes the total sealed
+	// bytes they wrote and CheckpointNS the total wall time they took —
+	// together they make full-vs-delta amortization visible (delta mode
+	// writes O(dirty) bytes per checkpoint instead of O(state)). Recovery
+	// reports the shard's boot outcome: "fresh" (new data dir) or
+	// "recovered" (rebuilt from a checkpoint after a restart).
+	CacheHits   uint64 `json:"cache_hits,omitempty"`
+	CacheMisses uint64 `json:"cache_misses,omitempty"`
+	FileReads   uint64 `json:"file_reads,omitempty"`
+	FileWrites  uint64 `json:"file_writes,omitempty"`
+	// MMapReads is always 0: every bucket read goes through the page
+	// cache. It remains so existing readers keep compiling.
 	MMapReads       uint64 `json:"mmap_reads,omitempty"`
 	Checkpoints     uint64 `json:"checkpoints,omitempty"`
 	CheckpointBytes uint64 `json:"checkpoint_bytes,omitempty"`

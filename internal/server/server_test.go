@@ -485,34 +485,45 @@ func TestCloseFailsPendingAndFutureRequests(t *testing.T) {
 	}
 }
 
+// TestUnpacedMode checks that an unpaced shard issues no dummies and that
+// every acked op's slot is already counted when the ack arrives: a client
+// reading Stats right after an ack must find its own access in the totals.
 func TestUnpacedMode(t *testing.T) {
-	st, err := New(Config{Shards: 2, Blocks: 256, BlockBytes: 64, Unpaced: true})
+	const blocks, writes = 256, 20_000
+	st, err := New(Config{Shards: 1, Blocks: blocks, BlockBytes: 64, Unpaced: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
 
+	checkTotals := func(want uint64) {
+		t.Helper()
+		real, dummy, _ := st.Stats().Totals()
+		if dummy != 0 {
+			t.Fatalf("unpaced mode issued %d dummies", dummy)
+		}
+		if real != want {
+			t.Fatalf("real accesses = %d after %d acked ops", real, want)
+		}
+	}
 	buf := make([]byte, 64)
-	for i := uint64(0); i < 32; i++ {
-		FillPayload(buf, i, 1, i)
-		if err := st.Write(i, buf); err != nil {
+	for i := uint64(0); i < writes; i++ {
+		addr := i % blocks
+		FillPayload(buf, addr, 1, i)
+		if err := st.Write(addr, buf); err != nil {
 			t.Fatal(err)
 		}
-		got, err := st.Read(i)
+		checkTotals(i + 1)
+	}
+	for addr := uint64(0); addr < blocks; addr++ {
+		got, err := st.Read(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := CheckPayload(got, i); err != nil {
+		if err := CheckPayload(got, addr); err != nil {
 			t.Fatal(err)
 		}
-	}
-	stats := st.Stats()
-	real, dummy, _ := stats.Totals()
-	if dummy != 0 {
-		t.Errorf("unpaced mode issued %d dummies", dummy)
-	}
-	if real != 64 {
-		t.Errorf("real accesses = %d, want 64", real)
+		checkTotals(writes + addr + 1)
 	}
 }
 
@@ -568,7 +579,6 @@ func TestConfigValidation(t *testing.T) {
 		{"batched bad k", Config{Backend: BackendBatched, BatchK: -1}, "BatchK"},
 		{"batched k too large", Config{Backend: BackendBatched, BatchK: 65}, "BatchK"},
 		{"batched bad evict period", Config{Backend: BackendBatched, EvictEvery: -1}, "EvictEvery"},
-		{"batched negative high water", Config{Backend: BackendBatched, BatchHighWater: -5}, "BatchHighWater"},
 		{"batched recursion too deep", Config{Backend: BackendBatched, Recursion: 9}, "Recursion"},
 	}
 	for _, tc := range cases {

@@ -4,8 +4,8 @@
 # in docs/CLI.md — in both directions: a flag added or renamed in code
 # without a doc row fails, and a doc row for a flag that no longer exists
 # fails too. This is what keeps the flag reference authoritative instead of
-# aspirational (the -batch-highwater / -evict-every drift that motivated it
-# was exactly a flag shipped without a doc row).
+# aspirational (the drift that motivated it was exactly a flag shipped
+# without a doc row).
 #
 # Usage: scripts/check_flags.sh
 
