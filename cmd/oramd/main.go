@@ -1,5 +1,5 @@
 // Command oramd serves a sharded, rate-enforced ORAM key-value store over
-// TCP (JSON-lines protocol; see internal/server/wire.go).
+// TCP (binary frame protocol; see internal/server/wire.go).
 //
 // Examples:
 //

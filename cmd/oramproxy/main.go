@@ -1,5 +1,5 @@
 // Command oramproxy serves a multi-node ORAM cluster behind one address: it
-// speaks the same JSON-lines protocol as oramd (clients and loadgen point at
+// speaks the same binary frame protocol as oramd (clients and loadgen point at
 // it unchanged) and routes every request to the K replica daemons owning the
 // address under a versioned node map (routing epoch), with per-node
 // pipelined connection pools, health-probed failover, optional live

@@ -52,7 +52,7 @@ func dialNode(index int, addr string, conns int) (*node, error) {
 
 // pick returns the next pool connection round-robin. server.Client
 // multiplexes concurrent callers onto one socket by request id, so
-// correctness needs only one connection; the pool spreads JSON
+// correctness needs only one connection; the pool spreads frame
 // encode/decode and syscall work across several.
 func (n *node) pick() *server.RetryClient {
 	return n.clients[n.next.Add(1)%uint64(len(n.clients))]

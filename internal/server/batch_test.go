@@ -182,16 +182,16 @@ func TestBatchRidesOneSlot(t *testing.T) {
 	}
 }
 
-// TestValidateBatchLine: Config.Validate sizes maxLineBytes against the
-// worst-case encoded batch response (k base64 payloads plus framing), not
-// just one block, so a k × BlockBytes combination that could overflow the
-// line protocol is refused at construction instead of tearing down
-// connections at the first full batch.
-func TestValidateBatchLine(t *testing.T) {
+// TestValidateBatchFrame: Config.Validate sizes maxFrameBytes against the
+// worst-case batch response frame (k full blocks, every member failed with
+// the longest text), not just one block, so a k × BlockBytes combination
+// that could overflow a frame is refused at construction instead of tearing
+// down connections at the first full batch.
+func TestValidateBatchFrame(t *testing.T) {
 	cfg := Config{
 		Shards:      1,
 		Blocks:      64,
-		BlockBytes:  16384, // fine alone, 64 of them per line is not
+		BlockBytes:  16384, // fine alone, 64 of them per frame is not
 		Z:           3,
 		QueueDepth:  64,
 		Backend:     BackendBatched,
@@ -203,7 +203,7 @@ func TestValidateBatchLine(t *testing.T) {
 	}
 	err := cfg.Validate()
 	if err == nil {
-		t.Fatal("batch line overflow accepted")
+		t.Fatal("batch frame overflow accepted")
 	}
 	if !strings.Contains(err.Error(), "BatchK or BlockBytes") {
 		t.Fatalf("error %q does not name the remedy", err)

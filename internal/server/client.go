@@ -1,10 +1,10 @@
 package server
 
 import (
-	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -29,7 +29,7 @@ type RemoteError struct {
 
 func (e *RemoteError) Error() string { return "server: remote error: " + e.Msg }
 
-// Client speaks the daemon's JSON-lines protocol over one TCP connection.
+// Client speaks the daemon's frame protocol over one TCP connection.
 // It is safe for concurrent use: calls from many goroutines pipeline onto
 // the single connection and are matched back by request id, so a pool of
 // worker goroutines sharing one Client saturates the server the same way
@@ -37,25 +37,30 @@ func (e *RemoteError) Error() string { return "server: remote error: " + e.Msg }
 type Client struct {
 	conn net.Conn
 
-	wmu sync.Mutex // serializes encoder writes
-	bw  *bufio.Writer
-	enc *json.Encoder
+	wmu   sync.Mutex // serializes frame writes
+	frame []byte     // the request being encoded, reused under wmu
 
 	mu      sync.Mutex
-	pending map[uint64]chan pendingResp
+	pending map[uint64]*pending
 	err     error // set once the reader exits
 	nextID  atomic.Uint64
 }
 
-// pendingResp is what the read loop delivers to a waiting caller: either the
-// server's response or the connection-level error that killed the client
-// before a response arrived. The two are kept apart so do() can surface a
-// transport failure as itself (recoverable, retry elsewhere) instead of
-// disguising it as a remote rejection.
-type pendingResp struct {
-	resp    Response
-	connErr error
+// pending is one request awaiting its response: where the read loop
+// decodes the answer — the caller's ops, or its Stats — and the channel it
+// hands the caller the outcome on: nil, the server's *RemoteError, or the
+// connection-level error that killed the client first. The two kinds of
+// error are kept apart so a transport failure surfaces as itself
+// (recoverable, retry elsewhere) instead of as a remote rejection. Pooled,
+// so a round trip allocates neither the record nor its channel.
+type pending struct {
+	verb  byte
+	ops   []Op
+	stats *Stats
+	done  chan error
 }
+
+var pendingPool = sync.Pool{New: func() any { return &pending{done: make(chan error, 1)} }}
 
 // Dial connects to a daemon at addr ("host:port").
 func Dial(addr string) (*Client, error) {
@@ -68,12 +73,9 @@ func Dial(addr string) (*Client, error) {
 
 // NewClient wraps an established connection (test hook for net.Pipe).
 func NewClient(conn net.Conn) *Client {
-	bw := bufio.NewWriter(conn)
 	c := &Client{
 		conn:    conn,
-		bw:      bw,
-		enc:     json.NewEncoder(bw),
-		pending: make(map[uint64]chan pendingResp),
+		pending: make(map[uint64]*pending),
 	}
 	go c.readLoop()
 	return c
@@ -82,124 +84,170 @@ func NewClient(conn net.Conn) *Client {
 // readLoop delivers responses to waiting callers until the connection dies,
 // then fails everything still pending.
 func (c *Client) readLoop() {
-	var parseErr error
-	sc := bufio.NewScanner(c.conn)
-	sc.Buffer(make([]byte, 64<<10), maxLineBytes)
-	for sc.Scan() {
-		var resp Response
-		if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
-			// One garbled line means the framing can no longer be trusted;
-			// skipping it would leave its caller blocked forever. Tear the
-			// connection down and fail everything pending instead.
-			parseErr = fmt.Errorf("server: malformed response line: %w", err)
+	fr := newFrameReader(c.conn)
+	var err error
+	for err == nil {
+		var h frameHeader
+		var members []byte
+		if h, members, err = fr.next(); err != nil {
 			break
 		}
 		c.mu.Lock()
-		ch, ok := c.pending[resp.ID]
-		if ok {
-			delete(c.pending, resp.ID)
-		}
+		p, ok := c.pending[h.id]
+		delete(c.pending, h.id)
 		c.mu.Unlock()
-		if ok {
-			ch <- pendingResp{resp: resp}
+		if !ok {
+			err = badFrame("a response to id %d, which has no request pending", h.id)
+			break
 		}
+		outcome, broken := p.decode(h, members)
+		if broken != nil {
+			outcome, err = broken, broken
+		}
+		p.done <- outcome
 	}
-	err := parseErr
-	if err == nil {
-		err = sc.Err()
-	}
-	if err == nil {
+	if err == io.EOF {
 		err = ErrClientClosed
 	}
-	if parseErr != nil {
+	if errors.Is(err, errBadFrame) {
+		// Skipping a frame that cannot be trusted could leave its caller
+		// blocked forever: tear the connection down and fail everything.
 		c.conn.Close()
 	}
 	c.mu.Lock()
 	c.err = err
-	for id, ch := range c.pending {
+	for id, p := range c.pending {
 		delete(c.pending, id)
-		ch <- pendingResp{connErr: err}
+		p.done <- err
 	}
 	c.mu.Unlock()
 }
 
-// do sends one request and waits for its response. Transport failures (the
-// connection died before or instead of answering) come back as the
-// underlying error — recoverable in the cluster taxonomy — while a
-// well-formed negative answer comes back as a *RemoteError.
-func (c *Client) do(req Request) (Response, error) {
-	req.ID = c.nextID.Add(1)
-	ch := make(chan pendingResp, 1)
+// decode reads a response into p's destination and returns the outcome for
+// p's caller. A non-nil broken means the frame cannot be the answer to p's
+// request, and the connection is not to be trusted any more.
+func (p *pending) decode(h frameHeader, members []byte) (outcome, broken error) {
+	switch {
+	case h.verb == verbError:
+		if h.count != 1 || h.width != 0 {
+			return nil, badFrame("an error response of %d members of width %d", h.count, h.width)
+		}
+	case h.verb != p.verb:
+		return nil, badFrame("a verb %d response to a verb %d request", h.verb, p.verb)
+	case p.verb == verbPing || p.verb == verbStats:
+		if h.count != 0 || h.width != 0 || (p.verb == verbPing && len(members) != 0) {
+			return nil, badFrame("a verb %d response carrying members", h.verb)
+		}
+		if p.verb == verbStats {
+			if err := json.Unmarshal(members, p.stats); err != nil {
+				return nil, badFrame("stats body: %v", err)
+			}
+		}
+		return nil, nil
+	case h.count != len(p.ops) || (h.verb == verbWrite && h.width != 0):
+		return nil, badFrame("%d members of width %d answer %d ops of verb %d", h.count, h.width, len(p.ops), h.verb)
+	}
+
+	// A failed single-op verb (and an error response) refuses the whole
+	// call; a batch member's failure is its own. The served blocks are
+	// copied out of the reused frame buffer into one arena per response.
+	stride := 2 + h.width
+	if len(members) < h.count*stride {
+		return nil, badFrame("%d bytes carry no %d members of width %d", len(members), h.count, h.width)
+	}
+	texts := members[h.count*stride:]
+	var arena []byte
+	if h.verb != verbWrite {
+		arena = make([]byte, h.count*h.width)
+	}
+	for i := 0; i < h.count; i++ {
+		m := members[i*stride : (i+1)*stride]
+		switch status, code := m[0], m[1]; {
+		case status == 1 && code == 0 && h.verb != verbError:
+			p.ops[i].Data, p.ops[i].Err = nil, nil
+			if h.verb != verbWrite {
+				p.ops[i].Data = arena[i*h.width : (i+1)*h.width : (i+1)*h.width]
+				copy(p.ops[i].Data, m[2:])
+			}
+		case status == 0 && code != 0 && int(code) < len(wireCodes):
+			if len(texts) < 2 || len(texts) < 2+int(binary.BigEndian.Uint16(texts)) {
+				return nil, badFrame("member %d's failure text overruns the frame", i)
+			}
+			n := int(binary.BigEndian.Uint16(texts))
+			err := &RemoteError{Msg: string(texts[2 : 2+n]), Code: wireCodes[code]}
+			texts = texts[2+n:]
+			if h.verb == verbBatchRead {
+				p.ops[i].Data, p.ops[i].Err = nil, err
+			} else {
+				outcome = err
+			}
+		default:
+			return nil, badFrame("member %d has status %d and code %d", i, status, code)
+		}
+	}
+	if len(texts) != 0 {
+		return nil, badFrame("%d bytes trail the members", len(texts))
+	}
+	return outcome, nil
+}
+
+// roundTrip sends one request and waits for its outcome, which the read
+// loop decodes into ops or stats.
+func (c *Client) roundTrip(verb byte, tenant string, ops []Op, stats *Stats) error {
+	p := pendingPool.Get().(*pending)
+	p.verb, p.ops, p.stats = verb, ops, stats
+	defer func() {
+		p.ops, p.stats = nil, nil
+		pendingPool.Put(p)
+	}()
+	id := c.nextID.Add(1)
 
 	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
+	if err := c.err; err != nil {
 		c.mu.Unlock()
-		return Response{}, err
+		return err
 	}
-	c.pending[req.ID] = ch
+	c.pending[id] = p
 	c.mu.Unlock()
 
+	// No bufio here: every request is written at once, as one frame.
 	c.wmu.Lock()
-	err := c.enc.Encode(&req)
-	if err == nil {
-		err = c.bw.Flush()
-	}
+	c.frame = appendRequest(c.frame[:0], id, verb, tenant, ops)
+	_, err := c.conn.Write(c.frame)
 	c.wmu.Unlock()
 	if err != nil {
 		c.mu.Lock()
-		delete(c.pending, req.ID)
+		_, unclaimed := c.pending[id]
+		delete(c.pending, id)
 		c.mu.Unlock()
-		return Response{}, err
+		if !unclaimed {
+			<-p.done // the read loop took p first: let it finish with p
+		}
+		return err
 	}
-
-	pr := <-ch
-	if pr.connErr != nil {
-		return Response{}, pr.connErr
-	}
-	if !pr.resp.OK {
-		return pr.resp, &RemoteError{Msg: pr.resp.Err, Code: pr.resp.Code}
-	}
-	return pr.resp, nil
+	return <-p.done
 }
 
 // Do sends one submission as the verb its shape names — read, write or
 // batch_read — so the wire carries exactly what per-verb calls would. A
-// failed response to a single-op verb cannot be told apart from a refused
-// submission, so it comes back as Do's error (a *RemoteError); a batch_read
-// member's failure lands in its op as a *RemoteError. Transport failures
-// come back as themselves, recoverable in the cluster taxonomy.
+// failed single-op verb comes back as Do's error (a *RemoteError), like a
+// refused submission; a batch_read member's failure lands in its op as a
+// *RemoteError. Transport failures come back as themselves, recoverable in
+// the cluster taxonomy.
 func (c *Client) Do(tenant string, ops []Op) error {
 	if err := CheckOps(ops, MaxBatchAddrs); err != nil {
 		return err
 	}
-	req := Request{Op: OpRead, Addr: ops[0].Addr, Tenant: tenant}
-	switch {
-	case ops[0].Write:
-		req.Op, req.Data = OpWrite, ops[0].Data
-	case len(ops) > 1:
-		req.Op, req.Addr, req.Addrs = OpBatchRead, 0, addrsOf(ops)
+	if len(tenant) > maxTenantBytes {
+		return Errorf(CodeBadRequest, "server: a tenant tag of %d bytes exceeds the wire's %d", len(tenant), maxTenantBytes)
 	}
-	resp, err := c.do(req)
-	if err != nil {
-		return err
-	}
-	switch {
-	case req.Op == OpWrite:
-		ops[0].Err = nil
-	case req.Op == OpRead:
-		ops[0].Data, ops[0].Err = resp.Data, nil
-	case len(resp.Results) != len(ops):
-		return fmt.Errorf("server: batch response carries %d results for %d addresses", len(resp.Results), len(ops))
-	default:
-		for i, r := range resp.Results {
-			ops[i].Data, ops[i].Err = r.Data, nil
-			if !r.OK {
-				ops[i].Err = &RemoteError{Msg: r.Err, Code: r.Code}
-			}
+	verb := verbOf(ops)
+	if verb == verbWrite {
+		if req, _ := frameBytes(verb, 1, len(ops[0].Data), len(tenant)); req > maxFrameBytes {
+			return Errorf(CodeOversized, "server: a payload of %d bytes exceeds the wire's %d-byte frame", len(ops[0].Data), maxFrameBytes)
 		}
 	}
-	return nil
+	return c.roundTrip(verb, tenant, ops, nil)
 }
 
 // Read fetches a block.
@@ -221,20 +269,14 @@ func (c *Client) ReadBatch(tenant string, addrs []uint64) ([]BatchResult, error)
 
 // Stats fetches the server's per-shard counters.
 func (c *Client) Stats() (Stats, error) {
-	resp, err := c.do(Request{Op: OpStats})
-	if err != nil {
-		return Stats{}, err
-	}
-	if resp.Stats == nil {
-		return Stats{}, errors.New("server: stats response missing payload")
-	}
-	return *resp.Stats, nil
+	var st Stats
+	err := c.roundTrip(verbStats, "", nil, &st)
+	return st, err
 }
 
 // Ping round-trips a no-op message.
 func (c *Client) Ping() error {
-	_, err := c.do(Request{Op: OpPing})
-	return err
+	return c.roundTrip(verbPing, "", nil, nil)
 }
 
 // Close tears down the connection; pending calls fail.

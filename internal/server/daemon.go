@@ -2,23 +2,19 @@ package server
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 )
-
-// maxLineBytes bounds one protocol line; a write of a 64 KB block base64-
-// encodes to well under this.
-const maxLineBytes = 1 << 20
 
 // connConcurrency bounds the number of in-flight requests the daemon will
 // hold per connection; beyond it, reading from the connection pauses
 // (backpressure on top of the per-shard queues).
 const connConcurrency = 256
 
-// Service is what a JSON-lines daemon serves: the per-verb data methods and
+// Service is what a daemon serves: the per-verb data methods and
 // a stats snapshot. *Store satisfies it directly; the cluster router
 // satisfies it by fanning out to remote daemons, which is how cmd/oramproxy
 // reuses this entire connection-handling layer unchanged. Both also
@@ -57,6 +53,9 @@ func (s serviceKV) Do(tenant string, ops []Op) error {
 	if err != nil {
 		return err
 	}
+	if len(results) != len(ops) {
+		return Errorf(CodeInternal, "server: ReadBatch answered %d addresses with %d results", len(ops), len(results))
+	}
 	for i, r := range results {
 		ops[i].Data, ops[i].Err = r.Data, r.Err
 	}
@@ -72,7 +71,7 @@ func addrsOf(ops []Op) []uint64 {
 	return addrs
 }
 
-// Serve accepts connections on l and speaks the JSON-lines protocol against
+// Serve accepts connections on l and speaks the frame protocol against
 // svc until the listener is closed (or fails), then returns the accept
 // error. Connection handlers drain independently; Serve does not wait for
 // them.
@@ -95,34 +94,31 @@ func HandleConn(conn net.Conn, svc Service) {
 		kv = serviceKV{svc}
 	}
 
-	out := make(chan Response, connConcurrency)
+	out := make(chan *call, connConcurrency)
 	var writer sync.WaitGroup
 	writer.Add(1)
 	go func() {
 		defer writer.Done()
 		bw := bufio.NewWriter(conn)
-		enc := json.NewEncoder(bw)
+		var frame []byte // the response being encoded, reused
 		dead := false
-		for resp := range out {
+		for c := range out {
 			// After a write failure, keep draining so dispatch workers
 			// blocked on `out` can finish and HandleConn can tear down —
 			// exiting here would deadlock them against a full channel.
 			if dead {
 				continue
 			}
-			if err := enc.Encode(&resp); err != nil {
-				dead = true
-				conn.Close() // also unblocks the scanner
-				continue
-			}
+			frame = c.appendResponse(frame[:0])
+			_, err := bw.Write(frame)
 			// Flush when the queue is momentarily empty so pipelined bursts
 			// batch into few syscalls but single responses aren't delayed.
-			if len(out) == 0 {
-				if err := bw.Flush(); err != nil {
-					dead = true
-					conn.Close()
-					continue
-				}
+			if err == nil && len(out) == 0 {
+				err = bw.Flush()
+			}
+			if err != nil {
+				dead = true
+				conn.Close() // also unblocks the frame reader
 			}
 		}
 		if !dead {
@@ -132,104 +128,153 @@ func HandleConn(conn net.Conn, svc Service) {
 
 	var inflight sync.WaitGroup
 	sem := make(chan struct{}, connConcurrency)
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64<<10), maxLineBytes)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
+	fr := newFrameReader(conn)
+	var tenant string // the last tag seen, kept while it repeats
+	for {
+		h, members, err := fr.next()
+		if err != nil {
+			// The peer hung up, or sent bytes that cannot be delimited:
+			// either way nothing more can be answered.
+			break
+		}
+		if string(h.tenant) != tenant {
+			tenant = string(h.tenant)
+		}
+		c := &call{id: h.id, verb: h.verb, tenant: tenant}
+		if c.err = c.decode(h, members); c.err != nil || c.verb == verbPing {
+			out <- c
 			continue
 		}
-		c := new(call)
-		if err := json.Unmarshal(line, &c.req); err != nil {
-			// Always answer malformed lines with ID 0: req may hold a
-			// partially-decoded ID from before the parse error, and echoing
-			// it would attribute this failure to some other pipelined
-			// request. Clients must treat id 0 as "a line you sent was
-			// unparseable" (the client never issues id 0 itself).
-			out <- Response{ID: 0, OK: false, Err: fmt.Sprintf("server: bad request: %v", err), Code: CodeBadRequest}
-			continue
-		}
-		switch c.req.Op {
-		case OpPing:
-			out <- Response{ID: c.req.ID, OK: true}
-		case OpStats, OpRead, OpWrite, OpBatchRead:
-			// Data ops block on slots, and a router's stats poll fans out
-			// over the network, so both run off the scan loop — a slow shard
-			// or node must not stall pipelined requests behind it.
-			sem <- struct{}{}
-			inflight.Add(1)
-			go func(c *call) {
-				defer inflight.Done()
-				defer func() { <-sem }()
-				out <- c.serve(kv, svc)
-			}(c)
-		default:
-			out <- Response{ID: c.req.ID, OK: false, Err: fmt.Sprintf("server: unknown op %q", c.req.Op), Code: CodeUnknownOp}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		// Scanner failures (oversized line, mid-stream read error) used to
-		// close the connection silently; send a final zero-ID diagnostic so
-		// the peer learns why its connection died.
-		out <- Response{ID: 0, OK: false, Err: fmt.Sprintf("server: connection failed: %v", err), Code: CodeBadRequest}
+		// Data ops block on slots, and a router's stats poll fans out over
+		// the network, so both run off the read loop — a slow shard or node
+		// must not stall pipelined requests behind it.
+		sem <- struct{}{}
+		inflight.Add(1)
+		go func() {
+			defer inflight.Done()
+			defer func() { <-sem }()
+			c.serve(kv, svc)
+			out <- c
+		}()
 	}
 	inflight.Wait()
 	close(out)
 	writer.Wait()
 }
 
-// call is one request in flight on a connection: the decoded line and the
-// op a single-op verb decodes into, allocated together so serving a read or
-// a write costs no allocation of its own.
+// call is one request in flight on a connection, from its decoded frame to
+// its answer. A single-op verb's op lives in the call itself, so serving a
+// read or a write allocates no op slice.
 type call struct {
-	req Request
-	one [1]Op
+	id     uint64
+	verb   byte
+	tenant string
+	ops    []Op
+	one    [1]Op
+	err    error  // refuses the whole request
+	stats  []byte // a stats answer's JSON
 }
 
-// serve answers a stats request, or decodes a data request into ops, makes
-// one Do call and encodes the outcome: a refused submission or a single-op
-// verb's failed op fails the whole response, a batch_read member's failure
-// only its own result.
-func (c *call) serve(kv KV, svc Service) Response {
-	req := &c.req
-	var ops []Op
-	switch req.Op {
-	case OpStats:
-		stats, err := svc.ServiceStats()
-		if err != nil {
-			return errResponse(req.ID, err)
+// decode checks a request's members against its header and decodes them
+// into c.ops. An error answers the request under its own id.
+func (c *call) decode(h frameHeader, members []byte) error {
+	switch h.verb {
+	case verbPing, verbStats:
+		if h.count != 0 || h.width != 0 || len(members) != 0 {
+			return Errorf(CodeBadRequest, "server: bad request: verb %d carries no members", h.verb)
 		}
-		return Response{ID: req.ID, OK: true, Stats: &stats}
-	case OpBatchRead:
-		ops = make([]Op, len(req.Addrs))
-		for i, a := range req.Addrs {
-			ops[i].Addr = a
-		}
+		return nil
+	case verbRead, verbWrite, verbBatchRead:
 	default:
-		c.one[0] = Op{Addr: req.Addr, Write: req.Op == OpWrite, Data: req.Data}
-		ops = c.one[:]
+		return Errorf(CodeUnknownOp, "server: unknown verb %d", h.verb)
 	}
-	if err := kv.Do(req.Tenant, ops); err != nil {
-		return errResponse(req.ID, err)
+	switch {
+	case h.verb != verbWrite && h.width != 0:
+		return Errorf(CodeBadRequest, "server: bad request: a read carries no payload")
+	case h.verb != verbBatchRead && h.count != 1:
+		return Errorf(CodeBadRequest, "server: bad request: verb %d carries one member, not %d", h.verb, h.count)
+	case h.count > MaxBatchAddrs:
+		return Errorf(CodeBatchTooLarge, "server: batch of %d addresses exceeds the protocol's limit of %d", h.count, MaxBatchAddrs)
+	case len(members) != h.count*(8+h.width):
+		return Errorf(CodeBadRequest, "server: bad request: %d member bytes for %d members of width %d", len(members), h.count, h.width)
 	}
-	if req.Op != OpBatchRead {
+	c.ops = c.one[:]
+	if h.verb == verbBatchRead {
+		c.ops = make([]Op, h.count)
+	}
+	for i := range c.ops {
+		m := members[i*(8+h.width):]
+		c.ops[i].Addr = binary.BigEndian.Uint64(m)
+		if h.verb == verbWrite {
+			c.ops[i].Write = true
+			c.ops[i].Data = append([]byte(nil), m[8:8+h.width]...)
+		}
+	}
+	return nil
+}
+
+// serve answers a stats request, or makes one Do call for a data request:
+// a refused submission or a single-op verb's failed op fails the whole
+// request, a batch_read member's failure only its own result.
+func (c *call) serve(kv KV, svc Service) {
+	if c.verb == verbStats {
+		stats, err := svc.ServiceStats()
+		if err == nil {
+			c.stats, err = json.Marshal(stats)
+		}
+		c.err = err
+		return
+	}
+	c.err = kv.Do(c.tenant, c.ops)
+	if c.err == nil && c.verb != verbBatchRead {
+		c.err = c.ops[0].Err
+	}
+}
+
+// appendResponse appends the call's response frame to b.
+func (c *call) appendResponse(b []byte) []byte {
+	if c.err != nil {
+		return appendError(b, c.id, c.err)
+	}
+	start := len(b)
+	if c.ops == nil { // ping, stats
+		b = appendHeader(b, c.id, c.verb, 0, 0, "")
+		return finishFrame(append(b, c.stats...), start)
+	}
+	width := 0
+	if c.verb != verbWrite {
+		// Every served member carries a block of one width; a Service that
+		// answers with ragged blocks cannot be framed.
+		width = -1
+		for _, op := range c.ops {
+			if op.Err == nil && width < 0 {
+				width = len(op.Data)
+			} else if op.Err == nil && len(op.Data) != width {
+				return appendError(b, c.id, Errorf(CodeInternal, "server: a batch answered with blocks of %d and %d bytes", width, len(op.Data)))
+			}
+		}
+		width = max(width, 0)
+	}
+	b = appendHeader(b, c.id, c.verb, len(c.ops), width, "")
+	for _, op := range c.ops {
 		switch {
-		case ops[0].Err != nil:
-			return errResponse(req.ID, ops[0].Err)
-		case req.Op == OpRead:
-			return Response{ID: req.ID, OK: true, Data: ops[0].Data}
+		case op.Err != nil:
+			b = append(append(b, 0, codeByte(ErrorCode(op.Err))), make([]byte, width)...)
+		case c.verb == verbWrite:
+			b = append(b, 1, 0)
+		default:
+			b = append(append(b, 1, 0), op.Data...)
 		}
-		return Response{ID: req.ID, OK: true}
 	}
-	wire := make([]WireResult, len(ops))
-	for i, op := range ops {
+	for _, op := range c.ops {
 		if op.Err != nil {
-			wire[i] = WireResult{OK: false, Err: op.Err.Error(), Code: ErrorCode(op.Err)}
-		} else {
-			wire[i] = WireResult{OK: true, Data: op.Data}
+			b = appendText(b, op.Err.Error())
 		}
 	}
-	return Response{ID: req.ID, OK: true, Results: wire}
+	if len(b)-start > maxFrameBytes {
+		return appendError(b[:start], c.id, Errorf(CodeInternal, "server: a response of %d bytes exceeds the %d-byte frame limit", len(b)-start, maxFrameBytes))
+	}
+	return finishFrame(b, start)
 }
 
 // IsClosedErr reports whether err is the uninteresting error a listener

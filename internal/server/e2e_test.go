@@ -1,11 +1,10 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
+	"io"
 	"net"
-	"strings"
 	"testing"
 
 	"tcoram/internal/workload"
@@ -311,7 +310,8 @@ func TestDaemonProtocolErrors(t *testing.T) {
 		t.Fatalf("read back %q", got[:2])
 	}
 
-	// Raw garbage on a fresh socket gets an error response, not a hang.
+	// Raw garbage on a fresh socket is not a frame: the daemon hangs up
+	// without an answer instead of hanging.
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -320,17 +320,16 @@ func TestDaemonProtocolErrors(t *testing.T) {
 	if _, err := raw.Write([]byte("not json\n")); err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 256)
-	n, err := raw.Read(buf)
-	if err != nil || n == 0 {
-		t.Fatalf("no response to garbage: n=%d err=%v", n, err)
+	if n, err := raw.Read(make([]byte, 256)); err != io.EOF {
+		t.Fatalf("garbage: read %d bytes, err %v; want the connection closed", n, err)
 	}
 }
 
-// TestDaemonMalformedLineZeroID: a pipelined malformed line must be
-// answered with id 0 — never with whatever id the decoder managed to pull
-// out before failing, which would misattribute the error to a live request.
-func TestDaemonMalformedLineZeroID(t *testing.T) {
+// TestDaemonMalformedBodyOwnID: a pipelined frame whose header parses but
+// whose members do not is answered with an error under its own id — the id
+// sits at a fixed offset, so it cannot be some other request's — and the
+// connection keeps serving the frames after it.
+func TestDaemonMalformedBodyOwnID(t *testing.T) {
 	_, addr := startDaemon(t, Config{
 		Shards: 2, Blocks: 64, BlockBytes: 64,
 		ClockHz: 1_000_000, ORAMLatency: 200, Rates: []uint64{800},
@@ -341,76 +340,63 @@ func TestDaemonMalformedLineZeroID(t *testing.T) {
 	}
 	defer raw.Close()
 
-	// The middle line decodes id 9 before hitting the parse error; the old
-	// code would echo 9, colliding with a legitimate pipelined request.
-	lines := `{"id":7,"op":"ping"}` + "\n" +
-		`{"id":9,"op":"read","addr":}` + "\n" +
-		`{"id":8,"op":"ping"}` + "\n"
-	if _, err := raw.Write([]byte(lines)); err != nil {
+	// The middle frame is a read whose address is cut to four bytes.
+	frames := bytes.Join([][]byte{
+		frame("01", "0000000000000007", "05", "0000", "00000000", "00"),
+		frame("01", "0000000000000009", "01", "0001", "00000000", "00", "00000011"),
+		frame("01", "0000000000000008", "05", "0000", "00000000", "00"),
+	}, nil)
+	if _, err := raw.Write(frames); err != nil {
 		t.Fatal(err)
 	}
-	sc := bufio.NewScanner(raw)
-	var resps []Response
-	for len(resps) < 3 && sc.Scan() {
-		var r Response
-		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-			t.Fatalf("undecodable response %q: %v", sc.Bytes(), err)
+	// Pings and malformed frames are answered inline, so order is
+	// deterministic.
+	for i, want := range [][]byte{
+		frame("01", "0000000000000007", "05", "0000", "00000000", "00"),
+		frame("01", "0000000000000009", "ff", "0001", "00000000", "00", "0001", text("server: bad request: 4 member bytes for 1 members of width 0")),
+		frame("01", "0000000000000008", "05", "0000", "00000000", "00"),
+	} {
+		got, err := readRawFrame(raw)
+		if err != nil {
+			t.Fatalf("response %d: %v", i, err)
 		}
-		resps = append(resps, r)
-	}
-	if len(resps) < 3 {
-		t.Fatalf("got %d responses, want 3 (scanner err %v)", len(resps), sc.Err())
-	}
-	// Pings and parse errors are answered inline, so order is deterministic.
-	if !resps[0].OK || resps[0].ID != 7 {
-		t.Errorf("first response = %+v, want ok ping id 7", resps[0])
-	}
-	if resps[1].OK || resps[1].ID != 0 {
-		t.Errorf("malformed-line response = %+v, want error with id 0", resps[1])
-	}
-	if !strings.Contains(resps[1].Err, "bad request") {
-		t.Errorf("malformed-line error %q does not say bad request", resps[1].Err)
-	}
-	if !resps[2].OK || resps[2].ID != 8 {
-		t.Errorf("third response = %+v, want ok ping id 8", resps[2])
+		if !bytes.Equal(got, want) {
+			t.Errorf("response %d:\n got %x\nwant %x", i, got, want)
+		}
 	}
 }
 
-// TestDaemonOversizedLineDiagnostic: blowing the line-length limit must
-// produce a final zero-ID error naming the cause before the daemon closes
-// the connection — not a silent hangup.
-func TestDaemonOversizedLineDiagnostic(t *testing.T) {
+// TestDaemonBrokenFramingCloses: bytes that cannot be delimited — a wrong
+// version byte, a length over maxFrameBytes, a frame shorter than its
+// header — end the connection with no answer to them, after the answers to
+// the frames before them.
+func TestDaemonBrokenFramingCloses(t *testing.T) {
 	_, addr := startDaemon(t, Config{
 		Shards: 2, Blocks: 64, BlockBytes: 64,
 		ClockHz: 1_000_000, ORAMLatency: 200, Rates: []uint64{800},
 	})
-	raw, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-
-	// One newline-free line just past maxLineBytes trips bufio.ErrTooLong.
-	junk := bytes.Repeat([]byte{'x'}, maxLineBytes+16)
-	if _, err := raw.Write(junk); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(raw)
-	if !sc.Scan() {
-		t.Fatalf("connection closed with no diagnostic (scanner err %v)", sc.Err())
-	}
-	var r Response
-	if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-		t.Fatalf("undecodable diagnostic %q: %v", sc.Bytes(), err)
-	}
-	if r.OK || r.ID != 0 {
-		t.Errorf("diagnostic = %+v, want error with id 0", r)
-	}
-	if !strings.Contains(r.Err, "too long") {
-		t.Errorf("diagnostic %q does not name the oversized line", r.Err)
-	}
-	if sc.Scan() {
-		t.Errorf("unexpected extra line after diagnostic: %q", sc.Bytes())
+	ping := frame("01", "0000000000000001", "05", "0000", "00000000", "00")
+	wrongVersion := append([]byte(nil), ping...)
+	wrongVersion[4] = frameVersion + 1
+	for name, broken := range map[string][]byte{
+		"version":   wrongVersion,
+		"oversized": append(binary.BigEndian.AppendUint32(nil, maxFrameBytes), append([]byte{frameVersion}, make([]byte, 64)...)...),
+		"short":     frame("01", "0000000000000002", "05"),
+	} {
+		raw, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := raw.Write(append(append([]byte(nil), ping...), broken...)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := readRawFrame(raw); err != nil || !bytes.Equal(got, ping) {
+			t.Errorf("%s: the ping before the broken frame got %x, %v", name, got, err)
+		}
+		if n, err := raw.Read(make([]byte, 64)); err != io.EOF {
+			t.Errorf("%s: read %d bytes, err %v after the broken frame; want the connection closed", name, n, err)
+		}
+		raw.Close()
 	}
 }
 

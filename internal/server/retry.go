@@ -19,7 +19,8 @@ import (
 
 // IsRecoverable reports whether err says nothing about the request itself,
 // so the same operation may succeed on a replica or a fresh connection: the
-// connection died, was refused, or timed out, or the answer was coded
+// connection died, was refused, timed out or carried a malformed frame, or
+// the answer was coded
 // CodeUnavailable (transient by definition) or CodeStoreClosed (a daemon
 // shutting down closes its listener, then its store, so open connections
 // answer store_closed while every replica still serves). Other rejections
@@ -35,6 +36,7 @@ func IsRecoverable(err error) bool {
 	}
 	switch {
 	case errors.Is(err, ErrClientClosed),
+		errors.Is(err, errBadFrame),
 		errors.Is(err, net.ErrClosed),
 		errors.Is(err, io.EOF),
 		errors.Is(err, io.ErrUnexpectedEOF),

@@ -245,12 +245,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// maxWireBlockBytes is the largest block payload whose base64 encoding
-// (plus JSON framing slack) still fits the protocol's maxLineBytes, so a
-// daemon can never be configured into silently dropping every connection
-// with ErrTooLong.
-const maxWireBlockBytes = (maxLineBytes - 1024) / 4 * 3
-
 // DefaultMaxBatch is the batch_read address limit for backends without a
 // native per-slot batch capacity: the batch still saves round trips, it
 // just rides one slot per member.
@@ -267,14 +261,6 @@ func (c Config) MaxBatch() int {
 	return DefaultMaxBatch
 }
 
-// wireBatchLineBytes is the worst-case encoded length of a batch_read
-// response carrying k full blocks: JSON framing slack plus, per member,
-// the base64-expanded payload and its result framing.
-func wireBatchLineBytes(k, blockBytes int) int {
-	member := (blockBytes+2)/3*4 + 64
-	return 1024 + k*member
-}
-
 // Validate reports whether the configuration is usable, including every
 // enforcer-facing field: New fails fast with a "server:" error naming the
 // bad field instead of surfacing a core error from deep inside shard
@@ -289,15 +275,13 @@ func (c Config) Validate() error {
 	if c.BlockBytes < 1 {
 		return fmt.Errorf("server: BlockBytes must be positive")
 	}
-	if c.BlockBytes > maxWireBlockBytes {
-		return fmt.Errorf("server: BlockBytes %d exceeds the wire protocol's %d-byte limit", c.BlockBytes, maxWireBlockBytes)
-	}
-	// The worst-case batch_read response (MaxBatch full blocks, base64)
-	// must fit one protocol line, or every full batch would surface as a
-	// dropped connection at runtime instead of a config error here.
-	if k := c.MaxBatch(); c.BlockBytes > 0 && wireBatchLineBytes(k, c.BlockBytes) > maxLineBytes {
-		return fmt.Errorf("server: a %d-address batch of %d-byte blocks encodes to %d bytes, above the protocol's %d-byte line limit — lower BatchK or BlockBytes",
-			k, c.BlockBytes, wireBatchLineBytes(k, c.BlockBytes), maxLineBytes)
+	// The longest frame the store can exchange — a full-block write, or a
+	// MaxBatch-address batch response — must fit the wire, or full batches
+	// would surface as dropped connections at runtime instead of a config
+	// error here.
+	if k, n := c.MaxBatch(), worstFrameBytes(c.MaxBatch(), c.BlockBytes); n > maxFrameBytes {
+		return fmt.Errorf("server: %d-address batches of %d-byte blocks need %d-byte frames, above the wire protocol's %d-byte limit — lower BatchK or BlockBytes",
+			k, c.BlockBytes, n, maxFrameBytes)
 	}
 	if c.QueueDepth < 0 {
 		return fmt.Errorf("server: QueueDepth must not be negative, got %d", c.QueueDepth)

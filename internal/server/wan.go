@@ -9,7 +9,7 @@ import (
 // decorator that delays every operation by a propagation term (RTT) plus a
 // serialization term proportional to the encoded bytes over a configured
 // link rate — the BlockOpsConstrained idea from kbfs, applied to the
-// JSON-lines protocol. It shapes the *caller's* view of the link (loadgen
+// frame protocol. It shapes the *caller's* view of the link (loadgen
 // clients, e2e harnesses) without touching the serving side, so throughput
 // and learner behavior can be measured under WAN conditions instead of
 // loopback.
@@ -75,35 +75,32 @@ func (w *wanKV) propagate() {
 	}
 }
 
-// wireBytes approximates one block payload's share of a protocol line:
-// base64 expansion plus JSON framing.
-func wireBytes(payload int) int {
-	return (payload+2)/3*4 + 48
-}
-
-// Do sends the submission's request bytes up the link and its response
-// bytes back down: per op an address, plus a write's payload up and a
-// read's block down, each line with its JSON framing.
+// Do sends the submission's request frame up the link and its response
+// frame back down, each of exactly the length the wire carries
+// (frameBytes).
 func (w *wanKV) Do(tenant string, ops []Op) error {
-	up := 48
-	for _, op := range ops {
-		up += 16
-		if op.Write {
-			up += wireBytes(len(op.Data))
-		}
+	verb := byte(verbRead)
+	if len(ops) > 0 {
+		verb = verbOf(ops)
 	}
+	up, _ := frameBytes(verb, len(ops), dataWidth(ops), len(tenant))
 	w.propagate()
 	w.link(up)
 	err := w.kv.Do(tenant, ops)
-	down := 48
-	for _, op := range ops {
-		if !op.Write {
-			down += wireBytes(len(op.Data))
-		}
-	}
+	_, down := frameBytes(verb, len(ops), dataWidth(ops), len(tenant))
 	w.link(down)
 	w.propagate()
 	return err
+}
+
+// dataWidth is the widest payload among ops: a write's before it is sent,
+// the blocks read after they are served.
+func dataWidth(ops []Op) int {
+	width := 0
+	for _, op := range ops {
+		width = max(width, len(op.Data))
+	}
+	return width
 }
 
 var _ KV = (*wanKV)(nil)

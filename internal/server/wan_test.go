@@ -19,19 +19,25 @@ func (k *instantKV) Do(_ string, ops []Op) error {
 	return nil
 }
 
+// readLinkTime is how long one read of a 64-byte block — its request and
+// its response frame — takes to serialize through a 10 KB/s link: 116
+// bytes, about 11 ms.
+func readLinkTime() time.Duration {
+	req, resp := frameBytes(verbRead, 1, 64, 0)
+	return time.Duration(req+resp) * time.Second / (10 * 1024)
+}
+
 // TestWANShapingDelaysOps: a wrapped operation pays at least the configured
 // RTT plus its serialization time on the emulated link.
 func TestWANShapingDelaysOps(t *testing.T) {
 	kv := WrapWAN(&instantKV{data: make([]byte, 64)}, WANConfig{KBps: 10, RTT: 20 * time.Millisecond})
 
-	// One read moves ~200 wire bytes (64 B request, base64 response) over a
-	// 10 KB/s link ≈ 19 ms of serialization, plus the 20 ms RTT.
 	t0 := time.Now()
 	if err := kv.Do("", []Op{{Addr: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(t0); elapsed < 30*time.Millisecond {
-		t.Errorf("shaped read took %v, want ≥ 30ms (RTT + serialization)", elapsed)
+	if elapsed, want := time.Since(t0), 20*time.Millisecond+readLinkTime(); elapsed < want {
+		t.Errorf("shaped read took %v, want ≥ %v (RTT + serialization)", elapsed, want)
 	}
 }
 
@@ -54,9 +60,9 @@ func TestWANShapingSerializesLink(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// Each read serializes ~19 ms of bytes; three of them share one link.
-	if elapsed := time.Since(t0); elapsed < 45*time.Millisecond {
-		t.Errorf("%d concurrent shaped reads took %v, want ≥ 45ms on a serial link", n, elapsed)
+	// Three reads' frames share one link.
+	if elapsed, want := time.Since(t0), n*readLinkTime(); elapsed < want {
+		t.Errorf("%d concurrent shaped reads took %v, want ≥ %v on a serial link", n, elapsed, want)
 	}
 }
 

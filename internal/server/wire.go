@@ -1,13 +1,16 @@
 package server
 
 import (
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 )
 
-// The daemon protocol is JSON lines over TCP: one JSON object per newline-
-// terminated line in each direction. Requests carry a client-chosen id that
-// the matching response echoes, so clients may pipeline arbitrarily many
+// The daemon protocol is one binary frame per message over TCP, the same
+// layout in both directions. Requests carry a client-chosen id that the
+// matching response echoes, so clients may pipeline arbitrarily many
 // requests per connection; responses arrive in completion order, not
 // submission order (ORAM slots on different shards complete independently).
 // The cluster routing proxy (cmd/oramproxy) speaks exactly this protocol on
@@ -24,39 +27,43 @@ import (
 // verb's failure fails the whole response, a batch member's only its own
 // result.
 //
-// Ops:
+// A frame is, big-endian, a fixed-offset header
 //
-//	{"id":1,"op":"read","addr":17}
-//	{"id":2,"op":"write","addr":17,"data":"<base64>","tenant":"acme"}
-//	{"id":3,"op":"batch_read","addrs":[17,33,2],"tenant":"acme"}
-//	{"id":4,"op":"stats"}
-//	{"id":5,"op":"ping"}
+//	u32  length of the rest of the frame (at most maxFrameBytes in all)
+//	u8   version, frameVersion
+//	u64  id
+//	u8   verb: verbRead, verbWrite, verbBatchRead, verbStats, verbPing;
+//	     a failed response carries verbError
+//	u16  member count
+//	u32  member width: the data bytes each member moves — a write's
+//	     payload up, a read's block down
+//	u8   tenant length, then the tenant tag (requests only)
 //
-// Responses:
+// followed by count fixed-width members:
 //
-//	{"id":1,"ok":true,"data":"<base64>"}
-//	{"id":2,"ok":true}
-//	{"id":3,"ok":true,"results":[{"ok":true,"data":"<base64>"},...]}
-//	{"id":4,"ok":true,"stats":{...}}
-//	{"id":6,"ok":false,"err":"server: address 99999 out of range (4096 blocks)","code":"out_of_range"}
+//	request   u64 address, then width payload bytes (writes only)
+//	response  u8 status (1 ok, 0 failed), u8 code (wireCodes), then width
+//	          block bytes (reads only; zeros for a failed member)
 //
-// A failed response (or batch member) carries both the human-readable err
-// text and a machine-readable code (the constants below), so clients branch
-// on codes instead of string-matching error prose.
-
-// Op names accepted by the daemon.
+// and, in a response only, one u16-length-prefixed error text per failed
+// member, in member order. A verbError response is one failed member and
+// its text; a stats response carries no members and the Stats JSON as the
+// rest of its frame. So the only variable-length parts are the tenant tag
+// and failure texts, and frameBytes gives every other frame's exact length
+// from public parameters alone (docs/LEAKAGE.md, "Wire framing").
+//
+// The daemon answers a frame whose header parses but whose members do not
+// (wrong length for its count and width, a verb it does not speak) with a
+// verbError response under the frame's own id. A frame it cannot delimit —
+// a wrong version byte, a length over maxFrameBytes, a header cut short —
+// ends the connection without an answer; so does the client, failing every
+// pending call with a recoverable errBadFrame, on any response that does not
+// answer a request it has pending. Failure codes are the constants below;
+// clients branch on codes instead of string-matching error prose.
+// Machine-readable error codes a failed response or batch member carries.
 const (
-	OpRead      = "read"
-	OpWrite     = "write"
-	OpBatchRead = "batch_read"
-	OpStats     = "stats"
-	OpPing      = "ping"
-)
-
-// Machine-readable error codes carried in Response.Code / WireResult.Code.
-const (
-	// CodeBadRequest: the request was malformed (unparseable line, empty
-	// batch, missing fields).
+	// CodeBadRequest: the request was malformed (members that do not fit
+	// the frame's count and width, an empty batch).
 	CodeBadRequest = "bad_request"
 	// CodeUnknownOp: the op verb is not one the daemon speaks.
 	CodeUnknownOp = "unknown_op"
@@ -86,44 +93,6 @@ const (
 // can bound a batch before knowing which node's k will serve it. Individual
 // stores enforce their tighter Config.MaxBatch.
 const MaxBatchAddrs = 64
-
-// Request is one client → daemon message.
-type Request struct {
-	ID   uint64 `json:"id"`
-	Op   string `json:"op"`
-	Addr uint64 `json:"addr,omitempty"`
-	Data []byte `json:"data,omitempty"`
-	// Addrs carries a batch_read's addresses (up to the serving side's batch
-	// limit); ignored by the single-op verbs.
-	Addrs []uint64 `json:"addrs,omitempty"`
-	// Tenant tags the op for the per-tenant leakage accountant. Empty means
-	// untenanted: served normally, charged to no sub-budget. The tag is
-	// public metadata — see docs/LEAKAGE.md.
-	Tenant string `json:"tenant,omitempty"`
-}
-
-// Response is one daemon → client message.
-type Response struct {
-	ID   uint64 `json:"id"`
-	OK   bool   `json:"ok"`
-	Err  string `json:"err,omitempty"`
-	Code string `json:"code,omitempty"`
-	Data []byte `json:"data,omitempty"`
-	// Results carries a batch_read's per-address outcomes, index-aligned
-	// with the request's Addrs.
-	Results []WireResult `json:"results,omitempty"`
-	Stats   *Stats       `json:"stats,omitempty"`
-}
-
-// WireResult is one batch member's outcome on the wire: a batch response is
-// OK as a whole whenever the batch itself was accepted, and each member
-// succeeds or fails independently.
-type WireResult struct {
-	OK   bool   `json:"ok"`
-	Data []byte `json:"data,omitempty"`
-	Err  string `json:"err,omitempty"`
-	Code string `json:"code,omitempty"`
-}
 
 // Op is one member of a KV.Do submission: a read of Addr, or a write of Data
 // (at most BlockBytes, zero-padded) to Addr. Do writes the op's own outcome
@@ -224,7 +193,204 @@ func ErrorCode(err error) string {
 	return CodeInternal
 }
 
-// errResponse renders an error as a failed response for id.
-func errResponse(id uint64, err error) Response {
-	return Response{ID: id, OK: false, Err: err.Error(), Code: ErrorCode(err)}
+// Frame constants: the version byte, the verbs, and the limits.
+const (
+	frameVersion = 1
+
+	verbRead      = 1
+	verbWrite     = 2
+	verbBatchRead = 3
+	verbStats     = 4
+	verbPing      = 5
+	verbError     = 0xff
+
+	// frameHeaderBytes is the header without its tenant tag.
+	frameHeaderBytes = 4 + 1 + 8 + 1 + 2 + 4 + 1
+	// maxFrameBytes bounds one frame, length prefix included. Config.Validate
+	// refuses a store whose worst-case frame would not fit.
+	maxFrameBytes = 1 << 20
+	// maxTenantBytes is the longest tenant tag the u8 length can carry.
+	maxTenantBytes = 255
+	// maxErrText bounds one failure text; longer texts are cut.
+	maxErrText = 1024
+)
+
+// wireCodes numbers the error codes on the wire: a member's code byte is
+// its index here, and 0 means no error. Append only — the numbers are the
+// protocol.
+var wireCodes = [...]string{"", CodeBadRequest, CodeUnknownOp, CodeOutOfRange, CodeOversized,
+	CodeBatchTooLarge, CodeStoreClosed, CodeTenantBudget, CodeUnavailable, CodeInternal}
+
+// codeByte numbers code for the wire; a code the table lacks goes as
+// CodeInternal.
+func codeByte(code string) byte {
+	for i := 1; i < len(wireCodes); i++ {
+		if wireCodes[i] == code {
+			return byte(i)
+		}
+	}
+	return codeByte(CodeInternal)
+}
+
+// errBadFrame marks bytes that cannot be delimited or do not answer any
+// request: the stream can no longer be trusted, so the connection ends.
+// It says nothing about the request, so IsRecoverable accepts it.
+var errBadFrame = errors.New("server: malformed frame")
+
+func badFrame(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", errBadFrame, fmt.Sprintf(format, args...))
+}
+
+// frameBytes is the exact wire length of a request of verb with k members
+// under a tenantBytes-long tag, and of its successful response, where width
+// is the data each member moves: a write's payload up, a read's block down
+// (k = 0 for ping and stats; a stats response adds its JSON). Addresses,
+// ids and data bytes do not enter it, so a frame's size tells a network
+// observer only these public parameters.
+func frameBytes(verb byte, k, width, tenantBytes int) (req, resp int) {
+	req, resp = frameHeaderBytes+tenantBytes, frameHeaderBytes
+	switch verb {
+	case verbWrite:
+		req += k * (8 + width)
+		resp += k * 2
+	case verbRead, verbBatchRead:
+		req += k * 8
+		resp += k * (2 + width)
+	}
+	return req, resp
+}
+
+// worstFrameBytes is the longest frame a store of k-address batches and
+// blockBytes blocks exchanges: a full-block write under the longest tenant
+// tag, or a k-member batch response whose every member failed with the
+// longest text.
+func worstFrameBytes(k, blockBytes int) int {
+	write, _ := frameBytes(verbWrite, 1, blockBytes, maxTenantBytes)
+	_, batch := frameBytes(verbBatchRead, k, blockBytes, 0)
+	return max(write, batch+k*(2+maxErrText))
+}
+
+// verbOf names the verb a submission of a shape CheckOps accepts goes as.
+func verbOf(ops []Op) byte {
+	switch {
+	case ops[0].Write:
+		return verbWrite
+	case len(ops) > 1:
+		return verbBatchRead
+	}
+	return verbRead
+}
+
+// appendHeader starts a frame at len(b) with a zero length that
+// finishFrame fills in.
+func appendHeader(b []byte, id uint64, verb byte, count, width int, tenant string) []byte {
+	b = append(b, 0, 0, 0, 0, frameVersion)
+	b = binary.BigEndian.AppendUint64(b, id)
+	b = append(b, verb)
+	b = binary.BigEndian.AppendUint16(b, uint16(count))
+	b = binary.BigEndian.AppendUint32(b, uint32(width))
+	b = append(b, byte(len(tenant)))
+	return append(b, tenant...)
+}
+
+// finishFrame writes the length of the frame that starts at b[start:].
+func finishFrame(b []byte, start int) []byte {
+	binary.BigEndian.PutUint32(b[start:], uint32(len(b)-start-4))
+	return b
+}
+
+// appendRequest appends the request frame for one submission of verb.
+func appendRequest(b []byte, id uint64, verb byte, tenant string, ops []Op) []byte {
+	width := 0
+	if verb == verbWrite {
+		width = len(ops[0].Data)
+	}
+	start := len(b)
+	b = appendHeader(b, id, verb, len(ops), width, tenant)
+	for _, op := range ops {
+		b = binary.BigEndian.AppendUint64(b, op.Addr)
+		if verb == verbWrite {
+			b = append(b, op.Data...)
+		}
+	}
+	return finishFrame(b, start)
+}
+
+// appendText appends one failure text, cut to maxErrText.
+func appendText(b []byte, text string) []byte {
+	if len(text) > maxErrText {
+		text = text[:maxErrText]
+	}
+	b = binary.BigEndian.AppendUint16(b, uint16(len(text)))
+	return append(b, text...)
+}
+
+// appendError appends a verbError response refusing request id with err.
+func appendError(b []byte, id uint64, err error) []byte {
+	start := len(b)
+	b = appendHeader(b, id, verbError, 1, 0, "")
+	b = append(b, 0, codeByte(ErrorCode(err)))
+	return finishFrame(appendText(b, err.Error()), start)
+}
+
+// frameHeader is a parsed header; tenant aliases the reader's buffer.
+type frameHeader struct {
+	id     uint64
+	verb   byte
+	count  int
+	width  int
+	tenant []byte
+}
+
+// frameReader reads frames through one buffer it reuses, so a frame's
+// bytes are valid only until the next call.
+type frameReader struct {
+	r   *bufio.Reader
+	pre [5]byte // length and version, checked before the rest is read
+	buf []byte
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{r: bufio.NewReader(r)}
+}
+
+// next reads one frame and returns its header and members. It fails with
+// io.EOF at a clean end of stream and with errBadFrame on bytes it cannot
+// delimit; either way no more frames follow.
+func (fr *frameReader) next() (frameHeader, []byte, error) {
+	var h frameHeader
+	if _, err := io.ReadFull(fr.r, fr.pre[:]); err != nil {
+		return h, nil, err
+	}
+	if v := fr.pre[4]; v != frameVersion {
+		return h, nil, badFrame("version byte %#02x, want %#02x", v, frameVersion)
+	}
+	n := int(binary.BigEndian.Uint32(fr.pre[:4])) - 1 // the version byte is read
+	switch {
+	case n+5 > maxFrameBytes:
+		return h, nil, badFrame("frame of %d bytes exceeds the %d-byte limit", n+5, maxFrameBytes)
+	case n+5 < frameHeaderBytes:
+		return h, nil, badFrame("frame of %d bytes is shorter than its header", n+5)
+	}
+	if cap(fr.buf) < n {
+		fr.buf = make([]byte, n)
+	}
+	b := fr.buf[:n]
+	if _, err := io.ReadFull(fr.r, b); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return h, nil, err
+	}
+	h.id = binary.BigEndian.Uint64(b)
+	h.verb = b[8]
+	h.count = int(binary.BigEndian.Uint16(b[9:]))
+	h.width = int(binary.BigEndian.Uint32(b[11:]))
+	const tenantAt = frameHeaderBytes - 5 // the tag follows its length byte
+	end := tenantAt + int(b[tenantAt-1])
+	if end > n {
+		return h, nil, badFrame("tenant tag overruns a frame of %d bytes", n+5)
+	}
+	h.tenant = b[tenantAt:end]
+	return h, b[end:], nil
 }
