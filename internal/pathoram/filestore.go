@@ -33,8 +33,8 @@ const fileHeaderSize = 64
 var ErrFileGeometry = errors.New("pathoram: bucket file geometry mismatch")
 
 // SyncPolicy selects when FileStorage calls fsync. SIGKILL does not lose
-// OS-buffered writes, so SyncNone already survives process crashes; the
-// stricter policies guard against power loss.
+// OS-buffered writes, so SyncNone already survives process crashes;
+// SyncOnFlush also guards against power loss.
 type SyncPolicy int
 
 const (
@@ -42,9 +42,6 @@ const (
 	SyncNone SyncPolicy = iota
 	// SyncOnFlush fsyncs at the end of every Flush (checkpoint cadence).
 	SyncOnFlush
-	// SyncAlways fsyncs after every bucket write-out, including cache
-	// evictions.
-	SyncAlways
 )
 
 // ParseSyncPolicy maps the CLI spelling to a SyncPolicy.
@@ -54,10 +51,8 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 		return SyncNone, nil
 	case "checkpoint":
 		return SyncOnFlush, nil
-	case "always":
-		return SyncAlways, nil
 	}
-	return 0, fmt.Errorf("pathoram: unknown sync policy %q (want none, checkpoint or always)", s)
+	return 0, fmt.Errorf("pathoram: unknown sync policy %q (want none | checkpoint)", s)
 }
 
 // FileStorageConfig configures a FileStorage.
@@ -332,11 +327,6 @@ func (s *FileStorage) writeOut(p *filePage) {
 	s.dirty[len(s.dirty)-1] = nil
 	s.dirty = s.dirty[:len(s.dirty)-1]
 	p.dirtyAt = -1
-	if s.cfg.Sync == SyncAlways {
-		if err := s.f.Sync(); err != nil {
-			panic(fmt.Sprintf("pathoram: syncing %s: %v", s.cfg.Path, err))
-		}
-	}
 }
 
 // ReadBucket implements Storage. The returned slice aliases the cache page
@@ -371,8 +361,8 @@ func (s *FileStorage) Snapshot(idx uint64) []byte {
 }
 
 // Flush writes every dirty page to the file (ascending index order) and
-// fsyncs under SyncOnFlush or SyncAlways. After Flush the file matches the
-// store's logical contents exactly.
+// fsyncs under SyncOnFlush. After Flush the file matches the store's
+// logical contents exactly.
 func (s *FileStorage) Flush() error {
 	s.sortDirty()
 	for _, p := range s.dirty {

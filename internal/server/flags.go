@@ -102,9 +102,9 @@ func NewStoreFlags(fs *flag.FlagSet, opt StoreFlagOptions) *StoreFlags {
 	if opt.Storage {
 		f.store = fs.String("store", "mem", opt.Note+"untrusted bucket storage: mem | file (file implies -integrity)")
 		f.dataDir = fs.String("data-dir", "", opt.Note+"file store root directory (per-shard subdirectories; required with -store file)")
-		f.ckptEvery = fs.Int("checkpoint-every", 0, opt.Note+"file store: sealed checkpoint every N served slots (1 = durable acks, 0 = shutdown only)")
+		f.ckptEvery = fs.Int("checkpoint-every", 0, opt.Note+"file store: sealed checkpoint every N served slots (0 = default 1: durable acks)")
 		f.cacheBkts = fs.Int("cache-buckets", 0, opt.Note+"file store: bucket page cache size per level (0 = default 1024)")
-		f.syncPol = fs.String("sync", "none", opt.Note+"file store fsync policy: none | checkpoint | always")
+		f.syncPol = fs.String("sync", "none", opt.Note+"file store fsync policy: none | checkpoint")
 		f.compactAt = fs.Int64("delta-compact-after", 0, opt.Note+"file store: fold the checkpoint log into a fresh base.bin once its sealed records pass this many bytes (0 = default 4 MiB)")
 	}
 	return f

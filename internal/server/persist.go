@@ -33,8 +33,8 @@ import (
 // so a tampered record fails authentication (crypt.ErrAuthFailed), a
 // missing one is a gap (ErrChainGap) and a reordered or spliced one breaks
 // the chain (ErrChainOrder). A fresh base replaces the chain at the first
-// checkpoint, at every checkpoint under cadence 0, and once the log passes
-// Config.DeltaCompactAfter bytes; the log is then truncated.
+// checkpoint and once the log passes Config.DeltaCompactAfter bytes; the
+// log is then truncated.
 //
 // Crash consistency uses redo-in-checkpoint: between checkpoints every dirty
 // bucket page is pinned in the cache (FileStorage.RetainDirty), so the
@@ -129,10 +129,10 @@ type persister struct {
 
 	// Chain state. bound is the public position-map entry count of a log
 	// record (CheckpointEvery × BatchK: one remap per level per fetched
-	// path in a cadence window), 0 when every checkpoint is a base;
-	// seq/lastTag name the newest element, which the next record extends;
-	// logSize is the length of chain.log's complete records, compared
-	// against compactAfter; haveBase gates records until a base exists.
+	// path in a cadence window); seq/lastTag name the newest element, which
+	// the next record extends; logSize is the length of chain.log's
+	// complete records, compared against compactAfter; haveBase gates
+	// records until a base exists.
 	log          *os.File
 	logSize      int64
 	compactAfter int64
@@ -212,6 +212,11 @@ func newFileShard(cfg Config, shard int) (*pathoram.Stack, *persister, error) {
 		p.closeStores()
 		return nil, nil, err
 	}
+	// From here on dirty pages stay pinned between checkpoints, so the
+	// bucket files change only at checkpoint flushes.
+	for _, fs := range p.stores {
+		fs.RetainDirty(true)
+	}
 	return b, p, nil
 }
 
@@ -264,12 +269,9 @@ func (p *persister) initialize(cfg Config) (*pathoram.Stack, error) {
 	// The Merkle tree is mandatory for file-backed shards: its roots are
 	// what every checkpoint binds the untrusted files to.
 	b.EnableIntegrity()
-	if p.bound > 0 {
-		b.TrackDirty()
-	}
+	b.TrackDirty()
 	// Settle the freshly initialized tree into the files, then cut the
-	// first checkpoint (always a base — the chain needs an anchor) and arm
-	// dirty-page pinning.
+	// first checkpoint (always a base — the chain needs an anchor).
 	if err := p.flushStores(); err != nil {
 		return nil, err
 	}
@@ -282,7 +284,6 @@ func (p *persister) initialize(cfg Config) (*pathoram.Stack, error) {
 	if err := os.Remove(marker); err != nil {
 		return nil, err
 	}
-	p.armRetention(cfg)
 	return b, nil
 }
 
@@ -290,7 +291,10 @@ func (p *persister) initialize(cfg Config) (*pathoram.Stack, error) {
 // decode the base, fold every log record in order (each record's seal
 // authenticates its contents, its Seq and Prev its position), replay the
 // accumulated redo into the bucket files, re-verify against the newest
-// sealed Merkle roots, restore trusted state, and drop a torn tail.
+// sealed Merkle roots, restore trusted state, and drop a torn tail. It then
+// seals one checkpoint before any slot, so the bumped restart count — the
+// salt of the new leaf stream — is durable: a shard that crashes again
+// before its first cadence checkpoint still boots on a fresh stream.
 func (p *persister) recover(cfg Config) (*pathoram.Stack, error) {
 	base, err := p.readBase()
 	if err != nil {
@@ -347,9 +351,7 @@ func (p *persister) recover(cfg Config) (*pathoram.Stack, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.bound > 0 {
-		b.TrackDirty()
-	}
+	b.TrackDirty()
 	if err := p.openLog(int64(end)); err != nil {
 		return nil, err
 	}
@@ -358,7 +360,9 @@ func (p *persister) recover(cfg Config) (*pathoram.Stack, error) {
 	os.Remove(filepath.Join(p.dir, initMarker))
 	p.recovered = true
 	p.haveBase = true
-	p.armRetention(cfg)
+	if err := p.checkpoint(b); err != nil {
+		return nil, err
+	}
 	return b, nil
 }
 
@@ -524,27 +528,15 @@ func (p *persister) openLog(size int64) error {
 	return nil
 }
 
-// armRetention pins dirty pages between checkpoints when a checkpoint
-// cadence is configured. Without one (CheckpointEvery == 0) the cache may
-// spill dirty pages to the files mid-run; a crash then fails closed at next
-// boot (root mismatch) and only a clean shutdown is recoverable.
-func (p *persister) armRetention(cfg Config) {
-	if cfg.CheckpointEvery > 0 {
-		for _, fs := range p.stores {
-			fs.RetainDirty(true)
-		}
-	}
-}
-
 // checkpoint makes the stack's current trusted state durable: a record
 // appended to chain.log — except when the chain has no base yet (first
-// checkpoint), when the log has outgrown compactAfter bytes, or at cadence
-// 0, when a fresh base replaces the chain. Both paths end with the store
-// flush that unpins the dirty pages.
+// checkpoint) or the log has outgrown compactAfter bytes, when a fresh base
+// replaces the chain. Both paths end with the store flush that unpins the
+// dirty pages.
 func (p *persister) checkpoint(b *pathoram.Stack) error {
 	start := time.Now()
 	var err error
-	if p.haveBase && p.bound > 0 && p.logSize < p.compactAfter {
+	if p.haveBase && p.logSize < p.compactAfter {
 		err = p.appendRecord(b)
 	} else {
 		err = p.writeBase(b)

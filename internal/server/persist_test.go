@@ -40,17 +40,22 @@ func fileStoreCfg(dir, backend string) Config {
 }
 
 // TestFileStoreRoundTrip is the clean-shutdown durability loop for every
-// backend kind, with every checkpoint a base ("full": cadence 0, shutdown
-// only) and with a chain log ("delta": cadence 1): write, close, reopen
-// (recovered), verify, write a second generation, close, reopen, verify
-// both generations. Under "delta" the second and third boots recover
-// through base + log.
+// backend kind: write, close, reopen (recovered), verify, write a second
+// generation, close, reopen, verify both generations. Under "delta" the
+// second and third boots recover through base + log; under "compact" the
+// log folds into a fresh base.bin every other checkpoint; "sync" runs the
+// same loop with an fsync at every checkpoint.
 func TestFileStoreRoundTrip(t *testing.T) {
-	for mode, every := range map[string]int{"full": 0, "delta": 1} {
+	modes := map[string]func(*Config){
+		"delta":   func(*Config) {},
+		"compact": func(c *Config) { c.DeltaCompactAfter = 1 },
+		"sync":    func(c *Config) { c.Sync = "checkpoint" },
+	}
+	for mode, set := range modes {
 		for _, backend := range []string{BackendFlat, BackendRecursive, BackendBatched} {
 			t.Run(mode+"/"+backend, func(t *testing.T) {
 				cfg := fileStoreCfg(t.TempDir(), backend)
-				cfg.CheckpointEvery = every
+				set(&cfg)
 				st, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -284,76 +289,96 @@ func TestMemFileEquivalence(t *testing.T) {
 }
 
 // TestStoreConfigValidation covers the storage-tier Validate rules,
-// including the RAM-store size cap that replaced the old constructor panic.
+// including the RAM-store size cap that replaced the old constructor panic:
+// each row is one config, refused with an error containing want, or
+// accepted when want is empty.
 func TestStoreConfigValidation(t *testing.T) {
 	base := Config{Shards: 1, Blocks: 256, BlockBytes: 64, Z: 3}
-
-	huge := base
-	huge.Blocks = 1 << 26 // ~25 GB of buckets: far beyond the RAM store cap
-	err := huge.withDefaults().Validate()
-	if err == nil || !strings.Contains(err.Error(), "RAM store") {
-		t.Fatalf("oversized mem config: got %v, want the RAM-store cap error", err)
+	file := func(c *Config) { c.Store, c.DataDir = StoreFile, t.TempDir() }
+	rows := []struct {
+		name string
+		set  func(*Config)
+		want string
+	}{
+		{"mem over the RAM cap", func(c *Config) { c.Blocks = 1 << 26 }, "RAM store"},
+		{"file lifts the RAM cap", func(c *Config) { c.Blocks = 1 << 26; file(c) }, ""},
+		{"mem with DataDir", func(c *Config) { c.DataDir = "/tmp/x" }, "DataDir"},
+		{"mem with CheckpointEvery", func(c *Config) { c.CheckpointEvery = 1 }, "CheckpointEvery requires"},
+		{"mem with CacheBuckets", func(c *Config) { c.CacheBuckets = 64 }, "CacheBuckets requires"},
+		{"mem with Sync checkpoint", func(c *Config) { c.Sync = "checkpoint" }, "Sync \"checkpoint\" requires"},
+		{"mem with Sync none", func(c *Config) { c.Sync = "none" }, ""},
+		{"mem with DeltaCompactAfter", func(c *Config) { c.DeltaCompactAfter = 1 << 20 }, "DeltaCompactAfter requires"},
+		{"file without DataDir", func(c *Config) { c.Store = StoreFile }, "requires a DataDir"},
+		{"file with an unknown sync policy", func(c *Config) { file(c); c.Sync = "sometimes" }, "none | checkpoint"},
+		{"file with Sync always", func(c *Config) { file(c); c.Sync = "always" }, "none | checkpoint"},
+		{"file with a negative cadence", func(c *Config) { file(c); c.CheckpointEvery = -1 }, "CheckpointEvery must not be negative"},
+		{"file with negative DeltaCompactAfter", func(c *Config) { file(c); c.DeltaCompactAfter = -1 }, "DeltaCompactAfter must not be negative"},
+		{"unknown store kind", func(c *Config) { c.Store = "paper" }, "unknown Store"},
+		{"file at cadence 8 with fsync", func(c *Config) { file(c); c.CheckpointEvery = 8; c.Sync = "checkpoint" }, ""},
 	}
-	huge.Store = StoreFile
-	huge.DataDir = t.TempDir()
-	if err := huge.withDefaults().Validate(); err != nil {
-		t.Fatalf("the file store must lift the RAM cap, got %v", err)
-	}
-
-	bad := base
-	bad.DataDir = "/tmp/x"
-	if err := bad.withDefaults().Validate(); err == nil {
-		t.Fatal("DataDir without Store file must be rejected")
-	}
-	bad = base
-	bad.CheckpointEvery = 1
-	if err := bad.withDefaults().Validate(); err == nil {
-		t.Fatal("CheckpointEvery without Store file must be rejected")
-	}
-	bad = base
-	bad.Store = StoreFile
-	if err := bad.withDefaults().Validate(); err == nil {
-		t.Fatal("Store file without DataDir must be rejected")
-	}
-	bad = base
-	bad.Store = StoreFile
-	bad.DataDir = "/tmp/x"
-	bad.Sync = "sometimes"
-	if err := bad.withDefaults().Validate(); err == nil {
-		t.Fatal("unknown sync policy must be rejected")
-	}
-	bad = base
-	bad.Store = "paper"
-	if err := bad.withDefaults().Validate(); err == nil {
-		t.Fatal("unknown store kind must be rejected")
-	}
-	bad = base
-	bad.DeltaCompactAfter = 1 << 20
-	if err := bad.withDefaults().Validate(); err == nil {
-		t.Fatal("DeltaCompactAfter without Store file must be rejected")
-	}
-	bad = base
-	bad.Store = StoreFile
-	bad.DataDir = "/tmp/x"
-	bad.DeltaCompactAfter = -1
-	if err := bad.withDefaults().Validate(); err == nil {
-		t.Fatal("negative DeltaCompactAfter must be rejected")
+	for _, r := range rows {
+		cfg := base
+		r.set(&cfg)
+		err := cfg.withDefaults().Validate()
+		switch {
+		case r.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", r.name, err)
+		case r.want != "" && (err == nil || !strings.Contains(err.Error(), r.want)):
+			t.Errorf("%s: got %v, want an error containing %q", r.name, err, r.want)
+		}
 	}
 
-	ok := base
-	ok.Store = StoreFile
-	ok.DataDir = t.TempDir()
-	ok.CheckpointEvery = 8
-	ok.Sync = "checkpoint"
-	cfg := ok.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("valid file-store config rejected: %v", err)
-	}
+	cfg := base
+	file(&cfg)
+	cfg = cfg.withDefaults()
 	if !cfg.Integrity {
 		t.Fatal("the file store must force Integrity on")
 	}
+	if cfg.CheckpointEvery != 1 {
+		t.Fatalf("file-store default cadence is %d, want 1 (durable acks)", cfg.CheckpointEvery)
+	}
 	if cfg.DeltaCompactAfter != 4<<20 {
 		t.Fatalf("file-store default compaction threshold is %d, want %d", cfg.DeltaCompactAfter, 4<<20)
+	}
+}
+
+// TestFileStoreDefaultCadenceDurableAcks: a file store given no cadence
+// checkpoints every slot and acks a write only once its checkpoint landed,
+// so a crash image of the data dir taken right after each ack recovers every
+// acknowledged write.
+func TestFileStoreDefaultCadenceDurableAcks(t *testing.T) {
+	dir := t.TempDir()
+	cfg := fileStoreCfg(dir, BackendFlat)
+	cfg.Shards, cfg.CheckpointEvery = 1, 0
+	st, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if got := st.Config().CheckpointEvery; got != 1 {
+		t.Fatalf("file store without a cadence runs at %d, want 1", got)
+	}
+	for addr := uint64(0); addr < 8; addr++ {
+		if err := st.Write(addr, []byte{byte(addr), 0x5A}); err != nil {
+			t.Fatal(err)
+		}
+		crash := cfg
+		crash.DataDir = t.TempDir()
+		if err := os.CopyFS(crash.DataDir, os.DirFS(dir)); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := New(crash)
+		if err != nil {
+			t.Fatalf("boot from the crash image after write %d: %v", addr, err)
+		}
+		for a := uint64(0); a <= addr; a++ {
+			if got, err := rec.Read(a); err != nil || got[0] != byte(a) || got[1] != 0x5A {
+				t.Fatalf("acked block %d reads %v (%v) in the crash image after write %d", a, got, err, addr)
+			}
+		}
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -972,5 +997,70 @@ func TestRefuseOldFormatDataDir(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRestartCountDurableAtRecovery: a recovered shard must not re-draw its
+// predecessor's leaves even when it crashes again before its first cadence
+// checkpoint. Boot 1 recovers a cleanly closed cadence-64 store, a crash
+// image of its data dir is taken before any slot, and boot 2 recovers that
+// image. Both serve the same 16 reads; if the restart count boot 1 bumped
+// only lived in memory, boot 2 re-seeds the same stream over the same
+// recovered position map and re-draws every leaf.
+func TestRestartCountDurableAtRecovery(t *testing.T) {
+	const reads = 16
+	dir := t.TempDir()
+	cfg := fileStoreCfg(dir, BackendFlat)
+	cfg.Shards, cfg.CheckpointEvery = 1, 64
+	st, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for addr := uint64(0); addr < reads; addr++ {
+		if err := st.Write(addr, []byte{byte(addr)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg = cfg.withDefaults()
+	leaves := func(o *pathoram.Stack) []uint64 {
+		var out []uint64
+		for addr := uint64(0); addr < reads; addr++ {
+			if _, err := o.Access(pathoram.OpRead, addr, nil); err != nil {
+				t.Fatal(err)
+			}
+			leaf, _ := o.DataORAM().PositionOf(addr)
+			out = append(out, leaf)
+		}
+		return out
+	}
+
+	o1, p1, err := newStack(cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash := cfg
+	crash.DataDir = t.TempDir()
+	if err := os.CopyFS(crash.DataDir, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	first := leaves(o1)
+	p1.closeStores()
+
+	o2, p2, err := newStack(crash, 0)
+	if err != nil {
+		t.Fatalf("boot from the crash image: %v", err)
+	}
+	defer p2.closeStores()
+	same := 0
+	for i, leaf := range leaves(o2) {
+		if leaf == first[i] {
+			same++
+		}
+	}
+	if same > reads/8 {
+		t.Fatalf("boot 2 re-drew %d/%d of boot 1's leaves, want no more than chance", same, reads)
 	}
 }

@@ -118,18 +118,16 @@ type Config struct {
 	DataDir string
 	// CheckpointEvery is the cadence, in slots (real or dummy alike, so the
 	// disk is written on the public grid), of sealed trusted-state
-	// checkpoints. 1 checkpoints before acknowledging each slot's
-	// requests, making every ack durable; larger values trade an
-	// at-risk window (covered by cluster replication) for throughput; 0
-	// (default) checkpoints only at clean shutdown — after a crash the
-	// shard fails closed at next boot instead of silently losing writes.
+	// checkpoints. 1 (default) checkpoints before acknowledging each slot's
+	// requests, making every ack durable; larger values trade an at-risk
+	// window (covered by cluster replication) for throughput.
 	CheckpointEvery int
 	// CacheBuckets bounds each level's in-RAM bucket page cache for the
 	// file store (default 1024 buckets per level).
 	CacheBuckets int
 	// Sync is the file store's fsync policy: "none" (default — crash
-	// consistency against process death, not power loss), "checkpoint"
-	// (fsync at checkpoint boundaries) or "always".
+	// consistency against process death, not power loss) or "checkpoint"
+	// (fsync at checkpoint boundaries).
 	Sync string
 	// DeltaCompactAfter folds the checkpoint log into a fresh base.bin once
 	// the log's sealed records pass this many bytes (default 4 MiB). Bounds
@@ -217,6 +215,9 @@ func (c Config) withDefaults() Config {
 		// files to; a file-backed shard without them could not detect
 		// offline tampering, so the tree is not optional.
 		c.Integrity = true
+		if c.CheckpointEvery == 0 {
+			c.CheckpointEvery = 1
+		}
 		if c.CacheBuckets == 0 {
 			c.CacheBuckets = 1024
 		}
@@ -308,6 +309,14 @@ func (c Config) Validate() error {
 		}
 		if c.CheckpointEvery != 0 {
 			return fmt.Errorf("server: CheckpointEvery requires Store %q", StoreFile)
+		}
+		if c.CacheBuckets != 0 {
+			return fmt.Errorf("server: CacheBuckets requires Store %q", StoreFile)
+		}
+		// "none" stays legal: it is the -sync flag's default, which oramd
+		// copies into every config.
+		if c.Sync != "" && c.Sync != "none" {
+			return fmt.Errorf("server: Sync %q requires Store %q", c.Sync, StoreFile)
 		}
 		if c.DeltaCompactAfter != 0 {
 			return fmt.Errorf("server: DeltaCompactAfter requires Store %q", StoreFile)

@@ -243,7 +243,7 @@ func (sh *shard) noteTenant(tenant string) {
 // CheckpointEvery == 1 this runs between serving and acking, so an acked
 // write is always recoverable.
 func (sh *shard) maybeCheckpoint() error {
-	if sh.persist == nil || sh.ckptEvery <= 0 {
+	if sh.persist == nil {
 		return nil
 	}
 	sh.sinceCkpt++
