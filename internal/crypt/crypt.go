@@ -1,8 +1,10 @@
 // Package crypt provides the cryptographic substrate the secure processor
 // relies on (§4.1, §5, §8 of the paper):
 //
-//   - probabilistic symmetric encryption (AES-128-CTR with a fresh random
-//     nonce per encryption) used for ORAM buckets and all off-chip data;
+//   - probabilistic symmetric encryption (AES-128-CTR) used for ORAM buckets
+//     and all off-chip data: each Cipher encrypts through one keystream
+//     opened from a random IV, and every encryption stores the counter block
+//     it starts at as its nonce, so no nonce repeats under one Cipher;
 //   - HMAC-SHA256 for binding programs, data and leakage parameters (§10);
 //   - RSA-OAEP key transport for the run-once session-key exchange (§8);
 //   - a fixed-latency accounting wrapper, because the paper requires that
@@ -24,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 )
 
 // KeySize is the symmetric key size in bytes (AES-128, matching the paper's
@@ -64,25 +67,41 @@ func (k *Key) Zero() {
 	}
 }
 
-// Cipher performs probabilistic encryption under a fixed key. Each call to
-// Encrypt draws a fresh nonce, so encrypting identical plaintexts yields
-// unrelated ciphertexts — the property the Path ORAM write-back path and the
-// root-bucket probing attack (§3.2) both depend on.
+// Cipher performs probabilistic encryption under a fixed key. It owns one
+// AES-CTR keystream, opened on its first encryption from a 16-byte IV drawn
+// from its reader. Each encryption stores the counter block it starts at as
+// its nonce, takes the next ⌈n/16⌉ whole blocks of keystream and advances
+// the counter past them, so nonces never repeat under one Cipher and
+// encrypting identical plaintexts yields unrelated ciphertexts — the
+// property the Path ORAM write-back path and the root-bucket probing attack
+// (§3.2) both depend on. The stored format is nonce ‖ CTR ciphertext with a
+// 128-bit big-endian counter, the same as cipher.NewCTR's, so decryption
+// needs nothing but the nonce.
+//
+// A Cipher is not safe for concurrent use; each ORAM owns its own, which
+// mirrors the single hardware AES pipeline per controller.
 type Cipher struct {
 	key    Key
 	block  cipher.Block
 	rand   io.Reader
 	erased bool
 
-	// Scratch state for the allocation-free CTR in EncryptTo/DecryptTo.
-	// A Cipher is consequently not safe for concurrent use; each ORAM owns
-	// its own Cipher, so this mirrors the single hardware AES pipeline.
-	ctr [aes.BlockSize]byte
-	ks  [aes.BlockSize]byte
+	// Write half: the keystream, and next, the counter block it starts its
+	// next encryption at (that encryption's nonce).
+	stream cipher.Stream
+	next   [aes.BlockSize]byte
+
+	// Read half: the counter blocks xorKeyStream encrypts per XOR pass. The
+	// write half also discards a partial last block's unused tail into it.
+	ks [readBlocks * aes.BlockSize]byte
 }
 
-// NewCipher builds a Cipher from key, drawing nonces from rnd. If rnd is
-// nil, crypto/rand.Reader is used.
+// readBlocks is the number of counter blocks xorKeyStream encrypts back to
+// back before one XOR pass.
+const readBlocks = 8
+
+// NewCipher builds a Cipher from key, drawing its keystream IV from rnd. If
+// rnd is nil, crypto/rand.Reader is used.
 func NewCipher(key Key, rnd io.Reader) *Cipher {
 	if rnd == nil {
 		rnd = rand.Reader
@@ -95,11 +114,11 @@ func NewCipher(key Key, rnd io.Reader) *Cipher {
 	return &Cipher{key: key, block: block, rand: rnd}
 }
 
-// Erase forgets the key. All later operations fail with ErrKeyErased.
+// Erase forgets the key, and with it the expanded key schedules, the write
+// keystream's counter and the keystream scratch. All later operations fail
+// with ErrKeyErased.
 func (c *Cipher) Erase() {
-	c.key.Zero()
-	c.block = nil
-	c.erased = true
+	*c = Cipher{erased: true}
 }
 
 // Erased reports whether the key has been forgotten.
@@ -126,10 +145,27 @@ func (c *Cipher) EncryptTo(dst, plaintext []byte) error {
 	if len(dst) != NonceSize+len(plaintext) {
 		return fmt.Errorf("crypt: destination is %d bytes, want %d", len(dst), NonceSize+len(plaintext))
 	}
-	if _, err := io.ReadFull(c.rand, dst[:NonceSize]); err != nil {
-		return fmt.Errorf("crypt: sampling nonce: %w", err)
+	return c.encrypt(dst[:NonceSize], dst[NonceSize:], plaintext)
+}
+
+// encrypt writes the next counter block into nonce and XORs src with the
+// keystream from it into dst; dst and src overlap exactly or not at all.
+func (c *Cipher) encrypt(nonce, dst, src []byte) error {
+	if c.stream == nil {
+		if _, err := io.ReadFull(c.rand, c.next[:]); err != nil {
+			return fmt.Errorf("crypt: sampling IV: %w", err)
+		}
+		c.stream = cipher.NewCTR(c.block, c.next[:])
 	}
-	c.xorKeyStream(dst[NonceSize:], plaintext, dst[:NonceSize])
+	copy(nonce, c.next[:])
+	c.stream.XORKeyStream(dst, src)
+	if tail := len(src) % aes.BlockSize; tail != 0 {
+		c.stream.XORKeyStream(c.ks[tail:aes.BlockSize], c.ks[tail:aes.BlockSize])
+	}
+	hi, lo := binary.BigEndian.Uint64(c.next[:8]), binary.BigEndian.Uint64(c.next[8:])
+	lo, carry := bits.Add64(lo, uint64(len(src)+aes.BlockSize-1)/aes.BlockSize, 0)
+	binary.BigEndian.PutUint64(c.next[:8], hi+carry)
+	binary.BigEndian.PutUint64(c.next[8:], lo)
 	return nil
 }
 
@@ -165,25 +201,30 @@ func (c *Cipher) DecryptTo(dst, ciphertext []byte) error {
 	return nil
 }
 
-// xorKeyStream XORs src with the AES-CTR keystream for nonce into dst using
-// only the Cipher's scratch state. The counter layout and big-endian
-// increment match crypto/cipher.NewCTR, so ciphertexts produced through
-// either path are interchangeable.
+// xorKeyStream XORs src with the AES-CTR keystream for nonce into dst; it
+// decrypts and opens seals, whose nonces are whatever was stored. Per pass
+// it writes up to readBlocks counter blocks into the Cipher's scratch, then
+// encrypts them back to back (no block waits on the previous one's counter
+// arithmetic, so the AES rounds overlap) and XORs the chunk once. The
+// counter layout and 128-bit big-endian increment are crypto/cipher.NewCTR's.
+// dst and src overlap exactly or not at all.
 func (c *Cipher) xorKeyStream(dst, src, nonce []byte) {
-	copy(c.ctr[:], nonce)
-	for off := 0; off < len(src); off += aes.BlockSize {
-		c.block.Encrypt(c.ks[:], c.ctr[:])
-		n := len(src) - off
-		if n > aes.BlockSize {
-			n = aes.BlockSize
+	hi, lo := binary.BigEndian.Uint64(nonce[:8]), binary.BigEndian.Uint64(nonce[8:])
+	ks, block := c.ks[:], c.block
+	for len(src) > 0 {
+		n := min(len(src), len(ks))
+		for off := 0; off < n; off += aes.BlockSize {
+			binary.BigEndian.PutUint64(ks[off:], hi)
+			binary.BigEndian.PutUint64(ks[off+8:], lo)
+			var carry uint64
+			lo, carry = bits.Add64(lo, 1, 0)
+			hi += carry
 		}
-		subtle.XORBytes(dst[off:off+n], src[off:off+n], c.ks[:n])
-		for i := aes.BlockSize - 1; i >= 0; i-- {
-			c.ctr[i]++
-			if c.ctr[i] != 0 {
-				break
-			}
+		for off := 0; off < n; off += aes.BlockSize {
+			block.Encrypt(ks[off:off+aes.BlockSize], ks[off:off+aes.BlockSize])
 		}
+		subtle.XORBytes(dst[:n], src[:n], ks[:n])
+		dst, src = dst[n:], src[n:]
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash"
-	"io"
 	"slices"
 )
 
@@ -49,9 +48,10 @@ func (s *Sealer) tag(dst, ct []byte) []byte {
 	return s.mac.Sum(dst[:0])
 }
 
-// SealInPlace seals blob[SealOverhead:] where it lies: it draws a nonce into
-// the headroom, encrypts the plaintext over itself and writes the MAC tag
-// into the first MACSize bytes, leaving blob a Seal blob.
+// SealInPlace seals blob[SealOverhead:] where it lies: it writes the
+// Cipher's next counter block into the headroom as the nonce, encrypts the
+// plaintext over itself and writes the MAC tag into the first MACSize
+// bytes, leaving blob a Seal blob.
 func (s *Sealer) SealInPlace(blob []byte) error {
 	if s.c.erased {
 		return ErrKeyErased
@@ -60,10 +60,9 @@ func (s *Sealer) SealInPlace(blob []byte) error {
 		return fmt.Errorf("crypt: sealing: blob is %d bytes, below the %d-byte headroom", len(blob), SealOverhead)
 	}
 	ct := blob[MACSize:]
-	if _, err := io.ReadFull(s.c.rand, ct[:NonceSize]); err != nil {
-		return fmt.Errorf("crypt: sampling nonce: %w", err)
+	if err := s.c.encrypt(ct[:NonceSize], ct[NonceSize:], ct[NonceSize:]); err != nil {
+		return err
 	}
-	s.c.xorKeyStream(ct[NonceSize:], ct[NonceSize:], ct[:NonceSize])
 	s.tag(blob[:MACSize], ct)
 	return nil
 }

@@ -48,32 +48,41 @@ const (
 	leafChi2Crit = 61.10
 )
 
+// firstTouchSeeds are the fixed seeds whose touches each uniformity case
+// pools into one chi-square: 4 × 2048 samples at the same significance
+// gives the test more power against a skewed leaf distribution than one
+// seed's 2048.
+var firstTouchSeeds = []int64{13, 14, 15, 16}
+
 // TestFirstTouchPathUniform requires the data path a block's first access
 // reads to be uniform over the leaves at every recursion depth and under
-// both policies: 2048 first touches, counted into 32 leaf ranges, must pass
-// chi-square at 0.001 (fixed seed). Before position-map trees created their
-// blocks all-0xFF, a never-touched slot read leaf 0 under recursion, so every
-// first touch read path 0 — an address-dependent bus pattern. The paired
-// case is the noninterference control: 2048 touches of one block, whose
-// path is uniform by the remap, pass the same test.
+// both policies: for each seed in firstTouchSeeds, 2048 first touches,
+// pooled and counted into 32 leaf ranges, must pass chi-square at 0.001.
+// Before position-map trees created their blocks all-0xFF, a never-touched
+// slot read leaf 0 under recursion, so every first touch read path 0 — an
+// address-dependent bus pattern. The paired case is the noninterference
+// control: 2048 touches of one block per seed, whose path is uniform by the
+// remap, pass the same test.
 func TestFirstTouchPathUniform(t *testing.T) {
 	for _, recursion := range []int{0, 1, 2} {
 		for _, batchK := range []int{0, 4} {
 			t.Run(fmt.Sprintf("recursion=%d/batchK=%d", recursion, batchK), func(t *testing.T) {
 				for _, pattern := range []string{"first-touch", "repeat"} {
 					cfg := firstTouchConfig(recursion, batchK)
-					s, err := NewStack(cfg, testKey(13), rand.New(rand.NewSource(13)))
-					if err != nil {
-						t.Fatal(err)
-					}
-					shift := uint(bits.Len64(s.data.geom.Leaves()-1)) - 5 // top 5 leaf bits: 32 bins
 					counts := make([]int, leafBins)
-					for a := uint64(0); a < cfg.DataBlocks; a++ {
-						addr := a
-						if pattern == "repeat" {
-							addr = 7
+					for _, seed := range firstTouchSeeds {
+						s, err := NewStack(cfg, testKey(13), rand.New(rand.NewSource(seed)))
+						if err != nil {
+							t.Fatal(err)
 						}
-						counts[dataLeafOf(t, s, addr)>>shift]++
+						shift := uint(bits.Len64(s.data.geom.Leaves()-1)) - 5 // top 5 leaf bits: 32 bins
+						for a := uint64(0); a < cfg.DataBlocks; a++ {
+							addr := a
+							if pattern == "repeat" {
+								addr = 7
+							}
+							counts[dataLeafOf(t, s, addr)>>shift]++
+						}
 					}
 					if chi2 := stats.ChiSquareUniform(counts); chi2 > leafChi2Crit {
 						t.Errorf("%s: data-path leaves non-uniform, chi2 = %.1f > %.2f (counts %v)", pattern, chi2, leafChi2Crit, counts)

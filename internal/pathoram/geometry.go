@@ -67,8 +67,9 @@ func (g Geometry) BucketPlainBytes() int {
 	return g.Z * (BlockHeaderBytes + g.BlockBytes)
 }
 
-// BucketCipherBytes is the stored (encrypted) size of one bucket: a fresh
-// nonce plus the CTR ciphertext. Probabilistic encryption keeps this size
+// BucketCipherBytes is the stored (encrypted) size of one bucket: its nonce
+// (the keystream counter block it was encrypted from) plus the CTR
+// ciphertext. Probabilistic encryption keeps this size
 // fixed regardless of content.
 func (g Geometry) BucketCipherBytes() int {
 	return crypt.NonceSize + g.BucketPlainBytes()

@@ -136,8 +136,11 @@ func newORAMShell(g Geometry, key crypt.Key, rng *rand.Rand, store BucketStore) 
 	}, nil
 }
 
-// randReader adapts a math/rand source to io.Reader for nonce generation in
-// deterministic experiments.
+// randReader adapts a math/rand source to io.Reader. A tree's Cipher reads
+// it once, for the 16-byte IV of its write keystream, when it encrypts its
+// first bucket; every later nonce comes from that stream's counter, so
+// encryption draws nothing more from the leaf rng, and identically seeded
+// runs stay byte-identical.
 type randReader struct{ r *rand.Rand }
 
 func (rr randReader) Read(p []byte) (int, error) {

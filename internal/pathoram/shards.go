@@ -11,15 +11,15 @@ package pathoram
 //
 //   - crypt.Key is a value; instances encrypting under the same key share no
 //     mutable state through it.
-//   - crypt.Cipher carries per-instance CTR scratch and is NOT safe for
-//     concurrent use; NewORAM builds a private Cipher per tree, so each
+//   - crypt.Cipher carries a per-instance CTR keystream and scratch and is
+//     NOT safe for concurrent use; NewORAM builds a private Cipher per tree, so each
 //     shard owns its own (mirroring one AES pipeline per shard).
-//   - *rand.Rand is mutable and unsynchronized. Every level of a stack wraps
-//     the rng the stack is given for both leaf remapping and nonce
-//     generation, so two shards must NEVER be constructed with the same
-//     *rand.Rand — ShardSeed derives an independent deterministic stream per
-//     shard, and identical (cfg, key, seed) inputs rebuild byte-identical
-//     shards.
+//   - *rand.Rand is mutable and unsynchronized. Every level of a stack draws
+//     its leaf remaps from the rng the stack is given, and its Cipher draws
+//     the 16-byte IV of its write keystream from it once, so two shards must
+//     NEVER be constructed with the same *rand.Rand — ShardSeed derives an
+//     independent deterministic stream per shard, and identical (cfg, key,
+//     seed) inputs rebuild byte-identical shards.
 //   - ByteStorage, Stash, positionMap, the scratch buffers and the deferred
 //     policy's state (stash backlog, tombstones, eviction counter) are all
 //     built privately inside the constructors and never escape.

@@ -2,6 +2,9 @@ package pathoram
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"testing"
@@ -87,7 +90,7 @@ func shardPresets() map[string]StackConfig {
 
 // TestShardStacksDeterministicAndIndependent: identical (cfg, key, seed, i)
 // rebuild byte-identical trees at every level, and distinct shard indices
-// draw distinct nonce streams.
+// draw distinct keystream IVs.
 func TestShardStacksDeterministicAndIndependent(t *testing.T) {
 	var key crypt.Key
 	for name, cfg := range shardPresets() {
@@ -106,6 +109,40 @@ func TestShardStacksDeterministicAndIndependent(t *testing.T) {
 		bad.DataBlocks = 0
 		if _, err := NewStack(bad, key, nil); err == nil {
 			t.Errorf("%s: NewStack accepted an invalid config", name)
+		}
+	}
+}
+
+// TestLevelIVsDistinct: every tree of every shard opens its own write
+// keystream, from 16 bytes of the shard's rng, so the IVs of all levels ×
+// shards of a 4-shard recursive store are pairwise distinct. A fresh tree's
+// bucket 0 carries its IV, and initialization walks the tree in index order
+// on that one stream, so bucket i's nonce is the IV advanced by i buckets'
+// worth of blocks.
+func TestLevelIVsDistinct(t *testing.T) {
+	cfg := shardPresets()["recursive"]
+	seen := map[string]string{}
+	for shard := 0; shard < 4; shard++ {
+		s := shardStack(t, cfg, crypt.Key{}, 42, shard)
+		for level, o := range s.orams {
+			g := o.Geometry()
+			iv := o.Storage().ReadBucket(0)[:crypt.NonceSize]
+			where := fmt.Sprintf("shard %d level %d", shard, level)
+			if prev, dup := seen[string(iv)]; dup {
+				t.Fatalf("%s reuses the IV %x of %s", where, iv, prev)
+			}
+			seen[string(iv)] = where
+			step := uint64(g.BucketPlainBytes()+15) / 16
+			hi, lo := binary.BigEndian.Uint64(iv[:8]), binary.BigEndian.Uint64(iv[8:])
+			for idx := uint64(0); idx < g.Buckets(); idx++ {
+				nonce := o.Storage().ReadBucket(idx)[:crypt.NonceSize]
+				if binary.BigEndian.Uint64(nonce[:8]) != hi || binary.BigEndian.Uint64(nonce[8:]) != lo {
+					t.Fatalf("%s: bucket %d nonce %x is not the IV advanced by %d blocks", where, idx, nonce, idx*step)
+				}
+				var carry uint64
+				lo, carry = bits.Add64(lo, step, 0)
+				hi += carry
+			}
 		}
 	}
 }

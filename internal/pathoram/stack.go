@@ -177,9 +177,10 @@ type (
 type levelIO struct{ reads, writes uint64 }
 
 // NewStack builds and initializes the stack on in-RAM storage. rng drives
-// leaf remapping and nonce generation at every level and is mutable and
-// unsynchronized: two stacks must never share one (ShardSeed derives an
-// independent deterministic stream per shard).
+// leaf remapping at every level and seeds each level's write keystream with
+// a 16-byte IV; it is mutable and unsynchronized: two stacks must never
+// share one (ShardSeed derives an independent deterministic stream per
+// shard).
 func NewStack(cfg StackConfig, key crypt.Key, rng *rand.Rand) (*Stack, error) {
 	return NewStackOn(cfg, key, rng, nil)
 }
