@@ -39,23 +39,31 @@ func (s stubNode) ServiceStats() (server.Stats, error) {
 // TestRouterAllocBudget pins the heap allocations of the routed path — the
 // router, the pooled node clients and the stub daemons' connection
 // handling, all in this process — for a Write (two replicas), a Read and a
-// ReadBatch of 8 through a K = 2 router over two stub daemons on loopback.
-// The budgets are the measured counts, so a refactor cannot add an
-// allocation to the cluster serving path unnoticed. They fell from 36, 18
-// and 75 when the wire moved from JSON lines to binary frames; what is
+// ReadBatch of 8 through a K = 2 router over two stub daemons on loopback,
+// called in process and through a proxy daemon serving the router. The
+// budgets are the measured counts, so a refactor cannot add an allocation
+// to the cluster serving path unnoticed. In process they fell from 36, 18
+// and 75 when the wire moved from JSON lines to binary frames, and from 8,
+// 4 and 15 when the daemons began recycling their call records; what is
 // left, per op:
 //
-//	Write         8  per replica: the walk's one-op slice, and the stub
-//	                 daemon's call record, goroutine closure and payload
-//	                 copy
-//	Read          4  the walk's one-op slice; the client's block copy; the
-//	                 daemon's call record and goroutine closure
-//	ReadBatch(8) 15  ReadBatchVia's op and result slices; Router.Do's
-//	                 member and sub-op slices, WaitGroup and the fan-out
-//	                 goroutine's two closures; per node sub-batch, the
-//	                 client's block arena and the daemon's call record,
-//	                 goroutine closure and op slice
+//	in process    Write         2  the walk's one-op slice, per replica
+//	              Read          2  the walk's one-op slice; the client's
+//	                               block copy
+//	              ReadBatch(8)  9  ReadBatchVia's op and result slices;
+//	                               Router.Do's member and sub-op slices,
+//	                               WaitGroup and the fan-out goroutine's
+//	                               two closures; per node sub-batch, the
+//	                               client's block arena
+//	via proxy     Write         3  the outer client's one-op slice, and the
+//	                               walk's, per replica
+//	              Read          3  the outer client's one-op slice and
+//	                               block copy; the walk's one-op slice
+//	              ReadBatch(8)  8  the outer client's arena, op and result
+//	                               slices; Router.Do's five as above
 //
+// The daemons allocate nothing, the proxy included: its call records lend
+// their read buffers to the router, whose node clients fill them in place.
 // The probe loop is off: its pings would land in whichever run they
 // overlap.
 func TestRouterAllocBudget(t *testing.T) {
@@ -73,43 +81,61 @@ func TestRouterAllocBudget(t *testing.T) {
 		nodes = append(nodes, l.Addr().String())
 	}
 	r := startRouter(t, Config{Nodes: nodes, Epoch: 1, Replicas: 2, ProbeEvery: -1})
+	proxy, err := server.Dial(startProxy(t, r))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { proxy.Close() })
 
 	block := make([]byte, 64)
 	batch := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
-	// Warm the pools, the pending maps and the codec's caches.
-	for i := uint64(0); i < 200; i++ {
-		if err := r.Write(i, block); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.Read(i); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.ReadBatch("", batch); err != nil {
-			t.Fatal(err)
-		}
-	}
+	blocks := r.Blocks()
 	var addr uint64
-	for _, c := range []struct {
-		name   string
-		budget float64
-		op     func() error
-	}{
-		{"Write", 8, func() error { addr++; return r.Write(addr%r.Blocks(), block) }},
-		{"Read", 4, func() error { addr++; _, err := r.Read(addr % r.Blocks()); return err }},
-		{"ReadBatch(8)", 15, func() error { _, err := r.ReadBatch("", batch); return err }},
-	} {
-		var err error
-		got := testing.AllocsPerRun(400, func() {
-			if e := c.op(); e != nil {
-				err = e
-			}
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+	for _, via := range []struct {
+		name string
+		svc  interface {
+			Write(addr uint64, data []byte) error
+			Read(addr uint64) ([]byte, error)
+			ReadBatch(tenant string, addrs []uint64) ([]server.BatchResult, error)
 		}
-		t.Logf("%s: %v allocations", c.name, got)
-		if got > c.budget {
-			t.Errorf("routed %s allocates %v, budget %v", c.name, got, c.budget)
+		budget [3]float64 // Write, Read, ReadBatch(8)
+	}{
+		{"in process", r, [3]float64{2, 2, 9}},
+		{"via proxy", proxy, [3]float64{3, 3, 8}},
+	} {
+		// Warm the pools, the pending maps and the codec's caches.
+		for i := uint64(0); i < 200; i++ {
+			if err := via.svc.Write(i, block); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := via.svc.Read(i); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := via.svc.ReadBatch("", batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, c := range []struct {
+			name string
+			op   func() error
+		}{
+			{"Write", func() error { addr++; return via.svc.Write(addr%blocks, block) }},
+			{"Read", func() error { addr++; _, err := via.svc.Read(addr % blocks); return err }},
+			{"ReadBatch(8)", func() error { _, err := via.svc.ReadBatch("", batch); return err }},
+		} {
+			var err error
+			got := testing.AllocsPerRun(400, func() {
+				if e := c.op(); e != nil {
+					err = e
+				}
+			})
+			if err != nil {
+				t.Fatalf("%s %s: %v", via.name, c.name, err)
+			}
+			t.Logf("%s %s: %v allocations", via.name, c.name, got)
+			if got > via.budget[i] {
+				t.Errorf("routed %s %s allocates %v, budget %v", via.name, c.name, got, via.budget[i])
+			}
 		}
 	}
 }

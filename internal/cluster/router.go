@@ -307,7 +307,9 @@ func (r *Router) Do(tenant string, ops []server.Op) error {
 	slices.SortStableFunc(ms, func(a, b member) int { return cmp.Compare(a.n.index, b.n.index) })
 	sub := make([]server.Op, len(ms))
 	for j, m := range ms {
-		sub[j].Addr = m.t.m.ReplicaLocal(ops[m.i].Addr, m.pri, m.t.stripe)
+		// The member's Data is its read buffer, which the node's client
+		// fills in place when it has the room.
+		sub[j] = server.Op{Addr: m.t.m.ReplicaLocal(ops[m.i].Addr, m.pri, m.t.stripe), Data: ops[m.i].Data}
 	}
 	var wg sync.WaitGroup
 	for lo := 0; lo < len(ms); {

@@ -484,8 +484,10 @@ func ComputeHeadline(s Scale) Headline {
 
 // HeadlineTable renders ComputeHeadline with the paper's reported values
 // alongside.
-func HeadlineTable(s Scale) *stats.Table {
-	h := ComputeHeadline(s)
+func HeadlineTable(s Scale) *stats.Table { return headlineTable(ComputeHeadline(s)) }
+
+// headlineTable renders h with the paper's reported values alongside.
+func headlineTable(h Headline) *stats.Table {
 	t := stats.NewTable("§9.3 headline comparison (suite averages)",
 		"metric", "paper", "measured")
 	t.AddRow("base_oram perf ×", "3.35", fmt.Sprintf("%.2f", h.BaseORAMPerfX))

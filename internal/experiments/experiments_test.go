@@ -240,7 +240,7 @@ func TestHeadlineDirections(t *testing.T) {
 	if h.DynDummyFrac <= 0 || h.DynDummyFrac >= 1 {
 		t.Errorf("dummy fraction = %v", h.DynDummyFrac)
 	}
-	out := HeadlineTable(Quick()).String()
+	out := headlineTable(h).String()
 	for _, want := range []string{"base_oram", "dynamic", "static_300", "94 bits"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("headline table missing %q", want)

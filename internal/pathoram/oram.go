@@ -70,6 +70,10 @@ type ORAM struct {
 	// entry whenever it rewrites that bucket, since the rewrite either
 	// re-evicts the fresh copy or replaces the slot. See fetchPath.
 	stale map[uint64]map[uint64]struct{}
+	// spareSets holds cleared tombstone sets writePath retired, which
+	// markStale reuses before it makes a new one: a deferred fetch then
+	// allocates nothing in steady state.
+	spareSets []map[uint64]struct{}
 
 	// Stats.
 	Accesses      uint64
@@ -124,7 +128,7 @@ func newORAMShell(g Geometry, key crypt.Key, rng *rand.Rand, store BucketStore) 
 			return nil, err
 		}
 	}
-	return &ORAM{
+	o := &ORAM{
 		geom:   g,
 		store:  store,
 		cipher: crypt.NewCipher(key, randReader{rng}),
@@ -133,7 +137,12 @@ func newORAMShell(g Geometry, key crypt.Key, rng *rand.Rand, store BucketStore) 
 		rng:    rng,
 		ptBuf:  make([]byte, g.BucketPlainBytes()),
 		fresh:  make([]byte, g.BlockBytes),
-	}, nil
+	}
+	// One path read alone can bring Z·L blocks into the stash; room for
+	// twice that covers the peaks the presets reach, so an access that sets
+	// a new stash high-water mark does not allocate either.
+	o.stash.reserve(2*g.Z*g.Levels, g.BlockBytes)
+	return o, nil
 }
 
 // randReader adapts a math/rand source to io.Reader. A tree's Cipher reads
@@ -375,7 +384,12 @@ func (o *ORAM) fetchPath(leaf, target, newLeaf uint64) error {
 func (o *ORAM) markStale(bucket, addr uint64) {
 	set := o.stale[bucket]
 	if set == nil {
-		set = make(map[uint64]struct{})
+		if n := len(o.spareSets); n > 0 {
+			set = o.spareSets[n-1]
+			o.spareSets = o.spareSets[:n-1]
+		} else {
+			set = make(map[uint64]struct{})
+		}
 		o.stale[bucket] = set
 	}
 	set[addr] = struct{}{}
@@ -409,9 +423,11 @@ func (o *ORAM) writePath(leaf uint64) error {
 			// Leaf first, so one hash per bucket keeps the root current.
 			o.integrity.rehash(idx, ct)
 		}
-		if o.stale != nil {
+		if set := o.stale[idx]; set != nil {
 			// The rewrite replaced every slot in this bucket; any stale
 			// tombstones it carried are now vacuous.
+			clear(set)
+			o.spareSets = append(o.spareSets, set)
 			delete(o.stale, idx)
 		}
 		o.BucketWrites++

@@ -27,6 +27,20 @@ func NewStash() *Stash {
 	return &Stash{index: make(map[uint64]int)}
 }
 
+// reserve gives an empty stash room for n blocks of blockBytes each: the
+// block list, the index, and n payload buffers cut from one slab. The stash
+// then climbs to that occupancy without allocating, so a new high-water
+// mark below it costs the heap nothing.
+func (s *Stash) reserve(n, blockBytes int) {
+	s.blocks = make([]Block, 0, n)
+	s.index = make(map[uint64]int, n)
+	slab := make([]byte, n*blockBytes)
+	s.free = make([][]byte, 0, n)
+	for i := range n {
+		s.free = append(s.free, slab[i*blockBytes:(i+1)*blockBytes:(i+1)*blockBytes])
+	}
+}
+
 // Len returns the current number of real blocks held.
 func (s *Stash) Len() int { return len(s.blocks) }
 
@@ -128,6 +142,26 @@ type EvictPlan struct {
 	carry  []int   // deeper-eligible blocks not yet placed
 	next   []int   // carry list under construction
 	picked []int   // all chosen slots, for RemovePlanned
+	room   int     // the stash size every list above has room for
+}
+
+// size gives the plan room for a stash of n blocks on a path of levels
+// buckets of z slots each, so planning allocates nothing until the stash
+// outgrows n: every list is cut to its worst case up front, instead of
+// growing the first time some level's group or carry list is longer than
+// ever before.
+func (p *EvictPlan) size(levels, z, n int) {
+	p.groups = make([][]int, levels)
+	p.levels = make([][]int, levels)
+	groups, chosen := make([]int, levels*n), make([]int, levels*z)
+	for l := range levels {
+		p.groups[l] = groups[l*n : l*n : (l+1)*n]
+		p.levels[l] = chosen[l*z : l*z : (l+1)*z]
+	}
+	p.carry = make([]int, 0, n)
+	p.next = make([]int, 0, n)
+	p.picked = make([]int, 0, levels*z)
+	p.room = n
 }
 
 // LevelBlocks returns the stash slots chosen for the bucket at level l.
@@ -144,12 +178,9 @@ func (p *EvictPlan) LevelBlocks(l int) []int { return p.levels[l] }
 // consuming them. This replaces a full-stash scan per level with a single
 // scan per access: O(stash + path) instead of O(stash × levels).
 func (s *Stash) PlanPathEviction(g Geometry, pathLeaf uint64, z int, plan *EvictPlan) {
-	if cap(plan.groups) < g.Levels {
-		plan.groups = make([][]int, g.Levels)
-		plan.levels = make([][]int, g.Levels)
+	if len(plan.groups) != g.Levels || plan.room < len(s.blocks) {
+		plan.size(g.Levels, z, cap(s.blocks))
 	}
-	plan.groups = plan.groups[:g.Levels]
-	plan.levels = plan.levels[:g.Levels]
 	for l := 0; l < g.Levels; l++ {
 		plan.groups[l] = plan.groups[l][:0]
 	}

@@ -149,24 +149,30 @@ func (p *pending) decode(h frameHeader, members []byte) (outcome, broken error) 
 	}
 
 	// A failed single-op verb (and an error response) refuses the whole
-	// call; a batch member's failure is its own. The served blocks are
-	// copied out of the reused frame buffer into one arena per response.
+	// call; a batch member's failure is its own. A served block is copied
+	// out of the reused frame buffer into the op's own Data when it has the
+	// room, and into one arena shared by the response's other blocks when
+	// it does not.
 	stride := 2 + h.width
 	if len(members) < h.count*stride {
 		return nil, badFrame("%d bytes carry no %d members of width %d", len(members), h.count, h.width)
 	}
 	texts := members[h.count*stride:]
 	var arena []byte
-	if h.verb != verbWrite {
-		arena = make([]byte, h.count*h.width)
-	}
 	for i := 0; i < h.count; i++ {
 		m := members[i*stride : (i+1)*stride]
 		switch status, code := m[0], m[1]; {
 		case status == 1 && code == 0 && h.verb != verbError:
+			dst := p.ops[i].Data
 			p.ops[i].Data, p.ops[i].Err = nil, nil
 			if h.verb != verbWrite {
-				p.ops[i].Data = arena[i*h.width : (i+1)*h.width : (i+1)*h.width]
+				if cap(dst) < h.width {
+					if len(arena) < h.width {
+						arena = make([]byte, (h.count-i)*h.width)
+					}
+					dst, arena = arena, arena[h.width:]
+				}
+				p.ops[i].Data = dst[:h.width:h.width]
 				copy(p.ops[i].Data, m[2:])
 			}
 		case status == 0 && code != 0 && int(code) < len(wireCodes):

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 )
 
 // connConcurrency bounds the number of in-flight requests the daemon will
@@ -93,8 +94,16 @@ func HandleConn(conn net.Conn, svc Service) {
 	if !ok {
 		kv = serviceKV{svc}
 	}
+	h := &connHandler{
+		kv:  kv,
+		svc: svc,
+		out: make(chan *call, connConcurrency),
+		sem: make(chan struct{}, connConcurrency),
+		// Room for every call the connection can hold at once: one per
+		// semaphore slot in service, and one per out slot awaiting the writer.
+		free: make(chan *call, 2*connConcurrency),
+	}
 
-	out := make(chan *call, connConcurrency)
 	var writer sync.WaitGroup
 	writer.Add(1)
 	go func() {
@@ -102,7 +111,7 @@ func HandleConn(conn net.Conn, svc Service) {
 		bw := bufio.NewWriter(conn)
 		var frame []byte // the response being encoded, reused
 		dead := false
-		for c := range out {
+		for c := range h.out {
 			// After a write failure, keep draining so dispatch workers
 			// blocked on `out` can finish and HandleConn can tear down —
 			// exiting here would deadlock them against a full channel.
@@ -110,10 +119,11 @@ func HandleConn(conn net.Conn, svc Service) {
 				continue
 			}
 			frame = c.appendResponse(frame[:0])
+			h.release(c) // encoded: nothing reads the call any more
 			_, err := bw.Write(frame)
 			// Flush when the queue is momentarily empty so pipelined bursts
 			// batch into few syscalls but single responses aren't delayed.
-			if err == nil && len(out) == 0 {
+			if err == nil && len(h.out) == 0 {
 				err = bw.Flush()
 			}
 			if err != nil {
@@ -126,58 +136,104 @@ func HandleConn(conn net.Conn, svc Service) {
 		}
 	}()
 
-	var inflight sync.WaitGroup
-	sem := make(chan struct{}, connConcurrency)
 	fr := newFrameReader(conn)
 	var tenant string // the last tag seen, kept while it repeats
 	for {
-		h, members, err := fr.next()
+		fh, members, err := fr.next()
 		if err != nil {
 			// The peer hung up, or sent bytes that cannot be delimited:
 			// either way nothing more can be answered.
 			break
 		}
-		if string(h.tenant) != tenant {
-			tenant = string(h.tenant)
+		if string(fh.tenant) != tenant {
+			tenant = string(fh.tenant)
 		}
-		c := &call{id: h.id, verb: h.verb, tenant: tenant}
-		if c.err = c.decode(h, members); c.err != nil || c.verb == verbPing {
-			out <- c
+		c := h.take()
+		c.id, c.verb, c.tenant = fh.id, fh.verb, tenant
+		if c.err = c.decode(fh, members, int(h.width.Load())); c.err != nil || c.verb == verbPing {
+			h.out <- c
 			continue
 		}
 		// Data ops block on slots, and a router's stats poll fans out over
 		// the network, so both run off the read loop — a slow shard or node
 		// must not stall pipelined requests behind it.
-		sem <- struct{}{}
-		inflight.Add(1)
-		go func() {
-			defer inflight.Done()
-			defer func() { <-sem }()
-			c.serve(kv, svc)
-			out <- c
-		}()
+		h.sem <- struct{}{}
+		h.inflight.Add(1)
+		go c.run()
 	}
-	inflight.Wait()
-	close(out)
+	h.inflight.Wait()
+	close(h.out)
 	writer.Wait()
 }
 
+// connHandler is one connection's serving state, shared by its read loop,
+// its calls and its writer.
+type connHandler struct {
+	kv       KV
+	svc      Service
+	out      chan *call    // served calls, in completion order, to the writer
+	sem      chan struct{} // bounds the calls being served at once
+	inflight sync.WaitGroup
+	// free recycles call records, their op slices and buffers with them, so
+	// a served request allocates nothing on this side. A buffered channel
+	// rather than a sync.Pool, which drops a random share of its Puts under
+	// the race detector.
+	free chan *call
+	// width is the block width the service's reads answer with, learned
+	// from the first one served; until it is known a read brings no buffer.
+	width atomic.Int64
+}
+
+// take returns a recycled call record, or a new one.
+func (h *connHandler) take() *call {
+	select {
+	case c := <-h.free:
+		return c
+	default:
+	}
+	c := &call{}
+	c.run = func() {
+		defer h.inflight.Done()
+		defer func() { <-h.sem }()
+		c.serve(h)
+		h.out <- c
+	}
+	return c
+}
+
+// release returns an answered call to the free list, dropping what it
+// holds of the service's or the peer's so the list pins neither.
+func (h *connHandler) release(c *call) {
+	clear(c.ops)
+	c.ops, c.tenant, c.err, c.stats = nil, "", nil, nil
+	select {
+	case h.free <- c:
+	default:
+	}
+}
+
 // call is one request in flight on a connection, from its decoded frame to
-// its answer. A single-op verb's op lives in the call itself, so serving a
-// read or a write allocates no op slice.
+// its answer. Records are recycled per connection, and each keeps the slice
+// its ops live in and a buffer for read blocks and a write's payload, so
+// serving a request allocates nothing once the connection has warmed up.
 type call struct {
+	run    func() // serves the call off the read loop; built once per record
 	id     uint64
 	verb   byte
 	tenant string
 	ops    []Op
-	one    [1]Op
+	batch  []Op   // backs ops
+	buf    []byte // a write's payload, or the read ops' block buffers
 	err    error  // refuses the whole request
 	stats  []byte // a stats answer's JSON
 }
 
 // decode checks a request's members against its header and decodes them
-// into c.ops. An error answers the request under its own id.
-func (c *call) decode(h frameHeader, members []byte) error {
+// into c.ops. A write's payload is copied out of the frame buffer, which
+// the next frame reuses, into c.buf; a read op gets a block-wide slice of
+// c.buf to be filled in place, once the block width is known (width > 0).
+// An error answers the request under its own id.
+func (c *call) decode(h frameHeader, members []byte, width int) error {
 	switch h.verb {
 	case verbPing, verbStats:
 		if h.count != 0 || h.width != 0 || len(members) != 0 {
@@ -198,36 +254,51 @@ func (c *call) decode(h frameHeader, members []byte) error {
 	case len(members) != h.count*(8+h.width):
 		return Errorf(CodeBadRequest, "server: bad request: %d member bytes for %d members of width %d", len(members), h.count, h.width)
 	}
-	c.ops = c.one[:]
-	if h.verb == verbBatchRead {
-		c.ops = make([]Op, h.count)
+	if cap(c.batch) < h.count {
+		c.batch = make([]Op, h.count)
+	}
+	c.ops = c.batch[:h.count]
+	if h.verb == verbWrite {
+		width = h.width
+	}
+	if n := h.count * width; cap(c.buf) < n {
+		c.buf = make([]byte, n)
 	}
 	for i := range c.ops {
 		m := members[i*(8+h.width):]
-		c.ops[i].Addr = binary.BigEndian.Uint64(m)
-		if h.verb == verbWrite {
-			c.ops[i].Write = true
-			c.ops[i].Data = append([]byte(nil), m[8:8+h.width]...)
+		op := Op{Addr: binary.BigEndian.Uint64(m), Write: h.verb == verbWrite}
+		if width > 0 {
+			op.Data = c.buf[i*width : (i+1)*width : (i+1)*width]
 		}
+		if op.Write {
+			copy(op.Data, m[8:8+h.width])
+		}
+		c.ops[i] = op
 	}
 	return nil
 }
 
 // serve answers a stats request, or makes one Do call for a data request:
 // a refused submission or a single-op verb's failed op fails the whole
-// request, a batch_read member's failure only its own result.
-func (c *call) serve(kv KV, svc Service) {
+// request, a batch_read member's failure only its own result. A served
+// read teaches the connection its block width.
+func (c *call) serve(h *connHandler) {
 	if c.verb == verbStats {
-		stats, err := svc.ServiceStats()
+		stats, err := h.svc.ServiceStats()
 		if err == nil {
 			c.stats, err = json.Marshal(stats)
 		}
 		c.err = err
 		return
 	}
-	c.err = kv.Do(c.tenant, c.ops)
+	c.err = h.kv.Do(c.tenant, c.ops)
 	if c.err == nil && c.verb != verbBatchRead {
 		c.err = c.ops[0].Err
+	}
+	if c.err == nil && c.verb != verbWrite && c.ops[0].Err == nil {
+		if w := int64(len(c.ops[0].Data)); w != h.width.Load() {
+			h.width.Store(w)
+		}
 	}
 }
 

@@ -790,7 +790,7 @@ func TestCheckpointCadenceCountsEverySlot(t *testing.T) {
 			for i := 0; i < slots; i++ {
 				if load == "saturated" {
 					sh.depth.Add(1)
-					sh.queue <- &request{local: uint64(i) % sc.DataBlocks, resp: make(chan result, 1)}
+					sh.queue <- &request{local: uint64(i) % sc.DataBlocks, resp: make(chan error, 1)}
 				}
 				if err := sh.slot(); err != nil {
 					t.Fatal(err)
@@ -859,7 +859,7 @@ func TestCheckpointRecordLength(t *testing.T) {
 			for j := 0; j < sh.oram.BatchK(); j++ {
 				if addr, ok := addrs(i, j); ok {
 					sh.depth.Add(1)
-					sh.queue <- &request{local: addr % sh.oram.Blocks(), resp: make(chan result, 1)}
+					sh.queue <- &request{local: addr % sh.oram.Blocks(), resp: make(chan error, 1)}
 				}
 			}
 			if err := sh.slot(); err != nil {

@@ -413,6 +413,11 @@ type Store struct {
 	// admission).
 	admit atomic.Pointer[leakage.Account]
 
+	// free recycles Do's submissions (see submission). It has room for one
+	// per queue slot across the shards, the most requests that can wait in
+	// the queues at once.
+	free chan *submission
+
 	mu     sync.RWMutex // guards closed against in-flight submits
 	closed bool
 	stop   chan struct{}
@@ -446,7 +451,7 @@ func New(cfg Config) (*Store, error) {
 			return fail(err)
 		}
 	}
-	st := &Store{cfg: cfg, stop: make(chan struct{})}
+	st := &Store{cfg: cfg, stop: make(chan struct{}), free: make(chan *submission, cfg.Shards*cfg.QueueDepth)}
 	for i, o := range stacks {
 		sh, err := newShard(i, o, persisters[i], cfg, st.stop)
 		if err != nil {
@@ -487,6 +492,11 @@ func (s *Store) localAddr(addr uint64) uint64 {
 // multi-path slot where its addresses share a shard). An oversized payload
 // or an out-of-range address fails only its own op. Do blocks until a slot
 // has served every member.
+//
+// Do borrows each op's Data until it returns, so a Do with reused ops
+// allocates nothing: a write's payload is zero-padded into the block by the
+// slot itself, and a read's block lands in Data[:BlockBytes] when Data has
+// the capacity, in a buffer Do allocates before enqueueing otherwise.
 func (s *Store) Do(tenant string, ops []Op) error {
 	if err := CheckOps(ops, s.cfg.MaxBatch()); err != nil {
 		return err
@@ -496,8 +506,10 @@ func (s *Store) Do(tenant string, ops []Op) error {
 			return &Error{Code: CodeTenantBudget, Msg: "server: " + err.Error()}
 		}
 	}
-	reqs := make([]request, len(ops))
-	for i := range ops {
+	sub := s.takeSubmission(len(ops))
+	defer s.putSubmission(sub)
+	reqs := sub.reqs[:len(ops)]
+	for i, req := range reqs {
 		op := &ops[i]
 		switch {
 		case op.Write && len(op.Data) > s.cfg.BlockBytes:
@@ -507,12 +519,15 @@ func (s *Store) Do(tenant string, ops []Op) error {
 			op.Err = Errorf(CodeOutOfRange, "server: address %d out of range (%d blocks)", op.Addr, s.cfg.Blocks)
 			continue
 		}
-		req := &reqs[i]
-		*req = request{addr: op.Addr, local: s.localAddr(op.Addr), write: op.Write, tenant: tenant, resp: make(chan result, 1)}
-		if op.Write {
-			req.data = make([]byte, s.cfg.BlockBytes)
-			copy(req.data, op.Data)
+		req.addr, req.local, req.write, req.tenant, req.live = op.Addr, s.localAddr(op.Addr), op.Write, tenant, true
+		req.data = op.Data
+		if !op.Write {
+			if cap(op.Data) < s.cfg.BlockBytes {
+				req.data = make([]byte, s.cfg.BlockBytes)
+			}
+			req.data = req.data[:s.cfg.BlockBytes]
 		}
+		req.arrival = 0
 		if sh := s.shards[s.ShardOf(op.Addr)]; sh.enf != nil {
 			req.arrival = sh.enf.Now()
 		}
@@ -524,24 +539,62 @@ func (s *Store) Do(tenant string, ops []Op) error {
 		s.mu.RUnlock()
 		return ErrClosed
 	}
-	for i := range reqs {
-		if req := &reqs[i]; req.resp != nil {
+	for _, req := range reqs {
+		if req.live {
 			sh := s.shards[s.ShardOf(req.addr)]
 			sh.depth.Add(1)
 			sh.queue <- req
 		}
 	}
 	s.mu.RUnlock()
-	for i := range reqs {
-		if reqs[i].resp != nil {
-			res := <-reqs[i].resp
-			ops[i].Err = res.err
-			if !ops[i].Write {
-				ops[i].Data = res.data
+	for i, req := range reqs {
+		if !req.live {
+			continue
+		}
+		ops[i].Err = <-req.resp
+		if !ops[i].Write {
+			ops[i].Data = nil
+			if ops[i].Err == nil {
+				ops[i].Data = req.data
 			}
 		}
 	}
 	return nil
+}
+
+// submission is one Do call's requests. Its requests, their reply channels
+// included, are reused by every Do that takes it from the store's free
+// list: a buffered channel rather than a sync.Pool, which drops a random
+// share of its Puts under the race detector and would make the serve
+// path's allocation count depend on the build.
+type submission struct{ reqs []*request }
+
+// takeSubmission takes a submission with at least n requests from the free
+// list, or builds one when the list is empty.
+func (s *Store) takeSubmission(n int) *submission {
+	var sub *submission
+	select {
+	case sub = <-s.free:
+	default:
+		sub = new(submission)
+	}
+	for len(sub.reqs) < n {
+		sub.reqs = append(sub.reqs, &request{resp: make(chan error, 1)})
+	}
+	return sub
+}
+
+// putSubmission returns sub to the free list once every request it
+// enqueued has completed, dropping the borrowed buffers so the list pins no
+// caller memory; a full list lets sub go to the collector.
+func (s *Store) putSubmission(sub *submission) {
+	for _, req := range sub.reqs {
+		req.data, req.tenant, req.live = nil, "", false
+	}
+	select {
+	case s.free <- sub:
+	default:
+	}
 }
 
 // Read returns a copy of the block's contents (zeroes if never written).

@@ -283,7 +283,7 @@ func TestCoalescing(t *testing.T) {
 // member can legitimately carry an earlier stamp than the head.
 func TestTakeGroupEarliestArrival(t *testing.T) {
 	mk := func(local, arrival uint64) *request {
-		return &request{local: local, arrival: arrival, resp: make(chan result, 1)}
+		return &request{local: local, arrival: arrival, resp: make(chan error, 1)}
 	}
 	sh := &shard{}
 	sh.fifo = []*request{mk(7, 100), mk(3, 50), mk(7, 40), mk(7, 200)}
@@ -313,7 +313,7 @@ func TestTakeGroupEarliestArrival(t *testing.T) {
 // batching is doing its job.
 func TestTakeBatchEarliestArrival(t *testing.T) {
 	mk := func(local, arrival uint64) *request {
-		return &request{local: local, arrival: arrival, resp: make(chan result, 1)}
+		return &request{local: local, arrival: arrival, resp: make(chan error, 1)}
 	}
 	sh := &shard{}
 	sh.fifo = []*request{mk(7, 100), mk(3, 50), mk(7, 40), mk(9, 200), mk(3, 25), mk(5, 500)}

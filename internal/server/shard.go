@@ -1,7 +1,6 @@
 package server
 
 import (
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -10,21 +9,22 @@ import (
 	"tcoram/internal/pathoram"
 )
 
-// request is one queued Read or Write, expressed in shard-local terms.
+// request is one op of a Do submission, in shard-local terms. Requests
+// live in the store's submission free list and are reused from one Do to
+// the next, so the shard must read nothing from a request after complete
+// has sent its outcome: from that moment the submitter may recycle it.
 type request struct {
-	addr    uint64 // global address (for error messages)
-	local   uint64 // shard-local block address
-	write   bool
-	data    []byte // write payload, already padded to BlockBytes
-	out     []byte // read result, filled by the serving shard
-	arrival uint64 // enforcer cycle at submission (paced mode)
-	tenant  string // leakage-accounting tag ("" = untenanted)
-	resp    chan result
-}
-
-type result struct {
-	data []byte
-	err  error
+	addr  uint64 // global address (routes the request to its shard)
+	local uint64 // shard-local block address
+	write bool
+	// data is the op's Data, borrowed until the request completes: a
+	// write's payload (at most BlockBytes; the slot zero-pads it into the
+	// block), or the BlockBytes-long buffer a read's block is copied into.
+	data    []byte
+	arrival uint64     // enforcer cycle at submission (paced mode)
+	tenant  string     // leakage-accounting tag ("" = untenanted)
+	live    bool       // enqueued by the current submission
+	resp    chan error // buffer 1, kept for the request's whole life
 }
 
 // shard owns one sub-ORAM. Exactly one goroutine (run) touches the ORAM and
@@ -50,16 +50,18 @@ type shard struct {
 	depth        atomic.Int64 // submitted but not yet completed
 	stashPeak    atomic.Int64
 	// levelPeaks publishes the per-level stash peaks (index 0 = data ORAM;
-	// one entry under the flat preset). The slice behind the pointer is never
-	// mutated after Store, so readers may copy it lock-free.
-	levelPeaks atomic.Pointer[[]int]
+	// one entry under the flat preset), one atomic per level, so a new peak
+	// is published without allocating.
+	levelPeaks []atomic.Int64
 	failed     atomic.Bool // the shard's ORAM errored; it now rejects everything
 
 	// Loop-private scratch: batch holds the slot's coalesced groups, ops the
 	// stack's view of them, peaksScratch reads the per-level peaks without
-	// allocating every slot.
+	// allocating every slot. apply[i] is the fixed callback that applies
+	// batch[i] to its block, built once so a slot builds no closure.
 	batch        [][]*request
 	ops          []pathoram.BatchOp
+	apply        []func([]byte)
 	peaksScratch []int
 
 	// ledger is the shard's leakage account. activeTenants and lastEpoch are
@@ -95,7 +97,7 @@ type shard struct {
 // covering checkpoint is durable.
 type doneEntry struct {
 	req *request
-	res result
+	err error
 }
 
 // newShard wraps a built stack (and its persister, for the file store) in
@@ -111,6 +113,11 @@ func newShard(id int, o *pathoram.Stack, p *persister, cfg Config, stop chan str
 		enf:   enf,
 		queue: make(chan *request, cfg.QueueDepth),
 		stop:  stop,
+	}
+	sh.levelPeaks = make([]atomic.Int64, len(o.LevelStashPeaks(nil)))
+	sh.apply = make([]func([]byte), o.BatchK())
+	for i := range sh.apply {
+		sh.apply[i] = func(data []byte) { applyGroup(sh.batch[i], data) }
 	}
 	sh.ledger = leakage.NewLedger(len(cfg.Rates))
 	sh.activeTenants = make(map[string]struct{})
@@ -281,20 +288,20 @@ func (sh *shard) shutdownPersist() {
 
 // finish delivers a result now, or parks it until the covering checkpoint
 // when acks are deferred.
-func (sh *shard) finish(req *request, res result) {
+func (sh *shard) finish(req *request, err error) {
 	if sh.deferAcks {
-		sh.done = append(sh.done, doneEntry{req: req, res: res})
+		sh.done = append(sh.done, doneEntry{req: req, err: err})
 		return
 	}
-	sh.complete(req, res)
+	sh.complete(req, err)
 }
 
 // flushDone delivers the parked completions (no-op unless acks are
 // deferred).
 func (sh *shard) flushDone() {
 	for i, d := range sh.done {
-		sh.complete(d.req, d.res)
 		sh.done[i] = doneEntry{}
+		sh.complete(d.req, d.err)
 	}
 	sh.done = sh.done[:0]
 }
@@ -304,7 +311,7 @@ func (sh *shard) flushDone() {
 // must not be acked as durable.
 func (sh *shard) abortDone(err error) {
 	for i := range sh.done {
-		sh.done[i].res = result{err: err}
+		sh.done[i].err = err
 	}
 	sh.flushDone()
 }
@@ -317,7 +324,7 @@ func (sh *shard) abortDone(err error) {
 func (sh *shard) fail(err error) {
 	sh.failed.Store(true)
 	for _, req := range sh.fifo {
-		sh.complete(req, result{err: err})
+		sh.complete(req, err)
 	}
 	sh.fifo = nil
 	for {
@@ -325,7 +332,7 @@ func (sh *shard) fail(err error) {
 		case <-sh.stop:
 			return
 		case req := <-sh.queue:
-			sh.complete(req, result{err: err})
+			sh.complete(req, err)
 		}
 	}
 }
@@ -388,27 +395,15 @@ func (sh *shard) takeBatch(max int) (arrival uint64) {
 }
 
 // serveBatch serves the slot takeBatch drained: each group becomes one
-// BatchOp whose callback applies the group's members in arrival order
-// within a single access — reads observe all earlier queued writes, exactly
-// as if each request had run in its own (serialized) access — and the stack
-// pads the slot to its fixed shape; an empty batch is the dummy slot. Every
-// drained request is always completed (with the error, if any); a non-nil
-// return means the ORAM itself is broken and the shard must stop.
+// BatchOp whose callback (apply) runs the group's members in arrival order
+// within a single access, and the stack pads the slot to its fixed shape;
+// an empty batch is the dummy slot. Every drained request is always
+// completed (with the error, if any); a non-nil return means the ORAM
+// itself is broken and the shard must stop.
 func (sh *shard) serveBatch() error {
 	sh.ops = sh.ops[:0]
-	for _, g := range sh.batch {
-		group := g
-		sh.ops = append(sh.ops, pathoram.BatchOp{Addr: group[0].local, Fn: func(data []byte) {
-			for _, req := range group {
-				if req.write {
-					copy(data, req.data)
-				} else {
-					out := make([]byte, len(data))
-					copy(out, data)
-					req.out = out
-				}
-			}
-		}})
+	for i, g := range sh.batch {
+		sh.ops = append(sh.ops, pathoram.BatchOp{Addr: g[0].local, Fn: sh.apply[i]})
 	}
 	err := sh.oram.AccessBatch(sh.ops)
 	if err == nil {
@@ -424,23 +419,33 @@ func (sh *shard) serveBatch() error {
 	for _, g := range sh.batch {
 		for i, req := range g {
 			sh.noteTenant(req.tenant)
-			if err != nil {
-				sh.finish(req, result{err: err})
-			} else if req.write {
-				sh.finish(req, result{})
-			} else {
-				sh.finish(req, result{data: req.out})
-			}
-			g[i] = nil // don't pin completed requests until the next drain
+			g[i] = nil // the request is its submitter's again once finished
+			sh.finish(req, err)
 		}
 	}
-	clear(sh.ops) // release the Fn closures
 	return err
 }
 
-// complete delivers a result and releases the request's depth slot.
-func (sh *shard) complete(req *request, res result) {
-	req.resp <- res
+// applyGroup applies a group's members to their block in arrival order —
+// a read observes every earlier queued write, exactly as if each request
+// had run in its own (serialized) access. A write zero-pads its payload
+// into the block; a read copies the block into its own buffer. Neither
+// allocates.
+func applyGroup(g []*request, data []byte) {
+	for _, req := range g {
+		if req.write {
+			clear(data[copy(data, req.data):])
+		} else {
+			copy(req.data, data)
+		}
+	}
+}
+
+// complete delivers a request's outcome and releases its depth slot. The
+// send hands the request back to its submitter, which may reuse it at
+// once, so nothing here or after reads it.
+func (sh *shard) complete(req *request, err error) {
+	req.resp <- err
 	sh.depth.Add(-1)
 }
 
@@ -448,30 +453,27 @@ func (sh *shard) complete(req *request, res result) {
 func (sh *shard) drain() {
 	sh.fill()
 	for _, req := range sh.fifo {
-		sh.complete(req, result{err: ErrClosed})
+		sh.complete(req, ErrClosed)
 	}
 	sh.fifo = nil
 	for {
 		select {
 		case req := <-sh.queue:
-			sh.complete(req, result{err: ErrClosed})
+			sh.complete(req, ErrClosed)
 		default:
 			return
 		}
 	}
 }
 
-// publishStats refreshes the atomic mirrors of loop-private state. The
-// per-level peaks slice is republished only when a peak moved (peaks are
-// monotone, so this is rare), keeping the per-slot cost to a comparison.
+// publishStats refreshes the atomic mirrors of loop-private state.
 func (sh *shard) publishStats() {
 	_, peak := sh.oram.StashOccupancy()
 	sh.stashPeak.Store(int64(peak))
 	sh.forcedEvict.Store(sh.oram.ForcedEvictions())
 	sh.peaksScratch = sh.oram.LevelStashPeaks(sh.peaksScratch[:0])
-	if cur := sh.levelPeaks.Load(); cur == nil || !slices.Equal(*cur, sh.peaksScratch) {
-		published := slices.Clone(sh.peaksScratch)
-		sh.levelPeaks.Store(&published)
+	for i, p := range sh.peaksScratch {
+		sh.levelPeaks[i].Store(int64(p))
 	}
 	if sh.persist != nil {
 		st := sh.oram.StorageStats()
@@ -511,8 +513,9 @@ func (sh *shard) stats() (ShardStats, leakage.Account) {
 		CheckpointNS:    sh.ckptNS.Load(),
 		Recovery:        sh.recovery,
 	}
-	if p := sh.levelPeaks.Load(); p != nil {
-		ss.StashPeaks = slices.Clone(*p)
+	ss.StashPeaks = make([]int, len(sh.levelPeaks))
+	for i := range sh.levelPeaks {
+		ss.StashPeaks[i] = int(sh.levelPeaks[i].Load())
 	}
 	ss.LeakedBits = acct.LeakedBits
 	if len(acct.Tenants) > 0 {

@@ -97,7 +97,16 @@ const MaxBatchAddrs = 64
 // Op is one member of a KV.Do submission: a read of Addr, or a write of Data
 // (at most BlockBytes, zero-padded) to Addr. Do writes the op's own outcome
 // back: Err (out of range, oversized payload, no replica reachable, …) and a
-// successful read's block in Data.
+// successful read's block in Data; a failed read's Data is nil.
+//
+// Data belongs to the caller and is only borrowed by Do. A write's payload
+// is read, never kept, so the caller may reuse it once Do returns. A read's
+// Data is a buffer: when its capacity is at least the block size, a Store
+// or a Client (and so the cluster router, through its clients) copies the
+// block into Data[:BlockBytes] and hands back that slice of the same array;
+// otherwise it allocates the block. Reusing one op, and its buffer, across
+// calls therefore lets a Store serve reads and writes with no allocation at
+// all.
 type Op struct {
 	Addr  uint64
 	Write bool
@@ -112,7 +121,9 @@ type KV interface {
 	// tenant's leakage sub-budget ("" = untenanted). A non-nil return
 	// refuses the whole submission — empty, over the batch limit, tenant
 	// over budget, store closed, transport failure; otherwise every op
-	// carries its own outcome.
+	// carries its own outcome. Do keeps no reference to an op's Data after
+	// it returns, and may fill a read's Data in place when that has room
+	// for the block (see Op).
 	Do(tenant string, ops []Op) error
 }
 

@@ -11,32 +11,49 @@ import (
 )
 
 // TestWireAllocBudget pins the heap allocations of one Client ↔ HandleConn
-// round trip over loopback against a stub that answers from one shared
-// block, so the count is the codec and connection handling alone, on both
-// sides (AllocsPerRun counts every goroutine's allocations):
+// round trip over loopback, both sides counted (AllocsPerRun counts every
+// goroutine's allocations), against two services: a stub that answers from
+// one shared block, so the count is the codec and connection handling
+// alone, and a one-shard unpaced Store, so it is the whole daemon.
 //
 //	call          budget  what allocates
-//	Read               4  the request's call record and its goroutine's
-//	                      closure (daemon); the one-op slice Read hands
-//	                      Do, which the pending record holds, and the
-//	                      block's copy out of the frame buffer (client)
-//	Write              4  call and closure, and the payload's copy out of
-//	                      the frame buffer, which the Service may keep
-//	                      (daemon); Write's one-op slice (client)
-//	ReadBatch(8)       6  call, closure and the 8-op slice (daemon); one
-//	                      arena for the 8 blocks, and ReadBatchVia's op
+//	Read               2  the one-op slice Read hands Do, which the pending
+//	                      record holds, and the block's copy out of the
+//	                      frame buffer (client)
+//	Write              1  Write's one-op slice (client)
+//	ReadBatch(8)       3  one arena for the 8 blocks, and ReadBatchVia's op
 //	                      and result slices (client)
 //
-// Frames are encoded into and read from buffers each connection reuses,
-// and the client's per-request record and reply channel are pooled, so
-// none of them count.
+// The daemon side allocates nothing. Each connection recycles its call
+// records, and with them the goroutine closure, the op slice and a buffer
+// that takes a write's payload out of the frame buffer or the blocks of a
+// read, which the Store fills in place. Frames are encoded into and read
+// from buffers each connection reuses, and the client's per-request record
+// and reply channel are pooled, so none of them count either.
 func TestWireAllocBudget(t *testing.T) {
+	st, err := New(Config{Shards: 1, Blocks: 64, BlockBytes: 64, Unpaced: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, svc := range []struct {
+		name string
+		svc  Service
+	}{
+		{"stub", fuzzService{instantKV{data: make([]byte, 64)}}},
+		{"store", st},
+	} {
+		t.Run(svc.name, func(t *testing.T) { wireAllocBudget(t, svc.svc) })
+	}
+}
+
+func wireAllocBudget(t *testing.T, svc Service) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	go Serve(l, fuzzService{instantKV{data: make([]byte, 64)}})
+	go Serve(l, svc)
 	cl, err := Dial(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -50,9 +67,9 @@ func TestWireAllocBudget(t *testing.T) {
 		budget float64
 		op     func() error
 	}{
-		{"Read", 4, func() error { _, err := cl.Read(17); return err }},
-		{"Write", 4, func() error { return cl.Write(17, block) }},
-		{"ReadBatch(8)", 6, func() error { _, err := cl.ReadBatch("", batch); return err }},
+		{"Read", 2, func() error { _, err := cl.Read(17); return err }},
+		{"Write", 1, func() error { return cl.Write(17, block) }},
+		{"ReadBatch(8)", 3, func() error { _, err := cl.ReadBatch("", batch); return err }},
 	} {
 		// Warm the pools, the pending map and the frame buffers.
 		for i := 0; i < 200; i++ {
