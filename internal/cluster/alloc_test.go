@@ -43,28 +43,27 @@ func (s stubNode) ServiceStats() (server.Stats, error) {
 // called in process and through a proxy daemon serving the router. The
 // budgets are the measured counts, so a refactor cannot add an allocation
 // to the cluster serving path unnoticed. In process they fell from 36, 18
-// and 75 when the wire moved from JSON lines to binary frames, and from 8,
-// 4 and 15 when the daemons began recycling their call records; what is
-// left, per op:
+// and 75 when the wire moved from JSON lines to binary frames, from 8, 4
+// and 15 when the daemons began recycling their call records, and from 2,
+// 2 and 9 when the router took its working sets from a free list and
+// stopped starting a goroutine per node sub-batch; what is left, per op,
+// is what the shims must hand back fresh:
 //
-//	in process    Write         2  the walk's one-op slice, per replica
-//	              Read          2  the walk's one-op slice; the client's
-//	                               block copy
-//	              ReadBatch(8)  9  ReadBatchVia's op and result slices;
-//	                               Router.Do's member and sub-op slices,
-//	                               WaitGroup and the fan-out goroutine's
-//	                               two closures; per node sub-batch, the
-//	                               client's block arena
-//	via proxy     Write         3  the outer client's one-op slice, and the
-//	                               walk's, per replica
-//	              Read          3  the outer client's one-op slice and
-//	                               block copy; the walk's one-op slice
-//	              ReadBatch(8)  8  the outer client's arena, op and result
-//	                               slices; Router.Do's five as above
+//	in process    Write         0
+//	              Read          1  the node client's block copy, which
+//	                               Read returns
+//	              ReadBatch(8)  3  ReadBatchVia's result slice; per node
+//	                               sub-batch, the node client's block arena
+//	via proxy     Write         0
+//	              Read          1  the outer client's block copy
+//	              ReadBatch(8)  2  the outer client's block arena and
+//	                               ReadBatchVia's result slice
 //
 // The daemons allocate nothing, the proxy included: its call records lend
 // their read buffers to the router, whose node clients fill them in place.
-// The probe loop is off: its pings would land in whichever run they
+// The router's batch records (members, sub-ops, the calls in flight and
+// walk's one-op submission) and the clients' op slices come from free
+// lists. The probe loop is off: its pings would land in whichever run they
 // overlap.
 func TestRouterAllocBudget(t *testing.T) {
 	if raceEnabled {
@@ -100,8 +99,8 @@ func TestRouterAllocBudget(t *testing.T) {
 		}
 		budget [3]float64 // Write, Read, ReadBatch(8)
 	}{
-		{"in process", r, [3]float64{2, 2, 9}},
-		{"via proxy", proxy, [3]float64{3, 3, 8}},
+		{"in process", r, [3]float64{0, 1, 3}},
+		{"via proxy", proxy, [3]float64{0, 1, 2}},
 	} {
 		// Warm the pools, the pending maps and the codec's caches.
 		for i := uint64(0); i < 200; i++ {

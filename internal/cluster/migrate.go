@@ -165,20 +165,21 @@ func (r *Router) migrator(every time.Duration) {
 	copyDone := false
 	scrub := r.migrateEnd
 	zero := make([]byte, r.blockBytes)
+	var one [1]server.Op // every walk's one-op submission
 	for {
 		select {
 		case <-r.stop:
 			return
 		case <-t.C:
 			if !copyDone {
-				copyDone = r.migrateStep()
+				copyDone = r.migrateStep(&one)
 				continue
 			}
 			if scrub < r.target {
 				// Fresh addresses are not yet servable (check() caps at the
 				// shared space), so no gate is needed: the scrub races no one.
 				op := server.Op{Addr: scrub, Write: true, Data: zero}
-				if r.walk(&r.cur, "", &op); op.Err == nil {
+				if r.walk(&one, &r.cur, "", &op); op.Err == nil {
 					scrub++
 				}
 				continue
@@ -194,8 +195,9 @@ func (r *Router) migrator(every time.Duration) {
 // gate — a client op on any address in the same stripe is excluded
 // for the duration, so the copy and the watermark flip are atomic with
 // respect to the data plane. A failed copy (all old replicas down, say)
-// leaves the watermark in place and is retried next tick.
-func (r *Router) migrateStep() (done bool) {
+// leaves the watermark in place and is retried next tick. one is the
+// walks' one-op submission.
+func (r *Router) migrateStep(one *[1]server.Op) (done bool) {
 	w := r.watermark.Load()
 	var addr uint64
 	if r.descending {
@@ -213,11 +215,11 @@ func (r *Router) migrateStep() (done bool) {
 	g.Lock()
 	defer g.Unlock()
 	op := server.Op{Addr: addr}
-	if r.walk(r.prev, "", &op); op.Err != nil {
+	if r.walk(one, r.prev, "", &op); op.Err != nil {
 		return false
 	}
 	op.Write = true
-	if r.walk(&r.cur, "", &op); op.Err != nil {
+	if r.walk(one, &r.cur, "", &op); op.Err != nil {
 		return false
 	}
 	r.copied.Add(1)

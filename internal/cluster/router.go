@@ -69,6 +69,9 @@ type Router struct {
 	// every probe tick's and every ServiceStats'.
 	admit atomic.Pointer[leakage.Account]
 
+	// free recycles Do's working sets (see batch).
+	free chan *batch
+
 	stop      chan struct{}
 	wg        sync.WaitGroup
 	closeOnce sync.Once
@@ -92,7 +95,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("cluster: node map fingerprint %s does not match expected %s — the node list or replication factor drifted from the map this data was written under (epoch %d)",
 			m.Fingerprint(), cfg.ExpectFingerprint, m.Epoch)
 	}
-	r := &Router{cfg: cfg, stop: make(chan struct{})}
+	r := &Router{cfg: cfg, free: make(chan *batch, batchFree), stop: make(chan struct{})}
 	r.cur.m = m
 	ok := false
 	defer func() {
@@ -247,12 +250,14 @@ func (r *Router) check(addr uint64) error {
 // Do serves one submission across the cluster. A lone op goes straight to
 // its replica walk, whose first step is what planning would pick. A batch
 // of reads is planned member by member onto the first healthy replica of
-// its address's owning set, one sub-batch per node fans out concurrently
-// through that node's own Do, and the results reassemble in request order.
-// A member its planned node did not serve — the sub-batch failed as a
-// whole (the node died, or refused it: say its k is below the sub-batch),
-// or the member failed on its own — takes the same walk, so one bad node
-// costs its members latency, not answers.
+// its address's owning set, one sub-batch per node is started on that
+// node's client, and Do then waits on each in node order: the clients
+// pipeline, so every sub-batch is in flight at once with no goroutine of
+// its own. The results reassemble in request order. A member its planned
+// node did not serve — the sub-batch failed as a whole (the node died, or
+// refused it: say its k is below the sub-batch), or the member failed on
+// its own — takes the same walk, so one bad node costs its members
+// latency, not answers.
 func (r *Router) Do(tenant string, ops []server.Op) error {
 	if err := server.CheckOps(ops, server.MaxBatchAddrs); err != nil {
 		return err
@@ -279,14 +284,23 @@ func (r *Router) Do(tenant string, ops []server.Op) error {
 			}
 		}
 	}()
+	b := r.takeBatch()
+	defer r.putBatch(b)
 
 	if len(ops) == 1 {
 		if ops[0].Err = r.check(ops[0].Addr); ops[0].Err == nil {
-			r.walk(r.topoFor(ops[0].Addr), tenant, &ops[0])
+			r.walk(&b.one, r.topoFor(ops[0].Addr), tenant, &ops[0])
 		}
 		return nil
 	}
-	ms := make([]member, 0, len(ops))
+	r.fanOut(b, tenant, ops)
+	return nil
+}
+
+// fanOut serves Do's batch of reads with b's members, sub-ops and calls.
+// Kept out of Do, so a lone op's stack does not carry the batch path's
+// locals.
+func (r *Router) fanOut(b *batch, tenant string, ops []server.Op) {
 	var repBuf [8]int
 	for i := range ops {
 		if ops[i].Err = r.check(ops[i].Addr); ops[i].Err != nil {
@@ -301,38 +315,44 @@ func (r *Router) Do(tenant string, ops []server.Op) error {
 				break
 			}
 		}
-		ms = append(ms, member{i: i, t: t, pri: pri, n: t.nodes[reps[pri]]})
+		b.ms = append(b.ms, member{i: i, t: t, pri: pri, n: t.nodes[reps[pri]]})
 	}
 	// Group by serving node; a node's members keep their request order.
+	ms := b.ms
 	slices.SortStableFunc(ms, func(a, b member) int { return cmp.Compare(a.n.index, b.n.index) })
-	sub := make([]server.Op, len(ms))
-	for j, m := range ms {
+	for _, m := range ms {
 		// The member's Data is its read buffer, which the node's client
 		// fills in place when it has the room.
-		sub[j] = server.Op{Addr: m.t.m.ReplicaLocal(ops[m.i].Addr, m.pri, m.t.stripe), Data: ops[m.i].Data}
+		b.sub = append(b.sub, server.Op{Addr: m.t.m.ReplicaLocal(ops[m.i].Addr, m.pri, m.t.stripe), Data: ops[m.i].Data})
 	}
-	var wg sync.WaitGroup
+	sub := b.sub
 	for lo := 0; lo < len(ms); {
 		hi := lo + 1
 		for hi < len(ms) && ms[hi].n == ms[lo].n {
 			hi++
 		}
-		if hi == len(ms) {
-			send(tenant, ms[lo].n, sub[lo:hi]) // the last sub-batch rides this goroutine
-		} else {
-			wg.Add(1)
-			go func(n *node, part []server.Op) {
-				defer wg.Done()
-				send(tenant, n, part)
-			}(ms[lo].n, sub[lo:hi])
-		}
+		b.parts = append(b.parts, part{n: ms[lo].n, lo: lo, hi: hi, call: ms[lo].n.pick().Start(tenant, sub[lo:hi])})
 		lo = hi
 	}
-	wg.Wait()
+	for _, p := range b.parts {
+		// A refusal of the whole sub-batch becomes every member's own
+		// failure.
+		err := p.call.Wait()
+		if err == nil {
+			p.n.noteSuccess()
+			continue
+		}
+		if server.IsRecoverable(err) {
+			p.n.noteFailure(err)
+		}
+		for j := p.lo; j < p.hi; j++ {
+			sub[j].Err = err
+		}
+	}
 	for j, m := range ms {
 		op := &ops[m.i]
 		if sub[j].Err != nil {
-			r.walk(m.t, tenant, op) // which decides whether the failure was the node's
+			r.walk(&b.one, m.t, tenant, op) // which decides whether the failure was the node's
 			continue
 		}
 		op.Data = sub[j].Data
@@ -341,7 +361,6 @@ func (r *Router) Do(tenant string, ops []server.Op) error {
 			m.t.nodes[m.t.m.PrimaryOf(op.Addr)].failovers.Add(1)
 		}
 	}
-	return nil
 }
 
 // member is one planned read of a batch: ops[i], to be served by replica
@@ -353,24 +372,61 @@ type member struct {
 	n   *node
 }
 
-// send serves one node's sub-batch; a refusal of the whole of it becomes
-// every member's own failure.
-func send(tenant string, n *node, part []server.Op) {
-	err := n.pick().Do(tenant, part)
-	if err == nil {
-		n.noteSuccess()
-		return
+// part is one node's sub-batch in flight: the members ms[lo:hi], started on
+// node n's client.
+type part struct {
+	n      *node
+	lo, hi int
+	call   server.Call
+}
+
+// batch is one Do's working set: the planned members, their sub-ops, the
+// sub-batches in flight and walk's one-op submission, which the node
+// client's call record holds while it is in flight.
+type batch struct {
+	ms    []member
+	sub   []server.Op
+	parts []part
+	one   [1]server.Op
+}
+
+// batchFree bounds the router's free list of batch records. The list fills
+// only to the most submissions the router has had in flight at once, and a
+// record whose slices have grown to a batch of 8 over two nodes holds about
+// 1 KiB, so even a full list costs no memory that shows next to the node
+// clients' frame buffers.
+const batchFree = 64
+
+// takeBatch takes a batch record from the router's free list — a buffered
+// channel rather than a sync.Pool, which drops a random share of its Puts
+// under the race detector and would make the routed path's allocation
+// count depend on the build — or builds one with room for a part per node.
+func (r *Router) takeBatch() *batch {
+	select {
+	case b := <-r.free:
+		return b
+	default:
+		return &batch{parts: make([]part, 0, len(r.cur.nodes))}
 	}
-	if server.IsRecoverable(err) {
-		n.noteFailure(err)
-	}
-	for j := range part {
-		part[j].Err = err
+}
+
+// putBatch clears b of every op, buffer and call it refers to, so the free
+// list pins nothing of its last submission's, and returns it to the list
+// unless the list is full.
+func (r *Router) putBatch(b *batch) {
+	clear(b.ms)
+	clear(b.sub)
+	clear(b.parts)
+	b.ms, b.sub, b.parts = b.ms[:0], b.sub[:0], b.parts[:0]
+	b.one = [1]server.Op{}
+	select {
+	case r.free <- b:
+	default:
 	}
 }
 
 // walk is the router's one failover walk: it serves op through topology t's
-// replicas of op.Addr in priority order, one Do each. A read takes the
+// replicas of op.Addr in priority order, one call each. A read takes the
 // first that answers, healthy replicas first and ejected ones as a last
 // resort. A write goes to every replica — ejected ones too, so a recovering
 // node diverges as little as possible — and succeeds on one ack; replicas
@@ -379,7 +435,9 @@ func send(tenant string, n *node, part []server.Op) {
 // fatal one ends the walk, since every replica would answer the same way.
 // While no replica serves, the walk backs off and passes again,
 // RetryAttempts times.
-func (r *Router) walk(t *topology, tenant string, op *server.Op) {
+//
+// one is the walk's one-op submission, the caller's batch record's.
+func (r *Router) walk(one *[1]server.Op, t *topology, tenant string, op *server.Op) {
 	var repBuf [8]int
 	reps := t.m.ReplicaNodes(op.Addr, repBuf[:0])
 	passes := 2 // a read's second pass tries the ejected replicas it skipped
@@ -405,8 +463,8 @@ func (r *Router) walk(t *topology, tenant string, op *server.Op) {
 				if pri < len(tried) {
 					tried[pri] = true
 				}
-				one := [1]server.Op{{Addr: t.m.ReplicaLocal(op.Addr, pri, t.stripe), Write: op.Write, Data: op.Data}}
-				err := n.pick().Do(tenant, one[:])
+				one[0] = server.Op{Addr: t.m.ReplicaLocal(op.Addr, pri, t.stripe), Write: op.Write, Data: op.Data}
+				err := n.pick().Start(tenant, one[:]).Wait()
 				if err = cmp.Or(err, one[0].Err); err == nil {
 					n.noteSuccess()
 					if op.Write {

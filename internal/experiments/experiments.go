@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -69,19 +70,47 @@ type simJob struct {
 	cfg  sim.Config
 }
 
-// runAll executes the jobs on a bounded worker pool and returns the results
-// in job order. Every sim.Run builds its own generator, core and controller
-// from cfg.Seed — no shared mutable state — so the result slice is
-// identical to running the jobs serially, and every aggregation loop below
-// consumes it in the same deterministic order it would have used before
-// parallelization. Errors panic after all workers drain, matching run().
+// memo keeps every result runAll has computed, for the life of the
+// process: a sim.Run is a pure function of its spec and configuration, so a
+// job that several figures (or several tests) share runs once. Jobs are
+// keyed by the spec's whole content rather than its ID, so a hand-built
+// spec that reuses a catalogue name cannot alias a catalogue entry.
+var memo struct {
+	sync.Mutex
+	results map[jobKey]sim.Result
+}
+
+// jobKey identifies a simJob by value.
+type jobKey struct {
+	spec string // the spec's every field, %#v-formatted
+	cfg  sim.Config
+}
+
+// runAll executes the jobs not already in memo on a bounded worker pool and
+// returns every job's result in job order. Every sim.Run builds its own
+// generator, core and controller from cfg.Seed — no shared mutable state —
+// so the result slice is identical to running the jobs serially, and every
+// aggregation loop below consumes it in the same deterministic order it
+// would have used before parallelization. Each result is the caller's own
+// copy, so no caller can change what memo hands the next. Errors panic
+// after all workers drain, matching run().
 func runAll(jobs []simJob) []sim.Result {
 	results := make([]sim.Result, len(jobs))
-	errs := make([]error, len(jobs))
-	workers := Parallelism
-	if workers > len(jobs) {
-		workers = len(jobs)
+	keys := make([]jobKey, len(jobs))
+	var todo []int
+	memo.Lock()
+	for i, j := range jobs {
+		keys[i] = jobKey{fmt.Sprintf("%#v", j.spec), j.cfg}
+		if r, ok := memo.results[keys[i]]; ok {
+			results[i] = r
+		} else {
+			todo = append(todo, i)
+		}
 	}
+	memo.Unlock()
+
+	errs := make([]error, len(jobs))
+	workers := min(Parallelism, len(todo))
 	if workers < 1 {
 		workers = 1
 	}
@@ -93,10 +122,11 @@ func runAll(jobs []simJob) []sim.Result {
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1))
-				if i >= len(jobs) {
+				n := int(next.Add(1))
+				if n >= len(todo) {
 					return
 				}
+				i := todo[n]
 				results[i], errs[i] = sim.Run(jobs[i].spec, jobs[i].cfg)
 			}
 		}()
@@ -106,6 +136,21 @@ func runAll(jobs []simJob) []sim.Result {
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %s/%s: %v", jobs[i].spec.ID(), jobs[i].cfg.Name(), err))
 		}
+	}
+
+	memo.Lock()
+	if memo.results == nil {
+		memo.results = make(map[jobKey]sim.Result)
+	}
+	for _, i := range todo {
+		memo.results[keys[i]] = results[i]
+	}
+	memo.Unlock()
+	for i, r := range results {
+		r.Windows = slices.Clone(r.Windows)
+		r.RateChanges = slices.Clone(r.RateChanges)
+		r.Slots = slices.Clone(r.Slots)
+		results[i] = r
 	}
 	return results
 }

@@ -148,12 +148,29 @@ func TestFig6RowsParallelSerialEquivalence(t *testing.T) {
 	// The worker-pool fan-out must not change results: every sim.Run is
 	// seed-deterministic and self-contained, and aggregation happens in job
 	// order. Compare a forced-serial run against a forced-parallel one at a
-	// reduced scale (full Quick would run the suite twice).
+	// reduced scale (full Quick would run the suite twice). Each run starts
+	// from an empty memo, or the second would only read back the first; the
+	// other tests' results come back afterwards.
 	s := Scale{Instructions: 300_000, Warmup: 100_000, WindowInstrs: 100_000, EpochFirstLen: 1 << 16}
+	memo.Lock()
+	saved := memo.results
+	memo.Unlock()
+	forget := func() {
+		memo.Lock()
+		memo.results = nil
+		memo.Unlock()
+	}
+	defer func() {
+		memo.Lock()
+		memo.results = saved
+		memo.Unlock()
+	}()
 	defer func(p int) { Parallelism = p }(Parallelism)
 	Parallelism = 1
+	forget()
 	serial := Fig6Rows(s)
 	Parallelism = 8
+	forget()
 	parallel := Fig6Rows(s)
 	if !reflect.DeepEqual(serial, parallel) {
 		for i := range serial {

@@ -167,6 +167,21 @@ func TestDeepestLevelMatchesOnPath(t *testing.T) {
 	}
 }
 
+// allocsPerRun is testing.AllocsPerRun started from a collection and a few
+// settle runs, like the server's TestHeapIgnoresRealDummyMix. Without them a
+// collection the warm-up's garbage triggers can land inside the measured
+// runs, and the runtime's own allocations after one (the unique package's
+// cleanup, sync.Pool re-pinning, the caches a collection empties and the
+// next runs refill) count as the code's.
+func allocsPerRun(runs int, f func()) float64 {
+	const settle = 5
+	runtime.GC()
+	for i := 0; i < settle; i++ {
+		f()
+	}
+	return testing.AllocsPerRun(runs, f)
+}
+
 // TestAccessAllocBudget enforces the zero-allocation hot path: steady-state
 // writes allocate nothing; reads allocate only the returned payload copy.
 func TestAccessAllocBudget(t *testing.T) {
@@ -183,7 +198,7 @@ func TestAccessAllocBudget(t *testing.T) {
 		}
 	}
 	var addr uint64
-	if n := testing.AllocsPerRun(200, func() {
+	if n := allocsPerRun(200, func() {
 		if _, err := o.Access(OpWrite, addr%64, data); err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +206,7 @@ func TestAccessAllocBudget(t *testing.T) {
 	}); n > 1 {
 		t.Fatalf("Access(OpWrite) allocates %.1f times per op, want ≤ 1", n)
 	}
-	if n := testing.AllocsPerRun(200, func() {
+	if n := allocsPerRun(200, func() {
 		if _, err := o.Access(OpRead, addr%64, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +235,7 @@ func TestRecursiveAccessAllocBudget(t *testing.T) {
 		}
 	}
 	var addr uint64
-	if n := testing.AllocsPerRun(200, func() {
+	if n := allocsPerRun(200, func() {
 		if _, err := r.Access(OpWrite, addr%512, data); err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +245,7 @@ func TestRecursiveAccessAllocBudget(t *testing.T) {
 	}
 	// Reads reuse the stack's scratch result buffer: steady state allocates
 	// nothing (the old code made a fresh result slice every call).
-	if n := testing.AllocsPerRun(200, func() {
+	if n := allocsPerRun(200, func() {
 		if _, err := r.Access(OpRead, addr%512, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -268,10 +283,10 @@ func TestBatchedSlotAllocBudget(t *testing.T) {
 	for i := 0; i < 1024; i++ {
 		slot()
 	}
-	if n := testing.AllocsPerRun(200, slot); n > 0 {
+	if n := allocsPerRun(200, slot); n > 0 {
 		t.Fatalf("AccessBatch of %d ops allocates %.1f times per slot, want 0", cfg.BatchK, n)
 	}
-	if n := testing.AllocsPerRun(200, func() {
+	if n := allocsPerRun(200, func() {
 		if err := b.DummyAccess(); err != nil {
 			t.Fatal(err)
 		}

@@ -331,7 +331,7 @@ func TestFileStorageSteadyStateZeroAllocs(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		round()
 	}
-	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+	if allocs := allocsPerRun(100, round); allocs != 0 {
 		t.Fatalf("a round of misses, writes, redo and flush allocates %v, want 0", allocs)
 	}
 	if misses := fs.Stats().CacheMisses; misses < 400 {

@@ -43,6 +43,7 @@ type Client struct {
 	mu      sync.Mutex
 	pending map[uint64]*pending
 	err     error // set once the reader exits
+	closed  bool  // Close was called: every failure from here on is ErrClientClosed
 	nextID  atomic.Uint64
 }
 
@@ -106,15 +107,15 @@ func (c *Client) readLoop() {
 		}
 		p.done <- outcome
 	}
-	if err == io.EOF {
-		err = ErrClientClosed
-	}
 	if errors.Is(err, errBadFrame) {
 		// Skipping a frame that cannot be trusted could leave its caller
 		// blocked forever: tear the connection down and fail everything.
 		c.conn.Close()
 	}
 	c.mu.Lock()
+	if err == io.EOF || c.closed {
+		err = ErrClientClosed
+	}
 	c.err = err
 	for id, p := range c.pending {
 		delete(c.pending, id)
@@ -197,21 +198,63 @@ func (p *pending) decode(h frameHeader, members []byte) (outcome, broken error) 
 	return outcome, nil
 }
 
-// roundTrip sends one request and waits for its outcome, which the read
-// loop decodes into ops or stats.
-func (c *Client) roundTrip(verb byte, tenant string, ops []Op, stats *Stats) error {
+// Call is one submission in flight, from Start to Wait. It is a small value
+// that holds the client's pooled request record until Wait hands it back,
+// so a call in flight allocates nothing. Wait must be called exactly once.
+type Call struct {
+	p   *pending
+	err error // the outcome, when Start already knew it
+	// retry and cl are set by RetryClient.Start: a recoverable failure
+	// discards cl, so retry's next call redials.
+	retry *RetryClient
+	cl    *Client
+}
+
+// Start sends one submission as Do does and returns without waiting for
+// the answer, so one goroutine can have calls in flight on many clients at
+// once; Wait collects each outcome. ops belong to the call until Wait
+// returns: the read loop decodes the answer into them. A refusal Do would
+// return without sending (a bad shape, an oversized tenant tag or payload,
+// a closed client) comes back from Wait.
+func (c *Client) Start(tenant string, ops []Op) Call {
+	if err := checkRequest(tenant, ops); err != nil {
+		return Call{err: err}
+	}
+	return c.start(verbOf(ops), tenant, ops, nil)
+}
+
+// checkRequest refuses a submission the wire cannot carry, before Start
+// takes a record for it.
+func checkRequest(tenant string, ops []Op) error {
+	if err := CheckOps(ops, MaxBatchAddrs); err != nil {
+		return err
+	}
+	if len(tenant) > maxTenantBytes {
+		return Errorf(CodeBadRequest, "server: a tenant tag of %d bytes exceeds the wire's %d", len(tenant), maxTenantBytes)
+	}
+	if ops[0].Write {
+		if req, _ := frameBytes(verbWrite, 1, len(ops[0].Data), len(tenant)); req > maxFrameBytes {
+			return Errorf(CodeOversized, "server: a payload of %d bytes exceeds the wire's %d-byte frame", len(ops[0].Data), maxFrameBytes)
+		}
+	}
+	return nil
+}
+
+// start sends one request whose answer the read loop decodes into ops or
+// stats.
+func (c *Client) start(verb byte, tenant string, ops []Op, stats *Stats) Call {
 	p := pendingPool.Get().(*pending)
 	p.verb, p.ops, p.stats = verb, ops, stats
-	defer func() {
-		p.ops, p.stats = nil, nil
-		pendingPool.Put(p)
-	}()
 	id := c.nextID.Add(1)
 
 	c.mu.Lock()
-	if err := c.err; err != nil {
+	if err := c.err; err != nil || c.closed {
+		if c.closed {
+			err = ErrClientClosed
+		}
 		c.mu.Unlock()
-		return err
+		p.release()
+		return Call{err: err}
 	}
 	c.pending[id] = p
 	c.mu.Unlock()
@@ -225,13 +268,39 @@ func (c *Client) roundTrip(verb byte, tenant string, ops []Op, stats *Stats) err
 		c.mu.Lock()
 		_, unclaimed := c.pending[id]
 		delete(c.pending, id)
+		if c.closed {
+			err = ErrClientClosed
+		}
 		c.mu.Unlock()
 		if !unclaimed {
 			<-p.done // the read loop took p first: let it finish with p
 		}
-		return err
+		p.release()
+		return Call{err: err}
 	}
-	return <-p.done
+	return Call{p: p}
+}
+
+// release returns p to the pool, dropping the caller's ops and stats.
+func (p *pending) release() {
+	p.ops, p.stats = nil, nil
+	pendingPool.Put(p)
+}
+
+// Wait blocks until the call's answer is in and returns what Do would
+// have, handing the call's record back to the client. A call started by a
+// RetryClient that failed recoverably also discards its connection, so the
+// RetryClient's next call redials.
+func (call Call) Wait() error {
+	err := call.err
+	if p := call.p; p != nil {
+		err = <-p.done
+		p.release()
+	}
+	if call.retry != nil && IsRecoverable(err) {
+		call.retry.discard(call.cl)
+	}
+	return err
 }
 
 // Do sends one submission as the verb its shape names — read, write or
@@ -239,33 +308,28 @@ func (c *Client) roundTrip(verb byte, tenant string, ops []Op, stats *Stats) err
 // failed single-op verb comes back as Do's error (a *RemoteError), like a
 // refused submission; a batch_read member's failure lands in its op as a
 // *RemoteError. Transport failures come back as themselves, recoverable in
-// the cluster taxonomy.
+// the cluster taxonomy. Do is Start followed by Wait.
 func (c *Client) Do(tenant string, ops []Op) error {
-	if err := CheckOps(ops, MaxBatchAddrs); err != nil {
-		return err
-	}
-	if len(tenant) > maxTenantBytes {
-		return Errorf(CodeBadRequest, "server: a tenant tag of %d bytes exceeds the wire's %d", len(tenant), maxTenantBytes)
-	}
-	verb := verbOf(ops)
-	if verb == verbWrite {
-		if req, _ := frameBytes(verb, 1, len(ops[0].Data), len(tenant)); req > maxFrameBytes {
-			return Errorf(CodeOversized, "server: a payload of %d bytes exceeds the wire's %d-byte frame", len(ops[0].Data), maxFrameBytes)
-		}
-	}
-	return c.roundTrip(verb, tenant, ops, nil)
+	return c.Start(tenant, ops).Wait()
 }
 
 // Read fetches a block.
 func (c *Client) Read(addr uint64) ([]byte, error) {
-	ops := [1]Op{{Addr: addr}}
+	ops := oneOps.take()
+	ops[0].Addr = addr
 	err := c.Do("", ops[:])
-	return ops[0].Data, err
+	data := ops[0].Data
+	oneOps.put(ops)
+	return data, err
 }
 
 // Write stores a block.
 func (c *Client) Write(addr uint64, data []byte) error {
-	return c.Do("", []Op{{Addr: addr, Write: true, Data: data}})
+	ops := oneOps.take()
+	ops[0] = Op{Addr: addr, Write: true, Data: data}
+	err := c.Do("", ops[:])
+	oneOps.put(ops)
+	return err
 }
 
 // ReadBatch fetches addrs as one batch of reads, with index-aligned results.
@@ -276,16 +340,20 @@ func (c *Client) ReadBatch(tenant string, addrs []uint64) ([]BatchResult, error)
 // Stats fetches the server's per-shard counters.
 func (c *Client) Stats() (Stats, error) {
 	var st Stats
-	err := c.roundTrip(verbStats, "", nil, &st)
+	err := c.start(verbStats, "", nil, &st).Wait()
 	return st, err
 }
 
 // Ping round-trips a no-op message.
 func (c *Client) Ping() error {
-	return c.roundTrip(verbPing, "", nil, nil)
+	return c.start(verbPing, "", nil, nil).Wait()
 }
 
-// Close tears down the connection; pending calls fail.
+// Close tears down the connection; pending and later calls fail with
+// ErrClientClosed.
 func (c *Client) Close() error {
+	c.mu.Lock()
+	c.closed = true
+	c.mu.Unlock()
 	return c.conn.Close()
 }

@@ -186,14 +186,12 @@ func (c *RetryClient) do(op func(*Client) error) error {
 			return err // deliberately closed: retrying cannot reopen it
 		}
 		if err == nil {
-			if err = op(cl); err == nil {
-				return nil
-			}
-			c.discard(cl)
+			err = op(cl)
 		}
 		if !IsRecoverable(err) {
-			return err
+			return err // nil, or a rejection the connection carried fine
 		}
+		c.discard(cl)
 		lastErr = err
 	}
 	return lastErr
@@ -212,6 +210,22 @@ func (c *RetryClient) isClosed() bool {
 // block write is a full overwrite.
 func (c *RetryClient) Do(tenant string, ops []Op) error {
 	return c.do(func(cl *Client) error { return cl.Do(tenant, ops) })
+}
+
+// Start sends one submission on the current connection, dialing a new one
+// if the last died, and returns it in flight (see Client.Start). It makes
+// one attempt and no retry: a recoverable failure comes back from Wait,
+// which discards the connection so the next call redials — the same thing
+// Do does with an Attempts of 1. ops belong to the call until Wait
+// returns.
+func (c *RetryClient) Start(tenant string, ops []Op) Call {
+	cl, err := c.current()
+	if err != nil {
+		return Call{err: err}
+	}
+	call := cl.Start(tenant, ops)
+	call.retry, call.cl = c, cl
+	return call
 }
 
 // Stats fetches the server's counters, retrying across connections.

@@ -156,9 +156,17 @@ type BatchResult struct {
 
 // ReadBatchVia runs addrs through kv as one batch of reads and returns the
 // index-aligned results: the body of the ReadBatch shims that Store, Client
-// and the cluster router keep for their existing callers.
+// and the cluster router keep for their existing callers. The ops it hands
+// kv come from a free list; the results are fresh on every call.
 func ReadBatchVia(kv KV, tenant string, addrs []uint64) ([]BatchResult, error) {
-	ops := make([]Op, len(addrs))
+	var ops []Op
+	if len(addrs) <= MaxBatchAddrs {
+		arr := batchOps.take()
+		defer batchOps.put(arr)
+		ops = arr[:len(addrs)]
+	} else {
+		ops = make([]Op, len(addrs)) // over every KV's limit: kv refuses it
+	}
 	for i, a := range addrs {
 		ops[i].Addr = a
 	}
@@ -171,6 +179,45 @@ func ReadBatchVia(kv KV, tenant string, addrs []uint64) ([]BatchResult, error) {
 	}
 	return results, nil
 }
+
+// freeList recycles *T records through a buffered channel rather than a
+// sync.Pool, which drops a random share of its Puts under the race
+// detector and would make a call's allocation count depend on the build.
+type freeList[T any] chan *T
+
+// take returns a recycled record, or a new one; either is zero.
+func (f freeList[T]) take() *T {
+	select {
+	case x := <-f:
+		return x
+	default:
+		return new(T)
+	}
+}
+
+// put zeroes x, so the list pins nothing of its last user's, and keeps it
+// unless the list is full.
+func (f freeList[T]) put(x *T) {
+	var zero T
+	*x = zero
+	select {
+	case f <- x:
+	default:
+	}
+}
+
+// The lists hold only arrays that calls have finished with, so they fill to
+// the most such calls a process has had in flight at once, and their
+// capacities only cap what an idle process keeps: 64 one-op arrays of 56
+// bytes, 16 batch arrays of 3.5 KiB.
+var (
+	// oneOps recycles the one-op arrays Client.Read and Client.Write hand
+	// Do: the call's pending record holds them, so a fresh one would
+	// escape to the heap on every call.
+	oneOps = make(freeList[[1]Op], 64)
+	// batchOps recycles ReadBatchVia's op arrays, for the same reason.
+	batchOps = make(freeList[[MaxBatchAddrs]Op], 16)
+)
 
 // Error is a coded application-level failure: the text is for humans, the
 // code is the stable contract clients and the failover taxonomy branch on.

@@ -17,19 +17,19 @@ import (
 // alone, and a one-shard unpaced Store, so it is the whole daemon.
 //
 //	call          budget  what allocates
-//	Read               2  the one-op slice Read hands Do, which the pending
-//	                      record holds, and the block's copy out of the
-//	                      frame buffer (client)
-//	Write              1  Write's one-op slice (client)
-//	ReadBatch(8)       3  one arena for the 8 blocks, and ReadBatchVia's op
-//	                      and result slices (client)
+//	Read               1  the block's copy out of the frame buffer (client)
+//	Write              0
+//	ReadBatch(8)       2  one arena for the 8 blocks, and ReadBatchVia's
+//	                      result slice (client)
 //
 // The daemon side allocates nothing. Each connection recycles its call
 // records, and with them the goroutine closure, the op slice and a buffer
 // that takes a write's payload out of the frame buffer or the blocks of a
 // read, which the Store fills in place. Frames are encoded into and read
-// from buffers each connection reuses, and the client's per-request record
-// and reply channel are pooled, so none of them count either.
+// from buffers each connection reuses, the client's per-request record and
+// reply channel are pooled, and the op slices Read, Write and ReadBatchVia
+// hand Do come from free lists, so none of them count either. Read's and
+// ReadBatch's results are the caller's to keep, so they are fresh.
 func TestWireAllocBudget(t *testing.T) {
 	st, err := New(Config{Shards: 1, Blocks: 64, BlockBytes: 64, Unpaced: true})
 	if err != nil {
@@ -67,9 +67,9 @@ func wireAllocBudget(t *testing.T, svc Service) {
 		budget float64
 		op     func() error
 	}{
-		{"Read", 2, func() error { _, err := cl.Read(17); return err }},
-		{"Write", 1, func() error { return cl.Write(17, block) }},
-		{"ReadBatch(8)", 3, func() error { _, err := cl.ReadBatch("", batch); return err }},
+		{"Read", 1, func() error { _, err := cl.Read(17); return err }},
+		{"Write", 0, func() error { return cl.Write(17, block) }},
+		{"ReadBatch(8)", 2, func() error { _, err := cl.ReadBatch("", batch); return err }},
 	} {
 		// Warm the pools, the pending map and the frame buffers.
 		for i := 0; i < 200; i++ {
