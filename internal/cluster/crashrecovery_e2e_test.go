@@ -39,8 +39,9 @@ func TestClusterCrashRecoveryEndToEnd(t *testing.T) {
 		daemons []*exec.Cmd
 		argSets [][]string
 	)
+	ports := freePorts(t, 3)
 	for i := 0; i < 3; i++ {
-		addr := freePort(t)
+		addr := ports[i]
 		args := []string{
 			"-addr", addr,
 			"-shards", "1",

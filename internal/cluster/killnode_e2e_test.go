@@ -43,8 +43,9 @@ func TestClusterKillNodeEndToEnd(t *testing.T) {
 		addrs   []string
 		daemons []*exec.Cmd
 	)
+	ports := freePorts(t, 3)
 	for i := 0; i < 3; i++ {
-		addr := freePort(t)
+		addr := ports[i]
 		cmd := exec.Command(oramd,
 			"-addr", addr,
 			"-shards", "1",
@@ -178,14 +179,26 @@ func TestClusterKillNodeEndToEnd(t *testing.T) {
 	}
 }
 
-// freePort reserves an ephemeral loopback port and releases it for a daemon
-// to bind. The tiny reuse race is acceptable on loopback in CI.
-func freePort(t *testing.T) string {
+// freePorts reserves n distinct ephemeral loopback ports for daemons to
+// bind. Every listener stays open until all n ports are drawn, so the kernel
+// cannot hand one port out twice; releasing each port before drawing the
+// next once gave two daemons of one test the same address.
+func freePorts(t *testing.T, n int) []string {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	addrs := make([]string, 0, n)
+	seen := make(map[string]bool, n)
+	for i := 0; i < n; i++ {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		addr := fmt.Sprintf("127.0.0.1:%d", l.Addr().(*net.TCPAddr).Port)
+		if seen[addr] {
+			t.Fatalf("port %s drawn twice", addr)
+		}
+		seen[addr] = true
+		addrs = append(addrs, addr)
 	}
-	defer l.Close()
-	return fmt.Sprintf("127.0.0.1:%d", l.Addr().(*net.TCPAddr).Port)
+	return addrs
 }

@@ -79,13 +79,14 @@ func (s *Stack) TrackDirty() {
 	}
 }
 
-// AppendDelta drains every level's journal into the delta encoding: per
-// level the Merkle root, the position-map section — bound, dense count,
-// overflow count, then exactly bound (address, leaf) slots, the dirtied
-// entries in ascending address order followed by all-ones filler — and the
-// tail, then the deferred policy's counters (the layout in state.go). It
-// allocates nothing once the stack's scratch has grown. A journal over bound
-// fails with ErrDeltaBound before any journal is reset or anything appended.
+// AppendDelta flushes every level's cached top into its store, then drains
+// every level's journal into the delta encoding: per level the Merkle root,
+// the position-map section — bound, dense count, overflow count, then
+// exactly bound (address, leaf) slots, the dirtied entries in ascending
+// address order followed by all-ones filler — and the tail, then the
+// deferred policy's counters (the layout in state.go). It allocates nothing
+// once the stack's scratch has grown. A journal over bound fails with
+// ErrDeltaBound before anything is flushed, reset or appended.
 func (s *Stack) AppendDelta(b []byte, bound int) ([]byte, error) {
 	if err := s.checkIntegrity(); err != nil {
 		return nil, err
@@ -97,6 +98,9 @@ func (s *Stack) AppendDelta(b []byte, bound int) ([]byte, error) {
 		if n := len(o.posmap.drainJournal()); n > bound {
 			return nil, fmt.Errorf("%w: level %d dirtied %d entries, bound %d", ErrDeltaBound, i, n, bound)
 		}
+	}
+	if err := s.flushTop(); err != nil {
+		return nil, err
 	}
 	b = le.AppendUint32(b, uint32(len(s.orams)))
 	for _, o := range s.orams {

@@ -393,9 +393,14 @@ func TestDeltaPaddedToBound(t *testing.T) {
 }
 
 // TestAppendDeltaZeroAllocs pins the steady-state checkpoint encoder of a
-// classic stack at zero allocations once its buffer has grown. (A deferred
-// stack's tombstone sort scratch still grows now and then, amortized.)
+// classic stack, the top-cache flush it starts with included, at zero
+// allocations once its buffer has grown. (A deferred stack's tombstone sort
+// scratch still grows now and then, amortized.) The count is the least of
+// three rounds of 100 encodings, each round started from runtime.GC(): the
+// process-wide malloc counter also counts any other goroutine's allocation
+// inside a measured call, and one such allocation must not fail the pin.
 func TestAppendDeltaZeroAllocs(t *testing.T) {
+	const settle, n, rounds = 200, 100, 3
 	s, err := NewRecursive(RecursiveConfig{
 		DataBlocks: 256, DataBlockBytes: 32, PosMapBlockBytes: 32, Z: 3, Recursion: 1,
 	}, crypt.Key{23}, rand.New(rand.NewSource(23)))
@@ -406,8 +411,7 @@ func TestAppendDeltaZeroAllocs(t *testing.T) {
 	s.TrackDirty()
 	buf := make([]byte, 0, 64<<10)
 	var addr uint64
-	var allocs uint64
-	for w := 0; w < 300; w++ {
+	window := func() uint64 {
 		for i := 0; i < 2; i++ {
 			addr = (addr + 13) % 256
 			if err := s.Update(addr, nil); err != nil {
@@ -421,11 +425,21 @@ func TestAppendDeltaZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w >= 200 {
-			allocs += after.Mallocs - before.Mallocs
-		}
+		return after.Mallocs - before.Mallocs
 	}
-	if allocs != 0 {
-		t.Fatalf("100 steady-state delta encodings allocated %d times, want 0", allocs)
+	for w := 0; w < settle; w++ {
+		window()
+	}
+	least := ^uint64(0)
+	for r := 0; r < rounds; r++ {
+		runtime.GC()
+		var allocs uint64
+		for w := 0; w < n; w++ {
+			allocs += window()
+		}
+		least = min(least, allocs)
+	}
+	if least != 0 {
+		t.Fatalf("the least of %d rounds of %d steady-state delta encodings allocated %d times, want 0", rounds, n, least)
 	}
 }

@@ -20,7 +20,8 @@ func firstTouchConfig(recursion, batchK int) StackConfig {
 // dataLeafOf runs one Update on s and returns the leaf of the first data
 // path it reads — the block's own path, for either policy: classic reads it
 // before rewriting it, deferred fetches it before the slot's dummy fetches
-// and any eviction pass.
+// and any eviction pass. The bus carries only the path below the cached
+// top, L−t buckets, the last of them the leaf.
 func dataLeafOf(t *testing.T, s *Stack, addr uint64) uint64 {
 	t.Helper()
 	d := s.data
@@ -34,10 +35,11 @@ func dataLeafOf(t *testing.T, s *Stack, addr uint64) uint64 {
 			reads = append(reads, ev.Bucket)
 		}
 	}
-	if len(reads) < d.geom.Levels {
-		t.Fatalf("update of %d read %d data buckets, want at least %d", addr, len(reads), d.geom.Levels)
+	stored := d.geom.Levels - d.topLevels
+	if len(reads) < stored {
+		t.Fatalf("update of %d read %d data buckets, want at least %d", addr, len(reads), stored)
 	}
-	return reads[d.geom.Levels-1] - (d.geom.Leaves() - 1)
+	return reads[stored-1] - (d.geom.Leaves() - 1)
 }
 
 // leafBins is the number of equal leaf ranges the uniformity test counts

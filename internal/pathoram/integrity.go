@@ -22,8 +22,11 @@ var ErrIntegrity = errors.New("pathoram: integrity check failed")
 // tampering (any modified bucket ciphertext fails its digest check on the
 // next path read). Updates follow path write-back, which rewrites a path
 // leaf first: each rewritten bucket is hashed once (rehash), so a classic
-// access costs 3L hashes per tree of L levels — L verifications on the
-// read, then a digest and a subtree hash per bucket on the write.
+// access costs 3 hashes per stored bucket on its path — a verification on
+// the read, then a digest and a subtree hash on the write: 3L for a
+// standalone tree of L levels, 3(L−t) for a Stack's tree, whose top t
+// levels live in the trusted cache and are rehashed when flushTop writes
+// them back.
 type merkleTree struct {
 	geom    Geometry
 	digest  [][sha256.Size]byte

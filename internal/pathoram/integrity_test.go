@@ -63,10 +63,18 @@ func (r *refTrees) sync() (hashes []uint64) {
 
 // check requires every level's hash tree to equal its reference node for
 // node, and, when rebuild is set, a fresh newMerkleTree over the store too.
-func (r *refTrees) check(t *testing.T, step int, rebuild bool) {
+// Between flushes the cached top's subtree hashes still describe the store
+// as the last flush left it, while the reference climbed through them on
+// every write; so unless the top was just flushed (and the flush replayed by
+// sync), only the subtree hashes below the cached top are compared.
+func (r *refTrees) check(t *testing.T, step int, flushed, rebuild bool) {
 	t.Helper()
 	for i, o := range r.s.orams {
-		if !slices.Equal(o.integrity.subtree, r.trees[i].subtree) || !slices.Equal(o.integrity.digest, r.trees[i].digest) {
+		from := uint64(0)
+		if !flushed {
+			from = uint64(1)<<o.topLevels - 1
+		}
+		if !slices.Equal(o.integrity.subtree[from:], r.trees[i].subtree[from:]) || !slices.Equal(o.integrity.digest, r.trees[i].digest) {
 			t.Fatalf("step %d, level %d: hash tree differs from the climbing reference (root %x, reference %x)",
 				step, i, o.integrity.Root(), r.trees[i].Root())
 		}
@@ -89,9 +97,10 @@ func hashCounts(s *Stack) []uint64 {
 
 // TestMerkleMatchesClimbingReference drives mixed accesses through stacks
 // with integrity on and requires every level's hash tree to stay identical,
-// node for node, to one kept by the climbing reference update, and its root
-// to equal a rebuild over the store. Roots sealed into checkpoints by the
-// climbing algorithm therefore still verify.
+// node for node below the cached top, to one kept by the climbing reference
+// update; every fourth step it flushes the top, after which the whole tree
+// must match and its root equal a rebuild over the store. Roots sealed into
+// checkpoints by the climbing algorithm therefore still verify.
 func TestMerkleMatchesClimbingReference(t *testing.T) {
 	for _, recursion := range []int{0, 2} {
 		for _, batchK := range []int{0, 4} {
@@ -138,7 +147,14 @@ func TestMerkleMatchesClimbingReference(t *testing.T) {
 							t.Fatalf("step %d: %v", step, err)
 						}
 						ref.sync()
-						ref.check(t, step, step%100 == 99)
+						flush := step%4 == 3
+						if flush {
+							if err := s.flushTop(); err != nil {
+								t.Fatal(err)
+							}
+							ref.sync()
+						}
+						ref.check(t, step, flush, step%100 == 99)
 					}
 				})
 			}
@@ -147,20 +163,22 @@ func TestMerkleMatchesClimbingReference(t *testing.T) {
 }
 
 // TestMerkleHashCallsPerAccess pins the integrity cost: a classic access,
-// real or dummy, makes exactly 3L SHA-256 calls per tree of L levels — L
-// verifications on the read, a digest and a subtree hash per bucket on the
-// write — where the climbing reference made 2L + L(L+1)/2. At L = 12 that is
-// 36 against 102; for the 12/9/6 stack, 81 against 198. A deferred slot
-// makes L verifications per data fetch (the fetch writes nothing), 3L per
-// position-map level per fetch, and 3L per eviction path.
+// real or dummy, makes exactly 3(L−t) SHA-256 calls per tree of L levels
+// with t = min(6, L−1) of them cached — L−t verifications on the read, a
+// digest and a subtree hash per stored bucket on the write — where the
+// climbing reference, over the same stored buckets, makes (L−t) plus
+// Σ_{d=t}^{L−1} (d+2). At L = 12 that is 18 against 69; for the 12/9/6
+// stack (t = 6/6/5), 30 against 107. A deferred slot makes L−t
+// verifications per data fetch (the fetch writes nothing), 3(L−t) per
+// position-map level per fetch, and 3(L−t) per eviction path.
 func TestMerkleHashCallsPerAccess(t *testing.T) {
 	for _, c := range []struct {
 		recursion    int
-		levels       []int
+		levels, top  []int
 		after, refer uint64
 	}{
-		{0, []int{12}, 36, 102},
-		{2, []int{12, 9, 6}, 81, 198},
+		{0, []int{12}, []int{6}, 18, 69},
+		{2, []int{12, 9, 6}, []int{6, 6, 5}, 30, 107},
 	} {
 		t.Run(fmt.Sprintf("recursion=%d", c.recursion), func(t *testing.T) {
 			cfg := StackConfig{RecursiveConfig: RecursiveConfig{
@@ -197,8 +215,8 @@ func TestMerkleHashCallsPerAccess(t *testing.T) {
 				var total, refTotal uint64
 				for l, n := range hashCounts(s) {
 					perLevel := n - before[l]
-					if want := 3 * uint64(c.levels[l]); perLevel != want {
-						t.Fatalf("access %d, level %d: %d hash calls, want 3L = %d", i, l, perLevel, want)
+					if want := 3 * uint64(c.levels[l]-c.top[l]); perLevel != want {
+						t.Fatalf("access %d, level %d: %d hash calls, want 3(L−t) = %d", i, l, perLevel, want)
 					}
 					total += perLevel
 				}
@@ -221,9 +239,9 @@ func TestMerkleHashCallsPerAccess(t *testing.T) {
 		}
 		s.EnableIntegrity()
 		paths := uint64(s.Config().EvictPaths)
-		// Per fetch, real or dummy: 12 data-path verifications, plus a
-		// classic access at each map level (9 and 6 levels).
-		perFetch := uint64(12 + 3*(9+6))
+		// Per fetch, real or dummy: 12−6 data-path verifications, plus a
+		// classic access at each map level (9−6 and 6−5 stored levels).
+		perFetch := uint64(6 + 3*(3+1))
 		ops := make([]BatchOp, cfg.BatchK)
 		for slot := 0; slot < 64; slot++ {
 			before, passes := hashCounts(s), s.EvictPassCount()
@@ -239,7 +257,7 @@ func TestMerkleHashCallsPerAccess(t *testing.T) {
 			}
 			want := uint64(cfg.BatchK) * perFetch
 			if s.EvictPassCount() != passes {
-				want += paths * 3 * 12
+				want += paths * 3 * 6
 			}
 			if total != want {
 				t.Fatalf("slot %d: %d hash calls, want %d", slot, total, want)

@@ -3,6 +3,7 @@ package pathoram
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"tcoram/internal/crypt"
@@ -43,6 +44,11 @@ type BusEvent struct {
 // decrypted into a reused plaintext scratch buffer, stash payloads are
 // recycled through a free list, write-back encrypts directly into the
 // storage arena, and the position map is a flat slice.
+//
+// A tree built by a Stack also keeps its top levels as plaintext in trusted
+// memory (cacheTop): an access reads and rewrites only the path below them
+// in the untrusted store, and the cached buckets reach the store only when a
+// capture flushes them (flushTop).
 type ORAM struct {
 	geom    Geometry
 	store   BucketStore
@@ -62,6 +68,15 @@ type ORAM struct {
 
 	integrity *merkleTree // optional integrity extension ([25])
 
+	// top holds the plaintext of buckets 0..2^topLevels−2, the tree's top
+	// topLevels levels, in bucket order; topDirty has bit idx set for every
+	// cached bucket rewritten since the last flushTop. Until that flush the
+	// store keeps an older ciphertext of each dirty bucket, and the Merkle
+	// subtree hashes of the cached levels describe that older store.
+	topLevels int
+	top       []byte
+	topDirty  uint64
+
 	// stale marks tree copies of blocks whose authoritative version lives in
 	// the stash because a deferred-policy fetch extracted them without
 	// rewriting the path: bucket index -> set of stale addresses. nil on
@@ -78,9 +93,9 @@ type ORAM struct {
 	// Stats.
 	Accesses      uint64
 	DummyAccesses uint64
-	BucketReads   uint64     // buckets fetched from untrusted storage
-	BucketWrites  uint64     // buckets written back to untrusted storage
-	BusTrace      []BusEvent // populated only when TraceBus is true
+	BucketReads   uint64     // buckets fetched from untrusted storage by accesses
+	BucketWrites  uint64     // buckets written back to untrusted storage by accesses
+	BusTrace      []BusEvent // populated only when TraceBus is true; flushTop's writes included
 	TraceBus      bool
 }
 
@@ -186,6 +201,66 @@ func (o *ORAM) EnableIntegrity() {
 		panic("pathoram: EnableIntegrity must precede all accesses")
 	}
 	o.integrity = newMerkleTree(o.geom, o.store)
+}
+
+// maxTopLevels caps the levels a Stack's tree keeps in trusted memory:
+// 2^6−1 = 63 buckets, so one uint64 holds the dirty bits, and 13.6 KiB of
+// plaintext for a 64-B-block tree.
+const maxTopLevels = 6
+
+// topLevelsFor is the number of top levels a Stack caches for geometry g,
+// min(6, L−1): a public function of the shape, like Z. At least the leaf
+// level always stays in the untrusted store.
+func topLevelsFor(g Geometry) int { return min(maxTopLevels, g.Levels-1) }
+
+// cacheTop moves the top levels of the tree into trusted memory, decrypting
+// their current ciphertexts from the store (set-up buckets for a fresh tree,
+// the root-checked store for a recovered one). It allocates the whole cache
+// here, so accesses never do.
+func (o *ORAM) cacheTop(levels int) error {
+	n := uint64(1)<<levels - 1
+	pb := o.geom.BucketPlainBytes()
+	o.topLevels, o.top, o.topDirty = levels, make([]byte, int(n)*pb), 0
+	for idx := uint64(0); idx < n; idx++ {
+		if err := o.cipher.DecryptTo(o.topBucket(idx), o.store.ReadBucket(idx)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// cached reports whether bucket idx lives in the trusted top cache.
+func (o *ORAM) cached(idx uint64) bool { return idx < uint64(1)<<o.topLevels-1 }
+
+// topBucket returns cached bucket idx's plaintext, in place.
+func (o *ORAM) topBucket(idx uint64) []byte {
+	pb := uint64(o.geom.BucketPlainBytes())
+	return o.top[idx*pb : (idx+1)*pb : (idx+1)*pb]
+}
+
+// flushTop writes every cached bucket rewritten since the last flush to the
+// store, deepest first: each is encrypted into its store slot and, with
+// integrity on, rehashed, so that once the root is rehashed the Merkle root
+// covers the store's full contents again. The set of buckets written is the
+// level-<t ancestors of the paths written since the last flush — a function
+// of the public paths. Flushes do not count as BucketWrites: they belong to
+// captures, not to slots.
+func (o *ORAM) flushTop() error {
+	for o.topDirty != 0 {
+		idx := uint64(63 - bits.LeadingZeros64(o.topDirty))
+		ct := o.store.BucketSlice(idx)
+		if err := o.cipher.EncryptTo(ct, o.topBucket(idx)); err != nil {
+			return err
+		}
+		if o.integrity != nil {
+			o.integrity.rehash(idx, ct)
+		}
+		o.topDirty &^= 1 << idx
+		if o.TraceBus {
+			o.BusTrace = append(o.BusTrace, BusEvent{Bucket: idx, Write: true})
+		}
+	}
+	return nil
 }
 
 // PositionOf returns the leaf currently assigned to addr and whether the
@@ -296,24 +371,28 @@ func (o *ORAM) DummyAccess() error {
 	return nil
 }
 
-// openBucket fetches bucket idx from the untrusted store, verifies it when
-// integrity is on, and decrypts it into the reused plaintext scratch — no
-// per-bucket allocation.
-func (o *ORAM) openBucket(idx uint64) error {
+// openBucket returns bucket idx's plaintext: a cached bucket's slice of the
+// top cache, or else the bucket fetched from the untrusted store, verified
+// when integrity is on, and decrypted into the reused plaintext scratch — no
+// per-bucket allocation either way.
+func (o *ORAM) openBucket(idx uint64) ([]byte, error) {
+	if o.cached(idx) {
+		return o.topBucket(idx), nil
+	}
 	ct := o.store.ReadBucket(idx)
 	if o.integrity != nil {
 		if err := o.integrity.verify(idx, ct); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if err := o.cipher.DecryptTo(o.ptBuf, ct); err != nil {
-		return err
+		return nil, err
 	}
 	o.BucketReads++
 	if o.TraceBus {
 		o.BusTrace = append(o.BusTrace, BusEvent{Bucket: idx, Write: false})
 	}
-	return nil
+	return o.ptBuf, nil
 }
 
 // readPath moves every live block on the path to leaf into the stash
@@ -325,16 +404,17 @@ func (o *ORAM) readPath(leaf uint64) error {
 	o.pathBuf = o.geom.PathIndices(o.pathBuf[:0], leaf)
 	slotBytes := BlockHeaderBytes + o.geom.BlockBytes
 	for _, idx := range o.pathBuf {
-		if err := o.openBucket(idx); err != nil {
+		pt, err := o.openBucket(idx)
+		if err != nil {
 			return err
 		}
 		for i := 0; i < o.geom.Z; i++ {
 			off := i * slotBytes
-			addr, blkLeaf := unpackHeader(o.ptBuf[off:])
+			addr, blkLeaf := unpackHeader(pt[off:])
 			if addr == DummyAddr || (o.stale != nil && (o.isStale(idx, addr) || o.stash.Get(addr) != nil)) {
 				continue
 			}
-			o.stash.Put(Block{Addr: addr, Leaf: blkLeaf, Data: o.ptBuf[off+BlockHeaderBytes : off+slotBytes]})
+			o.stash.Put(Block{Addr: addr, Leaf: blkLeaf, Data: pt[off+BlockHeaderBytes : off+slotBytes]})
 		}
 	}
 	return nil
@@ -356,13 +436,14 @@ func (o *ORAM) fetchPath(leaf, target, newLeaf uint64) error {
 	slotBytes := BlockHeaderBytes + o.geom.BlockBytes
 	want := target != DummyAddr && o.stash.Get(target) == nil
 	for _, idx := range o.pathBuf {
-		if err := o.openBucket(idx); err != nil {
+		pt, err := o.openBucket(idx)
+		if err != nil {
 			return err
 		}
 		for i := 0; want && i < o.geom.Z; i++ {
 			off := i * slotBytes
-			if addr, _ := unpackHeader(o.ptBuf[off:]); addr == target && !o.isStale(idx, addr) {
-				o.stash.Put(Block{Addr: target, Leaf: newLeaf, Data: o.ptBuf[off+BlockHeaderBytes : off+slotBytes]})
+			if addr, _ := unpackHeader(pt[off:]); addr == target && !o.isStale(idx, addr) {
+				o.stash.Put(Block{Addr: target, Leaf: newLeaf, Data: pt[off+BlockHeaderBytes : off+slotBytes]})
 				o.markStale(idx, target)
 				want = false
 			}
@@ -408,20 +489,18 @@ func (o *ORAM) isStale(bucket, addr uint64) bool {
 // writePath re-encrypts the path to leaf, evicting stash blocks greedily
 // from the leaf level upward. Eviction is planned in a single stash scan
 // (grouped by deepest eligible level) and each bucket is encoded into the
-// plaintext scratch and encrypted straight into the storage arena.
+// plaintext scratch and encrypted straight into the storage arena — or, on
+// a cached level, encoded straight into the top cache and marked dirty.
 func (o *ORAM) writePath(leaf uint64) error {
 	o.pathBuf = o.geom.PathIndices(o.pathBuf[:0], leaf)
 	o.stash.PlanPathEviction(o.geom, leaf, o.geom.Z, &o.plan)
 	for level := o.geom.Levels - 1; level >= 0; level-- {
 		idx := o.pathBuf[level]
-		o.encodePlannedBucket(level)
-		ct := o.store.BucketSlice(idx)
-		if err := o.cipher.EncryptTo(ct, o.ptBuf); err != nil {
+		if o.cached(idx) {
+			o.encodePlannedBucket(o.topBucket(idx), level)
+			o.topDirty |= 1 << idx
+		} else if err := o.storeBucket(idx, level); err != nil {
 			return err
-		}
-		if o.integrity != nil {
-			// Leaf first, so one hash per bucket keeps the root current.
-			o.integrity.rehash(idx, ct)
 		}
 		if set := o.stale[idx]; set != nil {
 			// The rewrite replaced every slot in this bucket; any stale
@@ -430,20 +509,36 @@ func (o *ORAM) writePath(leaf uint64) error {
 			o.spareSets = append(o.spareSets, set)
 			delete(o.stale, idx)
 		}
-		o.BucketWrites++
-		if o.TraceBus {
-			o.BusTrace = append(o.BusTrace, BusEvent{Bucket: idx, Write: true})
-		}
 	}
 	o.stash.RemovePlanned(&o.plan)
 	return nil
 }
 
+// storeBucket encodes the planned bucket of level into the plaintext
+// scratch and encrypts it straight into store slot idx.
+func (o *ORAM) storeBucket(idx uint64, level int) error {
+	o.encodePlannedBucket(o.ptBuf, level)
+	ct := o.store.BucketSlice(idx)
+	if err := o.cipher.EncryptTo(ct, o.ptBuf); err != nil {
+		return err
+	}
+	if o.integrity != nil {
+		// Leaf first, so one hash per bucket keeps every stored bucket's
+		// subtree hash current; flushTop brings the cached top's along.
+		o.integrity.rehash(idx, ct)
+	}
+	o.BucketWrites++
+	if o.TraceBus {
+		o.BusTrace = append(o.BusTrace, BusEvent{Bucket: idx, Write: true})
+	}
+	return nil
+}
+
 // encodePlannedBucket packs the blocks the eviction plan assigned to level
-// into the plaintext scratch, padding the remaining slots with dummies.
-func (o *ORAM) encodePlannedBucket(level int) {
+// into dst, a bucket plaintext, padding the remaining slots with dummies.
+func (o *ORAM) encodePlannedBucket(dst []byte, level int) {
 	sel := o.plan.LevelBlocks(level)
-	slot := o.ptBuf
+	slot := dst
 	for i := 0; i < o.geom.Z; i++ {
 		if i < len(sel) {
 			b := o.stash.BlockAt(sel[i])
@@ -461,12 +556,15 @@ func (o *ORAM) encodePlannedBucket(level int) {
 // the block is either in the stash or stored on the path from the root to
 // its assigned leaf. It is O(tree) and intended for tests.
 func (o *ORAM) CheckInvariant() error {
-	// Decrypt the full tree once.
+	// Decrypt the full tree once; the cached levels come from the cache.
 	located := make(map[uint64]uint64) // addr -> bucket index
 	var blocks []Block
 	for idx := uint64(0); idx < o.geom.Buckets(); idx++ {
-		plain, err := o.cipher.Decrypt(o.store.ReadBucket(idx))
-		if err != nil {
+		var plain []byte
+		var err error
+		if o.cached(idx) {
+			plain = o.topBucket(idx)
+		} else if plain, err = o.cipher.Decrypt(o.store.ReadBucket(idx)); err != nil {
 			return err
 		}
 		blocks, err = o.geom.decodeBucket(blocks[:0], plain)

@@ -169,7 +169,9 @@ func TestRecursiveUpdateRMW(t *testing.T) {
 // TestRecursiveIntegrityAllLevels: with integrity enabled, tampering with
 // untrusted storage at ANY level of the stack — including a position-map
 // tree, whose contents are pure metadata — must fail the next access with
-// ErrIntegrity.
+// ErrIntegrity. The tamper hits the shallowest level each tree keeps in the
+// store, below its cached top: every path reads one bucket there, as every
+// path read the root before the top was cached.
 func TestRecursiveIntegrityAllLevels(t *testing.T) {
 	for level := 0; level < 3; level++ {
 		r := newTestRecursive(t, smallRecursiveConfig(), 31+int64(level))
@@ -180,10 +182,12 @@ func TestRecursiveIntegrityAllLevels(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Flip one byte of the root bucket of the chosen level's tree.
-		st := r.orams[level].Storage()
-		raw := st.BucketSlice(0)
-		raw[0] ^= 0xFF
+		// Flip one byte of every bucket of the chosen tree's first stored
+		// level.
+		o := r.orams[level]
+		for idx := uint64(1)<<o.topLevels - 1; idx < uint64(2)<<o.topLevels-1; idx++ {
+			o.Storage().BucketSlice(idx)[0] ^= 0xFF
+		}
 		var err error
 		for addr := uint64(0); addr < 32 && err == nil; addr++ {
 			_, err = r.Access(OpRead, addr, nil)

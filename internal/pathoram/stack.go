@@ -217,7 +217,8 @@ func NewBatchedOn(cfg BatchedConfig, key crypt.Key, rng *rand.Rand, factory Stor
 }
 
 // buildStack assembles a stack whose trees come from level — fresh ones for
-// NewStackOn, recovered ones for RecoverStack.
+// NewStackOn, recovered ones for RecoverStack — and moves each tree's top
+// min(6, L−1) levels into its trusted cache.
 func buildStack(cfg StackConfig, rng *rand.Rand, level func(i int, g Geometry, rng *rand.Rand) (*ORAM, error)) (*Stack, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -241,6 +242,9 @@ func buildStack(cfg StackConfig, rng *rand.Rand, level func(i int, g Geometry, r
 			// unassignedLabel in every slot, or the tree above it would
 			// fetch each of its own first touches along path 0.
 			o.fresh = bytes.Repeat([]byte{0xFF}, g.BlockBytes)
+		}
+		if err := o.cacheTop(topLevelsFor(g)); err != nil {
+			return nil, fmt.Errorf("level %d: %w", i, err)
 		}
 		s.orams = append(s.orams, o)
 	}
@@ -300,6 +304,18 @@ func (s *Stack) LevelStashPeaks(dst []int) []int {
 		dst = append(dst, o.stash.MaxOccupancy())
 	}
 	return dst
+}
+
+// flushTop writes every level's dirty cached buckets to its store, so each
+// Merkle root covers the tree's full contents: the first step of every
+// capture.
+func (s *Stack) flushTop() error {
+	for i, o := range s.orams {
+		if err := o.flushTop(); err != nil {
+			return fmt.Errorf("level %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // StorageStats aggregates the cache and file-IO counters of every level's

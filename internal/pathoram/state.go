@@ -105,11 +105,14 @@ type ShardState struct {
 // detect tampering.
 var errNoIntegrity = errors.New("pathoram: cannot capture state without integrity enabled (no merkle root to checkpoint)")
 
-// captureLevel snapshots one ORAM's trusted state. Integrity must be
-// enabled.
+// captureLevel flushes the tree's cached top into its store and snapshots
+// its trusted state. Integrity must be enabled.
 func (o *ORAM) captureLevel() (LevelState, error) {
 	if o.integrity == nil {
 		return LevelState{}, errNoIntegrity
+	}
+	if err := o.flushTop(); err != nil {
+		return LevelState{}, err
 	}
 	ls := LevelState{
 		Root:     o.integrity.Root(),
@@ -202,11 +205,15 @@ func (s *Stack) batchState() *BatchedState {
 	}
 }
 
-// AppendState appends the stack's complete trusted state — every level's
-// full position map — in the checkpoint encoding, the same state
-// CaptureState returns, and restarts every change journal.
+// AppendState flushes every level's cached top into its store, then appends
+// the stack's complete trusted state — every level's full position map — in
+// the checkpoint encoding, the same state CaptureState returns, and restarts
+// every change journal.
 func (s *Stack) AppendState(b []byte) ([]byte, error) {
 	if err := s.checkIntegrity(); err != nil {
+		return nil, err
+	}
+	if err := s.flushTop(); err != nil {
 		return nil, err
 	}
 	b = le.AppendUint32(b, uint32(len(s.orams)))
@@ -429,7 +436,9 @@ func (d *decoder) batch() *BatchedState {
 // recoverLevel rebuilds one ORAM around an existing untrusted store: the
 // store is re-hashed into a fresh Merkle tree, the recomputed root is
 // compared against the checkpointed one (ErrRootMismatch on any
-// difference), and the trusted state is restored verbatim.
+// difference), and the trusted state is restored verbatim. Every capture
+// flushed the cached top first, so the store holds it whole; buildStack
+// decrypts it back into the cache once the root has checked out.
 func recoverLevel(g Geometry, key crypt.Key, rng *rand.Rand, store BucketStore, ls *LevelState) (*ORAM, error) {
 	o, err := newORAMShell(g, key, rng, store)
 	if err != nil {
