@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -50,6 +51,22 @@ func TestBatchedConfigValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: Validate accepted %+v", i, c)
 		}
+	}
+	// A bucket's tombstones are one byte, so the deferred policy stops at
+	// Z = 8; the classic policy keeps none and takes any Z.
+	wide := smallBatchedConfig()
+	wide.Z = 9
+	if err := wide.Validate(); err == nil || !strings.Contains(err.Error(), "one-byte mask") {
+		t.Errorf("Validate of a deferred stack with Z = 9: got %v, want a refusal naming the one-byte mask", err)
+	}
+	wide.Z = 8
+	if err := wide.Validate(); err != nil {
+		t.Errorf("Validate refused a deferred stack with Z = 8: %v", err)
+	}
+	classic := StackConfig{RecursiveConfig: wide.RecursiveConfig}
+	classic.Z = 9
+	if err := classic.Validate(); err != nil {
+		t.Errorf("Validate refused a classic stack with Z = 9: %v", err)
 	}
 }
 

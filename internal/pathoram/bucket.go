@@ -50,23 +50,3 @@ func (g Geometry) encodeBucket(blocks []Block) []byte {
 	}
 	return out
 }
-
-// decodeBucket appends the real (non-dummy) blocks found in a bucket
-// plaintext to dst and returns the extended slice. Payloads are copied so
-// callers may retain them.
-func (g Geometry) decodeBucket(dst []Block, plain []byte) ([]Block, error) {
-	if len(plain) != g.BucketPlainBytes() {
-		return dst, fmt.Errorf("pathoram: bucket plaintext is %d bytes, want %d", len(plain), g.BucketPlainBytes())
-	}
-	for i := 0; i < g.Z; i++ {
-		off := i * (BlockHeaderBytes + g.BlockBytes)
-		addr, leaf := unpackHeader(plain[off:])
-		if addr == DummyAddr {
-			continue
-		}
-		data := make([]byte, g.BlockBytes)
-		copy(data, plain[off+BlockHeaderBytes:off+BlockHeaderBytes+g.BlockBytes])
-		dst = append(dst, Block{Addr: addr, Leaf: leaf, Data: data})
-	}
-	return dst, nil
-}

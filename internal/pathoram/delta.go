@@ -8,27 +8,28 @@ import (
 
 // This file implements incremental trusted-state capture: instead of
 // encoding the whole position map on every checkpoint (O(state), AppendState
-// in state.go), a dirty-tracked stack drains its change journals into a
-// delta describing only what moved since the previous capture — O(dirty)
-// for the position maps, which dominate the full snapshot at scale. Stash
-// contents, tombstones, counters and Merkle roots are carried whole in every
-// delta: they are O(log N) or O(1) per level, so re-sending them costs
-// nothing against the posmap savings and keeps delta application a plain
-// overwrite instead of an op log.
+// in state.go), a dirty-tracked stack drains the change journal of its one
+// position map, the deepest tree's, into a delta describing only what moved
+// since the previous capture — O(dirty) for the map, which dominates the
+// full snapshot at scale. Stash contents, tombstones, counters and Merkle
+// roots are carried whole in every delta: they are small next to the map,
+// so re-sending them keeps delta application a plain overwrite instead of
+// an op log.
 //
 // A delta's position-map section has a public length. The caller passes the
-// most entries one capture window can dirty (the server: one remap per level
-// per fetched path, CheckpointEvery × BatchK), every level's section is
-// padded to exactly that many entries, and a journal holding more fails the
-// capture (ErrDeltaBound) rather than write a longer section. So the sealed
-// size of a delta never says how many distinct addresses a window touched.
+// most entries one capture window can dirty (the server: one remap per
+// fetched path, CheckpointEvery × BatchK), the owner's section is padded to
+// exactly that many entries (every other tree's is empty), and a journal
+// holding more fails the capture (ErrDeltaBound) rather than write a longer
+// section. So the sealed size of a delta never says how many distinct
+// addresses a window touched.
 //
 // The protocol is encode/decode/apply: DecodeDelta parses what AppendDelta
 // wrote and ApplyDelta folds it into a full ShardState, so a recovery that
 // reads a base plus a chain of deltas reconstructs the exact ShardState a
 // full capture would have produced at the same point.
 
-// ErrDeltaBound is returned by AppendDelta when a level's journal holds more
+// ErrDeltaBound is returned by AppendDelta when the journal holds more
 // distinct entries than the public bound the delta is padded to.
 var ErrDeltaBound = errors.New("pathoram: change journal exceeds the delta's public entry bound")
 
@@ -48,11 +49,11 @@ type PosEntry struct {
 // state, bound to the untrusted store by the Merkle root at capture time.
 type LevelDelta struct {
 	Root [sha256.Size]byte
-	// PosDense and PosOver hold only the entries dirtied since the last
-	// capture, split the same way the full snapshot splits them.
-	PosDense []PosEntry
-	PosOver  []PosEntry
-	// Bound is the public entry count the encoded section was padded to.
+	// Pos holds only the entries dirtied since the last capture, in
+	// ascending address order.
+	Pos []PosEntry
+	// Bound is the public entry count the encoded section was padded to:
+	// the capture's bound on the deepest tree, 0 on every other.
 	Bound int
 	// LevelTail replaces its ShardState counterpart wholesale, except that
 	// the stash peak only ever grows.
@@ -67,37 +68,33 @@ type ShardDelta struct {
 	Batch *BatchedState
 }
 
-// TrackDirty arms dirty tracking on one tree: from now on position-map
-// writes are journaled so a delta capture can encode only the change set.
-// Idempotent; a subsequent full capture resets (not disarms) the journal.
-func (o *ORAM) TrackDirty() { o.posmap.Track() }
+// TrackDirty arms dirty tracking on the stack's position map: from now on
+// its writes are journaled so a delta capture can encode only the change
+// set. Idempotent; a subsequent full capture resets (not disarms) the
+// journal.
+func (s *Stack) TrackDirty() { s.owner().tracking = true }
 
-// TrackDirty arms dirty tracking on every level of the stack.
-func (s *Stack) TrackDirty() {
-	for _, o := range s.orams {
-		o.TrackDirty()
-	}
-}
+// owner returns the stack's one position map, the deepest tree's.
+func (s *Stack) owner() *positionMap { return &s.orams[len(s.orams)-1].posmap }
 
 // AppendDelta flushes every level's cached top into its store, then drains
-// every level's journal into the delta encoding: per level the Merkle root,
-// the position-map section — bound, dense count, overflow count, then
-// exactly bound (address, leaf) slots, the dirtied entries in ascending
-// address order followed by all-ones filler — and the tail, then the
-// deferred policy's counters (the layout in state.go). It allocates nothing
-// once the stack's scratch has grown. A journal over bound fails with
-// ErrDeltaBound before anything is flushed, reset or appended.
+// the journal into the delta encoding: per level the Merkle root, the
+// position-map section — its bound (bound on the deepest tree, 0 on every
+// other), the entry count, then exactly that bound of (address, leaf)
+// slots, the dirtied entries in ascending address order followed by
+// all-ones filler — and the tail, then the deferred policy's counters (the
+// layout in state.go). It allocates nothing once the stack's scratch has
+// grown. A journal over bound fails with ErrDeltaBound before anything is
+// flushed, reset or appended.
 func (s *Stack) AppendDelta(b []byte, bound int) ([]byte, error) {
 	if err := s.checkIntegrity(); err != nil {
 		return nil, err
 	}
-	for i, o := range s.orams {
-		if !o.posmap.Tracking() {
-			return nil, errNotTracking
-		}
-		if n := len(o.posmap.drainJournal()); n > bound {
-			return nil, fmt.Errorf("%w: level %d dirtied %d entries, bound %d", ErrDeltaBound, i, n, bound)
-		}
+	if !s.owner().tracking {
+		return nil, errNotTracking
+	}
+	if n := len(s.owner().drainJournal()); n > bound {
+		return nil, fmt.Errorf("%w: the position map dirtied %d entries, bound %d", ErrDeltaBound, n, bound)
 	}
 	if err := s.flushTop(); err != nil {
 		return nil, err
@@ -106,22 +103,18 @@ func (s *Stack) AppendDelta(b []byte, bound int) ([]byte, error) {
 	for _, o := range s.orams {
 		root := o.integrity.Root()
 		b = append(b, root[:]...)
-		addrs := o.posmap.journal
-		dense := 0
-		for dense < len(addrs) && addrs[dense] < o.posmap.limit {
-			dense++
+		pm, slots := &o.posmap, 0
+		if pm.flat != nil {
+			slots = bound
 		}
-		b = le.AppendUint32(b, uint32(bound))
-		b = le.AppendUint32(b, uint32(dense))
-		b = le.AppendUint32(b, uint32(len(addrs)-dense))
-		for _, a := range addrs {
-			leaf, _ := o.posmap.Get(a)
-			b = le.AppendUint64(le.AppendUint64(b, a), leaf)
+		b = le.AppendUint32(le.AppendUint32(b, uint32(slots)), uint32(len(pm.journal)))
+		for _, a := range pm.journal {
+			b = le.AppendUint64(le.AppendUint64(b, a), pm.flat[a])
 		}
-		for i := len(addrs); i < bound; i++ {
+		for i := len(pm.journal); i < slots; i++ {
 			b = le.AppendUint64(le.AppendUint64(b, ^uint64(0)), ^uint64(0))
 		}
-		o.posmap.resetJournal()
+		pm.resetJournal()
 		b = o.appendTail(b)
 	}
 	return s.appendBatch(b), nil
@@ -135,25 +128,21 @@ func DecodeDelta(b []byte) (*ShardDelta, []byte, error) {
 	for i := range sd.Levels {
 		ld := &sd.Levels[i]
 		copy(ld.Root[:], d.take(sha256.Size))
-		bound, dense, over := int(d.u32()), int(d.u32()), int(d.u32())
-		if d.err == nil && (bound > len(d.b)/16 || dense+over > bound) {
+		bound, n := int(d.u32()), int(d.u32())
+		if d.err == nil && (bound > len(d.b)/16 || n > bound) {
 			d.err = errTruncated
 		}
 		if d.err != nil {
 			break
 		}
 		ld.Bound = bound
-		entries := make([]PosEntry, dense+over)
-		for j := range entries {
-			entries[j] = PosEntry{Addr: d.u64(), Leaf: d.u64()}
+		if n > 0 {
+			ld.Pos = make([]PosEntry, n)
+			for j := range ld.Pos {
+				ld.Pos[j] = PosEntry{Addr: d.u64(), Leaf: d.u64()}
+			}
 		}
-		if dense > 0 {
-			ld.PosDense = entries[:dense]
-		}
-		if over > 0 {
-			ld.PosOver = entries[dense:]
-		}
-		d.take(16 * (bound - dense - over))
+		d.take(16 * (bound - n))
 		ld.LevelTail = d.tail()
 	}
 	sd.Batch = d.batch()
@@ -166,12 +155,12 @@ func DecodeDelta(b []byte) (*ShardDelta, []byte, error) {
 // ApplyDelta folds a ShardDelta into a full ShardState in place, producing
 // the state a full capture would have written at the delta's capture point.
 // It is how recovery replays a base + delta chain before rebuilding the
-// stack; idempotent, so replaying the same delta twice converges. geoms are
-// the stack's level geometries: a dense entry at or past a tree's capacity
-// is refused (it could only come from a delta captured under another shape).
-func ApplyDelta(st *ShardState, d *ShardDelta, geoms []Geometry) error {
-	if len(d.Levels) != len(st.Levels) || len(geoms) != len(st.Levels) {
-		return fmt.Errorf("pathoram: delta describes %d levels, base state has %d, geometry %d", len(d.Levels), len(st.Levels), len(geoms))
+// stack; idempotent, so replaying the same delta twice converges. An entry
+// outside the base's map for its level is refused (it could only come from
+// a delta captured under another shape).
+func ApplyDelta(st *ShardState, d *ShardDelta) error {
+	if len(d.Levels) != len(st.Levels) {
+		return fmt.Errorf("pathoram: delta describes %d levels, base state has %d", len(d.Levels), len(st.Levels))
 	}
 	if (d.Batch != nil) != (st.Batch != nil) {
 		return errors.New("pathoram: delta and base state disagree on the fetch policy")
@@ -179,23 +168,14 @@ func ApplyDelta(st *ShardState, d *ShardDelta, geoms []Geometry) error {
 	for i := range d.Levels {
 		ls := &st.Levels[i]
 		ld := &d.Levels[i]
-		for _, e := range ld.PosDense {
-			if e.Addr >= geoms[i].Capacity() {
-				return fmt.Errorf("pathoram: delta maps address %d at level %d, capacity %d", e.Addr, i, geoms[i].Capacity())
+		for _, e := range ld.Pos {
+			if e.Addr >= uint64(len(ls.Pos)) {
+				return fmt.Errorf("pathoram: delta maps address %d at level %d, whose map holds %d entries", e.Addr, i, len(ls.Pos))
 			}
 		}
 		ls.Root = ld.Root
-		for _, e := range ld.PosDense {
-			for uint64(len(ls.PosDense)) <= e.Addr {
-				ls.PosDense = append(ls.PosDense, unknownLeaf)
-			}
-			ls.PosDense[e.Addr] = e.Leaf
-		}
-		if len(ld.PosOver) > 0 && ls.PosOver == nil {
-			ls.PosOver = make(map[uint64]uint64, len(ld.PosOver))
-		}
-		for _, e := range ld.PosOver {
-			ls.PosOver[e.Addr] = e.Leaf
+		for _, e := range ld.Pos {
+			ls.Pos[e.Addr] = e.Leaf
 		}
 		peak := max(ls.StashPeak, ld.StashPeak)
 		ls.LevelTail = ld.LevelTail

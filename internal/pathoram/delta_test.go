@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"tcoram/internal/crypt"
@@ -59,13 +60,13 @@ func TestCaptureDeltaRequiresTracking(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := encodeDelta(t, s, 4)
-	if len(d.Levels) != 1 || len(d.Levels[0].PosDense) != 1 {
+	if len(d.Levels) != 1 || len(d.Levels[0].Pos) != 1 {
 		t.Fatalf("delta after one write carries %+v, want one position-map entry", d.Levels)
 	}
 	// The capture drained the journal: a second capture with no traffic in
 	// between describes an empty change set, padded to the same bound.
 	d2 := encodeDelta(t, s, 4)
-	if n := len(d2.Levels[0].PosDense) + len(d2.Levels[0].PosOver); n != 0 || d2.Levels[0].Bound != 4 {
+	if n := len(d2.Levels[0].Pos); n != 0 || d2.Levels[0].Bound != 4 {
 		t.Fatalf("second capture without traffic carries %d entries under bound %d", n, d2.Levels[0].Bound)
 	}
 }
@@ -111,7 +112,7 @@ func TestDeltaRoundTripFlat(t *testing.T) {
 	fs.Close()
 
 	for _, d := range []*ShardDelta{d1, d2, d2} {
-		if err := ApplyDelta(base, d, cfg.Geometries()); err != nil {
+		if err := ApplyDelta(base, d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -186,7 +187,7 @@ func TestDeltaRoundTripBatched(t *testing.T) {
 	}
 
 	for _, d := range []*ShardDelta{d1, d2} {
-		if err := ApplyDelta(base, d, b.Config().Geometries()); err != nil {
+		if err := ApplyDelta(base, d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -241,8 +242,8 @@ func TestDeltaSizeODirty(t *testing.T) {
 	s.EnableIntegrity()
 	s.TrackDirty()
 	buf := make([]byte, 16)
-	// Touch the last address so the dense position map spans all 2^20
-	// entries, as it would after a full warm-up.
+	// The position map spans the whole tree from construction on, so one
+	// access already makes the full checkpoint full-sized.
 	if _, err := s.Access(OpWrite, (1<<20)-1, buf); err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,7 @@ func TestDeltaSizeODirty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ApplyDelta(full, d, cfg.Geometries()); err != nil {
+	if err := ApplyDelta(full, d); err != nil {
 		t.Fatal(err)
 	}
 	fresh, err := s.CaptureState()
@@ -286,8 +287,8 @@ func TestDeltaSizeODirty(t *testing.T) {
 
 // TestStateEncodingMatchesCapture pins the checkpoint encoding to the
 // captured state it stands for, on a stack that exercises every section —
-// position maps on three levels, a stash, tombstones and the deferred
-// counters — and checks that every strict prefix of the encoding fails to
+// the deepest tree's position map, empty sections on the two trees above
+// it, a stash, tombstones and the deferred counters — and checks that every strict prefix of the encoding fails to
 // decode instead of yielding a state.
 func TestStateEncodingMatchesCapture(t *testing.T) {
 	cfg := BatchedConfig{RecursiveConfig: RecursiveConfig{
@@ -303,9 +304,6 @@ func TestStateEncodingMatchesCapture(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(s.data.stale) == 0 || s.data.stash.Len() == 0 {
-		t.Fatal("workload left no tombstones or no stash to encode")
-	}
 	enc, err := s.AppendState(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -317,6 +315,9 @@ func TestStateEncodingMatchesCapture(t *testing.T) {
 	want, err := s.CaptureState()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(want.Levels[0].Stale) == 0 || len(want.Levels[0].Stash) == 0 {
+		t.Fatal("workload left no tombstones or no stash to encode")
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("decoded encoding differs from CaptureState")
@@ -337,10 +338,107 @@ func TestStateEncodingMatchesCapture(t *testing.T) {
 	}
 }
 
+// TestBaseMapLengthIsPublic: a base record carries the deepest tree's whole
+// position map, one entry per slot of that tree, and no map for any other
+// tree, however many addresses have been touched — touching one address
+// and touching every address give the same sections.
+func TestBaseMapLengthIsPublic(t *testing.T) {
+	for _, recursion := range []int{0, 2} {
+		cfg := StackConfig{RecursiveConfig: RecursiveConfig{
+			DataBlocks: 8192, DataBlockBytes: 64, PosMapBlockBytes: 32, Z: 3, Recursion: recursion,
+		}}
+		geoms := cfg.Geometries()
+		sections := func(touched uint64) []int {
+			s, err := NewStack(cfg, crypt.Key{24}, rand.New(rand.NewSource(24)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.EnableIntegrity()
+			for a := uint64(0); a < touched; a++ {
+				if err := s.Update(a, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var lens []int
+			for _, ls := range encodeState(t, s).Levels {
+				lens = append(lens, len(ls.Pos))
+			}
+			return lens
+		}
+		one, all := sections(1), sections(cfg.DataBlocks)
+		if !slices.Equal(one, all) {
+			t.Errorf("recursion %d: map sections hold %v entries after touching one address, %v after touching all", recursion, one, all)
+		}
+		for i, n := range all {
+			want := 0
+			if i == len(geoms)-1 {
+				want = int(geoms[i].Capacity())
+			}
+			if n != want {
+				t.Errorf("recursion %d: level %d's map section holds %d entries, want %d", recursion, i, n, want)
+			}
+		}
+	}
+}
+
+// TestRecoverRefusesMisshapenState: recovery restores trusted state only
+// once it fits the tree it is restored into — a map only on the deepest
+// tree and exactly its capacity long, tombstones only on a deferred data
+// tree, each inside the tree and its Z slots.
+func TestRecoverRefusesMisshapenState(t *testing.T) {
+	base := RecursiveConfig{DataBlocks: 128, DataBlockBytes: 32, PosMapBlockBytes: 32, Z: 3, Recursion: 1}
+	classic, deferred := StackConfig{RecursiveConfig: base}, StackConfig{RecursiveConfig: base, BatchK: 4}
+	cases := []struct {
+		name   string
+		cfg    StackConfig
+		mutate func(st *ShardState) // nil: the capture as taken, which must recover
+	}{
+		{"a sound capture", deferred, nil},
+		{"a short map on the deepest tree", classic, func(st *ShardState) { st.Levels[1].Pos = st.Levels[1].Pos[1:] }},
+		{"a map on the data tree", classic, func(st *ShardState) { st.Levels[0].Pos = []uint64{unknownLeaf} }},
+		{"tombstones on a classic tree", classic, func(st *ShardState) { st.Levels[0].Stale = []StaleMask{{Bucket: 0, Mask: 1}} }},
+		{"tombstones on a position-map tree", deferred, func(st *ShardState) { st.Levels[1].Stale = []StaleMask{{Bucket: 0, Mask: 1}} }},
+		{"a tombstone past the last bucket", deferred, func(st *ShardState) {
+			st.Levels[0].Stale = append(st.Levels[0].Stale, StaleMask{Bucket: deferred.Geometries()[0].Buckets(), Mask: 1})
+		}},
+		{"a tombstone past slot Z", deferred, func(st *ShardState) {
+			st.Levels[0].Stale = append(st.Levels[0].Stale, StaleMask{Bucket: 0, Mask: 1 << base.Z})
+		}},
+	}
+	for _, c := range cases {
+		s, err := NewStack(c.cfg, crypt.Key{25}, rand.New(rand.NewSource(25)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.EnableIntegrity()
+		for a := uint64(0); a < 40; a++ {
+			if err := s.Update(a*3%base.DataBlocks, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := s.CaptureState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.mutate != nil {
+			c.mutate(st)
+		}
+		// The live stack's flushed stores match the captured roots.
+		stores := func(level int, _ Geometry) (BucketStore, error) { return s.orams[level].store, nil }
+		_, err = RecoverStack(c.cfg, crypt.Key{25}, nil, stores, st)
+		if sound := c.mutate == nil; sound && err != nil {
+			t.Fatalf("%s: refused: %v", c.name, err)
+		} else if !sound && err == nil {
+			t.Errorf("%s: recovered", c.name)
+		}
+	}
+}
+
 // TestDeltaPaddedToBound pins the delta's public length: whether a window
 // touched no address, one address again and again, or a distinct address per
-// access, every level's section carries exactly the bound, and so the
-// encodings are the same length. A journal over the bound is refused.
+// access, the deepest tree's section carries exactly the bound and every
+// other tree's none, and so the encodings are the same length. A journal
+// over the bound is refused.
 func TestDeltaPaddedToBound(t *testing.T) {
 	const bound = 8
 	cfg := StackConfig{RecursiveConfig: RecursiveConfig{
@@ -373,8 +471,12 @@ func TestDeltaPaddedToBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, ld := range d.Levels {
-			if ld.Bound != bound {
-				t.Errorf("%s: level %d section carries %d entries, want %d", name, i, ld.Bound, bound)
+			want := 0
+			if i == len(d.Levels)-1 {
+				want = bound
+			}
+			if ld.Bound != want {
+				t.Errorf("%s: level %d section carries %d entries, want %d", name, i, ld.Bound, want)
 			}
 		}
 		if length >= 0 && len(enc) != length {
@@ -382,8 +484,9 @@ func TestDeltaPaddedToBound(t *testing.T) {
 		}
 		length = len(enc)
 	}
+	// Addresses one position-map block apart dirty one label each.
 	for i := 0; i <= bound; i++ {
-		if err := s.Update(uint64(i), nil); err != nil {
+		if err := s.Update(uint64(i)*s.fan, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -392,25 +495,36 @@ func TestDeltaPaddedToBound(t *testing.T) {
 	}
 }
 
-// TestAppendDeltaZeroAllocs pins the steady-state checkpoint encoder of a
-// classic stack, the top-cache flush it starts with included, at zero
-// allocations once its buffer has grown. (A deferred stack's tombstone sort
-// scratch still grows now and then, amortized.) The count is the least of
-// three rounds of 100 encodings, each round started from runtime.GC(): the
-// process-wide malloc counter also counts any other goroutine's allocation
-// inside a measured call, and one such allocation must not fail the pin.
+// TestAppendDeltaZeroAllocs pins the steady-state checkpoint encoder, the
+// top-cache flush it starts with included, at zero allocations once its
+// buffer has grown: on a classic stack, and on a deferred one whose data
+// tree holds live tombstones, encoded by one scan of its mask bytes. The
+// count is the least of three rounds of 100 encodings, each round started
+// from runtime.GC(): the process-wide malloc counter also counts any other
+// goroutine's allocation inside a measured call, and one such allocation
+// must not fail the pin.
 func TestAppendDeltaZeroAllocs(t *testing.T) {
-	const settle, n, rounds = 200, 100, 3
-	s, err := NewRecursive(RecursiveConfig{
-		DataBlocks: 256, DataBlockBytes: 32, PosMapBlockBytes: 32, Z: 3, Recursion: 1,
-	}, crypt.Key{23}, rand.New(rand.NewSource(23)))
-	if err != nil {
-		t.Fatal(err)
+	shape := RecursiveConfig{DataBlocks: 256, DataBlockBytes: 32, PosMapBlockBytes: 32, Z: 3, Recursion: 1}
+	for _, batchK := range []int{0, 4} {
+		s, err := NewStack(StackConfig{RecursiveConfig: shape, BatchK: batchK}, crypt.Key{23}, rand.New(rand.NewSource(23)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if least := deltaAllocs(t, s); least != 0 {
+			t.Errorf("BatchK %d: the least of the rounds of steady-state delta encodings allocated %d times, want 0", batchK, least)
+		}
 	}
+}
+
+// deltaAllocs encodes windows of two updates each and returns the least
+// allocation count over rounds of steady-state encodings.
+func deltaAllocs(t *testing.T, s *Stack) uint64 {
+	const settle, n, rounds = 200, 100, 3
 	s.EnableIntegrity()
 	s.TrackDirty()
 	buf := make([]byte, 0, 64<<10)
 	var addr uint64
+	var err error
 	window := func() uint64 {
 		for i := 0; i < 2; i++ {
 			addr = (addr + 13) % 256
@@ -430,6 +544,9 @@ func TestAppendDeltaZeroAllocs(t *testing.T) {
 	for w := 0; w < settle; w++ {
 		window()
 	}
+	if s.cfg.Deferred() && !slices.ContainsFunc(s.data.stale, func(m uint8) bool { return m != 0 }) {
+		t.Fatal("the deferred stack holds no tombstones to encode")
+	}
 	least := ^uint64(0)
 	for r := 0; r < rounds; r++ {
 		runtime.GC()
@@ -439,7 +556,5 @@ func TestAppendDeltaZeroAllocs(t *testing.T) {
 		}
 		least = min(least, allocs)
 	}
-	if least != 0 {
-		t.Fatalf("the least of %d rounds of %d steady-state delta encodings allocated %d times, want 0", rounds, n, least)
-	}
+	return least
 }

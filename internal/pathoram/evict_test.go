@@ -47,11 +47,11 @@ func TestEvictionDeterministicAcrossRuns(t *testing.T) {
 			t.Fatalf("stash order differs at slot %d: %d vs %d", i, aAddrs[i], bAddrs[i])
 		}
 	}
-	a.posmap.ForEach(func(addr, leaf uint64) {
-		if got, ok := b.posmap.Get(addr); !ok || got != leaf {
-			t.Fatalf("position map differs at addr %d: %d vs %d (ok=%v)", addr, leaf, got, ok)
+	for addr, leaf := range a.posmap.flat {
+		if got := b.posmap.flat[addr]; got != leaf {
+			t.Fatalf("position map differs at addr %d: %d vs %d", addr, leaf, got)
 		}
-	})
+	}
 }
 
 // TestEvictForBucketOrderPinned pins the deterministic selection order:
@@ -257,9 +257,9 @@ func TestRecursiveAccessAllocBudget(t *testing.T) {
 
 // TestBatchedSlotAllocBudget extends the budget to the deferred policy's
 // slot: a full batch of k distinct blocks and the all-dummy slot, eviction
-// pass included. Both allocate nothing: a write-back that retires a
-// bucket's tombstone set clears it onto a spare list, and the next fetch
-// that tombstones a copy reuses it.
+// pass included. Both allocate nothing: a fetch tombstones the slot it
+// takes a copy from by setting a bit in the tree's one-byte-per-bucket
+// mask, and a write-back clears a bucket's byte.
 func TestBatchedSlotAllocBudget(t *testing.T) {
 	cfg := BatchedConfig{RecursiveConfig: RecursiveConfig{
 		DataBlocks: 512, DataBlockBytes: 64, PosMapBlockBytes: 32, Z: 3, Recursion: 2,

@@ -35,10 +35,12 @@ type BusEvent struct {
 	Write  bool
 }
 
-// ORAM is one tree level of a functional Path ORAM: a bucket tree, its stash
-// and the in-controller position map of its blocks. A Stack composes these
-// into the paper's recursion; on its own an ORAM is a complete single-level
-// Path ORAM (what the adversary demos and the per-layer probes drive).
+// ORAM is one tree level of a functional Path ORAM: a bucket tree and its
+// stash, plus the in-controller position map of its blocks when the tree
+// owns its labels. A Stack composes these into the paper's recursion, where
+// only the deepest tree keeps a map; on its own an ORAM is a complete
+// single-level Path ORAM (what the adversary demos and the per-layer probes
+// drive).
 //
 // The access hot path is allocation-free in steady state: buckets are
 // decrypted into a reused plaintext scratch buffer, stash payloads are
@@ -54,7 +56,7 @@ type ORAM struct {
 	store   BucketStore
 	cipher  *crypt.Cipher
 	stash   *Stash
-	posmap  *positionMap
+	posmap  positionMap // empty unless the tree owns its labels
 	rng     *rand.Rand
 	pathBuf []uint64
 	ptBuf   []byte // bucket plaintext scratch (decrypt target, encode source)
@@ -63,8 +65,6 @@ type ORAM struct {
 	// position-map tree (every label in it reads unassignedLabel).
 	fresh []byte
 	plan  EvictPlan
-	// sortScratch is reused by the checkpoint encoder to order tombstones.
-	sortScratch []uint64
 
 	integrity *merkleTree // optional integrity extension ([25])
 
@@ -79,16 +79,14 @@ type ORAM struct {
 
 	// stale marks tree copies of blocks whose authoritative version lives in
 	// the stash because a deferred-policy fetch extracted them without
-	// rewriting the path: bucket index -> set of stale addresses. nil on
-	// every tree that is only ever read-and-rewritten (the classic policy,
-	// and the position-map trees of any stack); writePath clears a bucket's
-	// entry whenever it rewrites that bucket, since the rewrite either
-	// re-evicts the fresh copy or replaces the slot. See fetchPath.
-	stale map[uint64]map[uint64]struct{}
-	// spareSets holds cleared tombstone sets writePath retired, which
-	// markStale reuses before it makes a new one: a deferred fetch then
-	// allocates nothing in steady state.
-	spareSets []map[uint64]struct{}
+	// rewriting the path: bit i of stale[b] means slot i of bucket b is
+	// stale, so Z is at most 8. One byte per bucket, allocated whole with
+	// the tree; nil on every tree that is only ever read-and-rewritten (the
+	// classic policy, and the position-map trees of any stack). writePath
+	// zeroes a bucket's byte whenever it rewrites that bucket, since the
+	// rewrite either re-evicts the fresh copy or replaces the slot. See
+	// fetchPath.
+	stale []uint8
 
 	// Stats.
 	Accesses      uint64
@@ -112,7 +110,22 @@ func NewORAM(g Geometry, key crypt.Key, rng *rand.Rand) (*ORAM, error) {
 // fresh in-RAM ByteStorage). The store's prior contents are overwritten by
 // initialization; recovery from an existing store goes through RecoverStack.
 func NewORAMOn(g Geometry, key crypt.Key, rng *rand.Rand, store BucketStore) (*ORAM, error) {
-	o, err := newORAMShell(g, key, rng, store)
+	return newORAM(g, key, rng, store, treeRole{owner: true})
+}
+
+// treeRole names the trusted state a tree keeps beside its stash.
+type treeRole struct {
+	// owner: the tree holds its own position map — a standalone ORAM, or
+	// the deepest tree of a Stack.
+	owner bool
+	// deferred: the tree is fetched without rewriting, so it keeps
+	// tombstones — the data tree of a deferred Stack.
+	deferred bool
+}
+
+// newORAM is NewORAMOn for a tree of the given role.
+func newORAM(g Geometry, key crypt.Key, rng *rand.Rand, store BucketStore, role treeRole) (*ORAM, error) {
+	o, err := newORAMShell(g, key, rng, store, role)
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +142,7 @@ func NewORAMOn(g Geometry, key crypt.Key, rng *rand.Rand, store BucketStore) (*O
 // touching the store's contents — the shared half of NewORAMOn (which then
 // initializes every bucket) and recoverLevel (which restores state and
 // verifies the existing buckets instead).
-func newORAMShell(g Geometry, key crypt.Key, rng *rand.Rand, store BucketStore) (*ORAM, error) {
+func newORAMShell(g Geometry, key crypt.Key, rng *rand.Rand, store BucketStore, role treeRole) (*ORAM, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -148,10 +161,15 @@ func newORAMShell(g Geometry, key crypt.Key, rng *rand.Rand, store BucketStore) 
 		store:  store,
 		cipher: crypt.NewCipher(key, randReader{rng}),
 		stash:  NewStash(),
-		posmap: newPositionMap(g.Capacity()),
 		rng:    rng,
 		ptBuf:  make([]byte, g.BucketPlainBytes()),
 		fresh:  make([]byte, g.BlockBytes),
+	}
+	if role.owner {
+		o.posmap = newPositionMap(g.Capacity())
+	}
+	if role.deferred {
+		o.stale = make([]uint8, g.Buckets())
 	}
 	// One path read alone can bring Z·L blocks into the stash; room for
 	// twice that covers the peaks the presets reach, so an access that sets
@@ -264,8 +282,12 @@ func (o *ORAM) flushTop() error {
 }
 
 // PositionOf returns the leaf currently assigned to addr and whether the
-// block has ever been written (test hook for the path invariant).
+// block has ever been written (test hook for the path invariant). A tree
+// without a position map reports every address unassigned.
 func (o *ORAM) PositionOf(addr uint64) (uint64, bool) {
+	if addr >= uint64(len(o.posmap.flat)) {
+		return 0, false
+	}
 	return o.posmap.Get(addr)
 }
 
@@ -304,16 +326,20 @@ func (o *ORAM) Access(op Op, addr uint64, data []byte) ([]byte, error) {
 // read/write. fn may inspect the current contents (zeroes if never written)
 // and mutate them in place; it must not retain the slice past the call. The
 // server's request coalescing depends on this — a batch of queued reads and
-// writes to one address collapses into one indistinguishable access.
+// writes to one address collapses into one indistinguishable access. addr
+// must be below the tree's capacity; a tree without a position map refuses
+// every address.
 func (o *ORAM) Update(addr uint64, fn func(data []byte)) error {
-	if addr >= DummyAddr {
-		return fmt.Errorf("pathoram: address %#x out of range", addr)
+	if addr >= uint64(len(o.posmap.flat)) {
+		return fmt.Errorf("pathoram: address %#x out of range (%d mapped blocks)", addr, len(o.posmap.flat))
 	}
 	leaf, known := o.posmap.Get(addr)
 	if !known {
 		leaf = o.randomLeaf()
 	}
-	return o.accessPath(addr, leaf, o.randomLeaf(), fn)
+	newLeaf := o.randomLeaf()
+	o.posmap.Set(addr, newLeaf)
+	return o.accessPath(addr, leaf, newLeaf, fn)
 }
 
 // accessAt is Update for a tree whose position map lives elsewhere: the
@@ -334,9 +360,9 @@ func (o *ORAM) accessAt(addr uint64, curLeaf uint32, newLeaf uint64, fn func(dat
 // block in the stash, rewrite the same path. The remap to newLeaf happens
 // before the write-back so the fetched block re-enters the tree under its
 // new, independent leaf — the critical security step (§3.1) — and fn runs
-// before it too, so the mutation and the remap land atomically.
+// before it too, so the mutation and the remap land atomically. The caller
+// has already recorded newLeaf wherever the block's label lives.
 func (o *ORAM) accessPath(addr, leaf, newLeaf uint64, fn func(data []byte)) error {
-	o.posmap.Set(addr, newLeaf)
 	if err := o.readPath(leaf); err != nil {
 		return err
 	}
@@ -411,7 +437,7 @@ func (o *ORAM) readPath(leaf uint64) error {
 		for i := 0; i < o.geom.Z; i++ {
 			off := i * slotBytes
 			addr, blkLeaf := unpackHeader(pt[off:])
-			if addr == DummyAddr || (o.stale != nil && (o.isStale(idx, addr) || o.stash.Get(addr) != nil)) {
+			if addr == DummyAddr || (o.stale != nil && (o.stale[idx]>>i&1 != 0 || o.stash.Get(addr) != nil)) {
 				continue
 			}
 			o.stash.Put(Block{Addr: addr, Leaf: blkLeaf, Data: pt[off+BlockHeaderBytes : off+slotBytes]})
@@ -422,16 +448,13 @@ func (o *ORAM) readPath(leaf uint64) error {
 
 // fetchPath is the read half of a deferred-policy access: open every bucket
 // on the path to leaf, extract only the target block into the stash, and
-// leave the path unwritten. The extracted tree copy is tombstoned in
-// o.stale so later path reads ignore it until some write-back overwrites its
-// bucket — without the tombstone, a stale copy left in the tree could
+// leave the path unwritten. The slot the tree copy came from is tombstoned
+// in o.stale so later path reads ignore it until some write-back overwrites
+// its bucket — without the tombstone, a stale copy left in the tree could
 // resurrect old data after the fresh stash copy is evicted elsewhere.
 // target == DummyAddr extracts nothing (a dummy fetch, identical on the
 // bus).
 func (o *ORAM) fetchPath(leaf, target, newLeaf uint64) error {
-	if target != DummyAddr {
-		o.posmap.Set(target, newLeaf)
-	}
 	o.pathBuf = o.geom.PathIndices(o.pathBuf[:0], leaf)
 	slotBytes := BlockHeaderBytes + o.geom.BlockBytes
 	want := target != DummyAddr && o.stash.Get(target) == nil
@@ -442,9 +465,9 @@ func (o *ORAM) fetchPath(leaf, target, newLeaf uint64) error {
 		}
 		for i := 0; want && i < o.geom.Z; i++ {
 			off := i * slotBytes
-			if addr, _ := unpackHeader(pt[off:]); addr == target && !o.isStale(idx, addr) {
+			if addr, _ := unpackHeader(pt[off:]); addr == target && o.stale[idx]>>i&1 == 0 {
 				o.stash.Put(Block{Addr: target, Leaf: newLeaf, Data: pt[off+BlockHeaderBytes : off+slotBytes]})
-				o.markStale(idx, target)
+				o.stale[idx] |= 1 << i
 				want = false
 			}
 		}
@@ -459,31 +482,6 @@ func (o *ORAM) fetchPath(leaf, target, newLeaf uint64) error {
 	}
 	blk.Leaf = newLeaf
 	return nil
-}
-
-// markStale tombstones the tree copy of addr in bucket.
-func (o *ORAM) markStale(bucket, addr uint64) {
-	set := o.stale[bucket]
-	if set == nil {
-		if n := len(o.spareSets); n > 0 {
-			set = o.spareSets[n-1]
-			o.spareSets = o.spareSets[:n-1]
-		} else {
-			set = make(map[uint64]struct{})
-		}
-		o.stale[bucket] = set
-	}
-	set[addr] = struct{}{}
-}
-
-// isStale reports whether the copy of addr in bucket is tombstoned.
-func (o *ORAM) isStale(bucket, addr uint64) bool {
-	set, ok := o.stale[bucket]
-	if !ok {
-		return false
-	}
-	_, stale := set[addr]
-	return stale
 }
 
 // writePath re-encrypts the path to leaf, evicting stash blocks greedily
@@ -502,12 +500,10 @@ func (o *ORAM) writePath(leaf uint64) error {
 		} else if err := o.storeBucket(idx, level); err != nil {
 			return err
 		}
-		if set := o.stale[idx]; set != nil {
-			// The rewrite replaced every slot in this bucket; any stale
+		if o.stale != nil {
+			// The rewrite replaced every slot in this bucket; any
 			// tombstones it carried are now vacuous.
-			clear(set)
-			o.spareSets = append(o.spareSets, set)
-			delete(o.stale, idx)
+			o.stale[idx] = 0
 		}
 	}
 	o.stash.RemovePlanned(&o.plan)
@@ -552,61 +548,84 @@ func (o *ORAM) encodePlannedBucket(dst []byte, level int) {
 	}
 }
 
-// CheckInvariant verifies Path ORAM's core invariant for every mapped block:
+// CheckInvariant verifies Path ORAM's core invariant for every live block:
 // the block is either in the stash or stored on the path from the root to
-// its assigned leaf. It is O(tree) and intended for tests.
+// its leaf, never both, and never twice. A tree that owns its position map
+// is also checked against it: every mapped block is live under its mapped
+// leaf, and every live block is mapped. (A Stack checks its other trees
+// against the labels stored in the tree below.) It is O(tree) and intended
+// for tests.
 func (o *ORAM) CheckInvariant() error {
-	// Decrypt the full tree once; the cached levels come from the cache.
-	located := make(map[uint64]uint64) // addr -> bucket index
-	var blocks []Block
+	located, err := o.live()
+	if err != nil {
+		return err
+	}
+	return o.checkMap(located)
+}
+
+// checkMap checks the live blocks of a tree against its own position map,
+// if it has one.
+func (o *ORAM) checkMap(located map[uint64]Block) error {
+	if o.posmap.flat == nil {
+		return nil
+	}
+	mapped := 0
+	for addr, leaf := range o.posmap.flat {
+		if leaf == unknownLeaf {
+			continue
+		}
+		mapped++
+		b, ok := located[uint64(addr)]
+		if !ok {
+			return fmt.Errorf("pathoram: mapped block %#x in neither stash nor tree", addr)
+		}
+		if b.Leaf != leaf {
+			return fmt.Errorf("pathoram: block %#x carries leaf %d, its position map says %d", addr, b.Leaf, leaf)
+		}
+	}
+	if mapped != len(located) {
+		return fmt.Errorf("pathoram: %d live blocks, %d mapped", len(located), mapped)
+	}
+	return nil
+}
+
+// live decrypts the whole tree and returns every live block — each tree
+// copy not tombstoned, and each stash block — by address, after checking
+// that no block is live twice and that each tree copy lies on the path to
+// the leaf in its own header. Test support, like CheckInvariant.
+func (o *ORAM) live() (map[uint64]Block, error) {
+	located := make(map[uint64]Block)
+	slotBytes := BlockHeaderBytes + o.geom.BlockBytes
 	for idx := uint64(0); idx < o.geom.Buckets(); idx++ {
+		// The cached levels come from the cache.
 		var plain []byte
 		var err error
 		if o.cached(idx) {
 			plain = o.topBucket(idx)
 		} else if plain, err = o.cipher.Decrypt(o.store.ReadBucket(idx)); err != nil {
-			return err
+			return nil, err
 		}
-		blocks, err = o.geom.decodeBucket(blocks[:0], plain)
-		if err != nil {
-			return err
-		}
-		for _, b := range blocks {
-			if o.isStale(idx, b.Addr) {
-				continue // superseded copy awaiting overwrite (batched mode)
+		level := bits.Len64(idx+1) - 1
+		for i := 0; i < o.geom.Z; i++ {
+			slot := plain[i*slotBytes : (i+1)*slotBytes]
+			addr, leaf := unpackHeader(slot)
+			if addr == DummyAddr || o.stale != nil && o.stale[idx]>>i&1 != 0 {
+				continue // empty, or a superseded copy awaiting overwrite
 			}
-			if prev, dup := located[b.Addr]; dup {
-				return fmt.Errorf("pathoram: block %#x duplicated in buckets %d and %d", b.Addr, prev, idx)
+			if _, dup := located[addr]; dup {
+				return nil, fmt.Errorf("pathoram: block %#x live twice, again in bucket %d", addr, idx)
 			}
-			located[b.Addr] = idx
+			if leaf >= o.geom.Leaves() || o.geom.NodeIndex(leaf, level) != idx {
+				return nil, fmt.Errorf("pathoram: block %#x in bucket %d is off the path to its leaf %d", addr, idx, leaf)
+			}
+			located[addr] = Block{Addr: addr, Leaf: leaf, Data: slot[BlockHeaderBytes:]}
 		}
 	}
-	var invErr error
-	o.posmap.ForEach(func(addr, leaf uint64) {
-		if invErr != nil {
-			return
+	for _, b := range o.stash.blocks {
+		if _, dup := located[b.Addr]; dup {
+			return nil, fmt.Errorf("pathoram: block %#x live in both stash and tree", b.Addr)
 		}
-		if o.stash.Get(addr) != nil {
-			if bucket, dup := located[addr]; dup {
-				invErr = fmt.Errorf("pathoram: block %#x live in both stash and bucket %d", addr, bucket)
-			}
-			return
-		}
-		bucket, ok := located[addr]
-		if !ok {
-			invErr = fmt.Errorf("pathoram: mapped block %#x in neither stash nor tree", addr)
-			return
-		}
-		onPath := false
-		for level := 0; level < o.geom.Levels; level++ {
-			if o.geom.NodeIndex(leaf, level) == bucket {
-				onPath = true
-				break
-			}
-		}
-		if !onPath {
-			invErr = fmt.Errorf("pathoram: block %#x in bucket %d is off the path to its leaf %d", addr, bucket, leaf)
-		}
-	})
-	return invErr
+		located[b.Addr] = b
+	}
+	return located, nil
 }

@@ -150,24 +150,22 @@ func TestBucketEncodeDecodeRoundTrip(t *testing.T) {
 		{Addr: 9, Leaf: 30, Data: bytes.Repeat([]byte{0xBB}, 64)},
 	}
 	plain := g.encodeBucket(blocks)
-	got, err := g.decodeBucket(nil, plain)
-	if err != nil {
-		t.Fatal(err)
+	if len(plain) != g.BucketPlainBytes() {
+		t.Fatalf("encoded bucket is %d bytes, want %d", len(plain), g.BucketPlainBytes())
 	}
-	if len(got) != 2 {
-		t.Fatalf("decoded %d blocks, want 2", len(got))
-	}
-	for i := range got {
-		if got[i].Addr != blocks[i].Addr || got[i].Leaf != blocks[i].Leaf || !bytes.Equal(got[i].Data, blocks[i].Data) {
-			t.Fatalf("block %d mismatch: %+v vs %+v", i, got[i], blocks[i])
+	slotBytes := BlockHeaderBytes + g.BlockBytes
+	for i := 0; i < g.Z; i++ {
+		slot := plain[i*slotBytes : (i+1)*slotBytes]
+		addr, leaf := unpackHeader(slot)
+		if i >= len(blocks) {
+			if addr != DummyAddr {
+				t.Fatalf("padding slot %d holds address %#x, want a dummy", i, addr)
+			}
+			continue
 		}
-	}
-}
-
-func TestBucketDecodeRejectsWrongSize(t *testing.T) {
-	g := smallGeometry()
-	if _, err := g.decodeBucket(nil, make([]byte, 3)); err == nil {
-		t.Fatal("decodeBucket accepted wrong-size plaintext")
+		if addr != blocks[i].Addr || leaf != blocks[i].Leaf || !bytes.Equal(slot[BlockHeaderBytes:], blocks[i].Data) {
+			t.Fatalf("slot %d decodes to (%#x, %d), want %+v", i, addr, leaf, blocks[i])
+		}
 	}
 }
 
@@ -365,6 +363,13 @@ func TestAccessRejectsBadInput(t *testing.T) {
 	}
 	if _, err := o.Access(OpRead, DummyAddr, nil); err == nil {
 		t.Fatal("Access accepted the dummy address")
+	}
+	// The position map has one entry per slot of the tree, and no more.
+	if _, err := o.Access(OpRead, smallGeometry().Capacity(), nil); err == nil {
+		t.Fatal("Access accepted an address at the tree's capacity")
+	}
+	if _, err := o.Access(OpRead, smallGeometry().Capacity()-1, nil); err != nil {
+		t.Fatalf("Access refused the last address below capacity: %v", err)
 	}
 }
 

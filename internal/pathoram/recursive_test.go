@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tcoram/internal/crypt"
@@ -27,6 +28,56 @@ func newTestRecursive(t *testing.T, cfg RecursiveConfig, seed int64) *Recursive 
 		t.Fatal(err)
 	}
 	return r
+}
+
+// TestCheckInvariantCatchesCorruptLabel: the trees above the deepest one
+// keep no position map, so their invariant is checked against the labels
+// stored in the tree below. Overwrite one assigned label inside a
+// position-map block and Stack.CheckInvariant must report the block it
+// misplaces.
+func TestCheckInvariantCatchesCorruptLabel(t *testing.T) {
+	for _, batchK := range []int{0, 4} {
+		cfg := StackConfig{RecursiveConfig: smallRecursiveConfig(), BatchK: batchK}
+		s, err := NewStack(cfg, testKey(31), rand.New(rand.NewSource(31)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a := uint64(0); a < cfg.DataBlocks; a++ {
+			if err := s.Update(a, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.CheckInvariant(); err != nil {
+			t.Fatalf("BatchK %d: a sound stack fails its invariant: %v", batchK, err)
+		}
+		// Level 1 holds level 0's labels. Its top buckets are plaintext in
+		// the cache; flip the low bit of the first assigned label there.
+		pm := s.orams[1]
+		slotBytes := BlockHeaderBytes + pm.geom.BlockBytes
+		corrupted := false
+		for idx := uint64(0); !corrupted && pm.cached(idx); idx++ {
+			plain := pm.topBucket(idx)
+			for i := 0; !corrupted && i < pm.geom.Z; i++ {
+				slot := plain[i*slotBytes : (i+1)*slotBytes]
+				if addr, _ := unpackHeader(slot); addr == DummyAddr {
+					continue
+				}
+				for off := BlockHeaderBytes; off < slotBytes; off += LabelBytes {
+					if slot[off]&slot[off+1]&slot[off+2]&slot[off+3] != 0xFF {
+						slot[off] ^= 1
+						corrupted = true
+						break
+					}
+				}
+			}
+		}
+		if !corrupted {
+			t.Fatalf("BatchK %d: no assigned label in level 1's cached top", batchK)
+		}
+		if err := s.CheckInvariant(); err == nil || !strings.Contains(err.Error(), "its label in level 1") {
+			t.Fatalf("BatchK %d: a corrupted label: got %v, want a level-0 block at odds with its label", batchK, err)
+		}
+	}
 }
 
 func TestRecursiveConfigValidate(t *testing.T) {

@@ -20,9 +20,10 @@ package pathoram
 //     NEVER be constructed with the same *rand.Rand — ShardSeed derives an
 //     independent deterministic stream per shard, and identical (cfg, key,
 //     seed) inputs rebuild byte-identical shards.
-//   - ByteStorage, Stash, positionMap, the scratch buffers and the deferred
-//     policy's state (stash backlog, tombstones, eviction counter) are all
-//     built privately inside the constructors and never escape.
+//   - ByteStorage, each Stash, the deepest tree's positionMap, the scratch
+//     buffers and the deferred policy's state (stash backlog, the data
+//     tree's tombstone bytes, eviction counter) are all built privately
+//     inside the constructors, at their full size, and never escape.
 //
 // Consequently a *Stack is safe for use from one goroutine at a time, and N
 // stacks built from N ShardSeeds are safe for N goroutines, one per shard.

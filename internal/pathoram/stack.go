@@ -103,6 +103,8 @@ func (c StackConfig) Validate() error {
 	}
 	c = c.withDefaults()
 	switch {
+	case c.Z > 8:
+		return fmt.Errorf("pathoram: the deferred policy keeps a bucket's tombstones in a one-byte mask, so Z must be at most 8, got %d", c.Z)
 	case c.BatchK < 1 || c.BatchK > 64:
 		return fmt.Errorf("pathoram: BatchK must be in [1,64], got %d", c.BatchK)
 	case c.EvictEvery < 1 || c.EvictEvery > 4096:
@@ -189,12 +191,12 @@ func NewStack(cfg StackConfig, key crypt.Key, rng *rand.Rand) (*Stack, error) {
 // (nil means in-RAM ByteStorage everywhere): level 0 is the data ORAM,
 // levels 1..Recursion the position-map ORAMs from largest to smallest.
 func NewStackOn(cfg StackConfig, key crypt.Key, rng *rand.Rand, factory StorageFactory) (*Stack, error) {
-	return buildStack(cfg, rng, func(level int, g Geometry, rng *rand.Rand) (*ORAM, error) {
+	return buildStack(cfg, rng, func(level int, g Geometry, rng *rand.Rand, role treeRole) (*ORAM, error) {
 		store, err := newStore(factory, level, g)
 		if err != nil {
 			return nil, err
 		}
-		return NewORAMOn(g, key, rng, store)
+		return newORAM(g, key, rng, store, role)
 	})
 }
 
@@ -218,8 +220,9 @@ func NewBatchedOn(cfg BatchedConfig, key crypt.Key, rng *rand.Rand, factory Stor
 
 // buildStack assembles a stack whose trees come from level — fresh ones for
 // NewStackOn, recovered ones for RecoverStack — and moves each tree's top
-// min(6, L−1) levels into its trusted cache.
-func buildStack(cfg StackConfig, rng *rand.Rand, level func(i int, g Geometry, rng *rand.Rand) (*ORAM, error)) (*Stack, error) {
+// min(6, L−1) levels into its trusted cache. Only the deepest tree owns a
+// position map, and only a deferred stack's data tree keeps tombstones.
+func buildStack(cfg StackConfig, rng *rand.Rand, level func(i int, g Geometry, rng *rand.Rand, role treeRole) (*ORAM, error)) (*Stack, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -232,8 +235,9 @@ func buildStack(cfg StackConfig, rng *rand.Rand, level func(i int, g Geometry, r
 		rec:     rec{rng: rng, fan: cfg.LabelsPerBlock()},
 		readBuf: make([]byte, cfg.DataBlockBytes),
 	}
-	for i, g := range cfg.Geometries() {
-		o, err := level(i, g, rng)
+	geoms := cfg.Geometries()
+	for i, g := range geoms {
+		o, err := level(i, g, rng, treeRole{owner: i == len(geoms)-1, deferred: i == 0 && cfg.Deferred()})
 		if err != nil {
 			return nil, fmt.Errorf("level %d: %w", i, err)
 		}
@@ -249,9 +253,6 @@ func buildStack(cfg StackConfig, rng *rand.Rand, level func(i int, g Geometry, r
 		s.orams = append(s.orams, o)
 	}
 	s.data = s.orams[0]
-	if cfg.Deferred() && s.data.stale == nil {
-		s.data.stale = make(map[uint64]map[uint64]struct{})
-	}
 	return s, nil
 }
 
@@ -356,15 +357,18 @@ func (r *rec) drawLeaf(o *ORAM) uint32 {
 // lookupAndRemap returns the current leaf label of block index of
 // orams[tree] (unassignedLabel if it was never touched) and records
 // newLabel as its next one. The deepest tree's labels live in its own
-// in-controller position map, which the access that follows updates itself;
-// every other tree's labels live in blocks of the tree below it, reached by
-// one classic access there (and, recursively, everywhere deeper).
+// in-controller position map; every other tree's labels live in blocks of
+// the tree below it, reached by one classic access there (and, recursively,
+// everywhere deeper).
 func (r *rec) lookupAndRemap(tree int, index uint64, newLabel uint32) (uint32, error) {
 	if tree == len(r.orams)-1 {
-		if leaf, known := r.orams[tree].posmap.Get(index); known {
-			return uint32(leaf), nil
+		pm := &r.orams[tree].posmap
+		cur := unassignedLabel
+		if leaf, known := pm.Get(index); known {
+			cur = uint32(leaf)
 		}
-		return unassignedLabel, nil
+		pm.Set(index, uint64(newLabel))
+		return cur, nil
 	}
 	pm := r.orams[tree+1] // position-map ORAM holding this tree's labels
 	blockIdx, slot := index/r.fan, index%r.fan
@@ -592,11 +596,42 @@ func (s *Stack) recordSlot(evict bool) {
 
 // CheckInvariant verifies every level's path invariant (with tombstoned
 // copies excluded), including that no block is live both in a stash and in
-// its tree. O(tree); intended for tests.
+// its tree, and the deepest tree against its position map. It then checks
+// each other tree against the labels that locate it: a live block a of tree
+// i must carry, as its leaf, slot a%fan of block a/fan of tree i+1, and every
+// assigned label there must name a live block. O(tree); intended for tests.
 func (s *Stack) CheckInvariant() error {
+	lives := make([]map[uint64]Block, len(s.orams))
 	for i, o := range s.orams {
-		if err := o.CheckInvariant(); err != nil {
+		located, err := o.live()
+		if err == nil {
+			err = o.checkMap(located)
+		}
+		if err != nil {
 			return fmt.Errorf("level %d: %w", i, err)
+		}
+		lives[i] = located
+	}
+	for i := 0; i+1 < len(s.orams); i++ {
+		for addr, b := range lives[i] {
+			label := unassignedLabel
+			if pm, ok := lives[i+1][addr/s.fan]; ok {
+				label = binary.LittleEndian.Uint32(pm.Data[addr%s.fan*LabelBytes:])
+			}
+			if uint64(label) != b.Leaf {
+				return fmt.Errorf("level %d: block %#x carries leaf %d, its label in level %d reads %d", i, addr, b.Leaf, i+1, label)
+			}
+		}
+		for idx, pm := range lives[i+1] {
+			for slot := uint64(0); slot < s.fan; slot++ {
+				addr := idx*s.fan + slot
+				if binary.LittleEndian.Uint32(pm.Data[slot*LabelBytes:]) == unassignedLabel {
+					continue
+				}
+				if _, ok := lives[i][addr]; !ok {
+					return fmt.Errorf("level %d: block %#x has a label in level %d but is in neither stash nor tree", i, addr, i+1)
+				}
+			}
 		}
 	}
 	return nil

@@ -13,7 +13,7 @@ import (
 )
 
 // This file implements trusted-state capture and recovery: everything the
-// controller keeps on-chip (position maps, stash contents, tombstones,
+// controller keeps on-chip (the position map, stash contents, tombstones,
 // Merkle roots, counters) captured into a ShardState or encoded straight
 // into the checkpoint encoding (AppendState, DecodeState), and constructors
 // that rebuild a running ORAM stack from a ShardState plus the untrusted
@@ -27,11 +27,12 @@ import (
 // where the counts before it put it, so encoding is a run of appends into
 // one reused buffer and decoding a bounds-checked walk. A stack encodes as
 // its level count, then per level the Merkle root, the position-map section
-// (full here, padded delta in delta.go) and the tail — stash count, block
-// size, then address, leaf and payload per stash block; the stash peak;
-// tombstone bucket count, then per bucket in ascending order its index,
-// address count and ascending addresses; the four counters — and last a
-// present flag and the deferred policy's five counters.
+// (here the owner's whole map, Capacity() entries, and an empty section on
+// every other tree; a padded delta in delta.go) and the tail — stash count,
+// block size, then address, leaf and payload per stash block; the stash
+// peak; the count of buckets holding tombstones, then per such bucket in
+// ascending order its index and its one-byte slot mask; the four counters —
+// and last a present flag and the deferred policy's five counters.
 
 // ErrRootMismatch is returned by RecoverStack when the
 // untrusted store's recomputed Merkle root differs from the checkpointed
@@ -51,6 +52,13 @@ type StashBlockState struct {
 	Data []byte
 }
 
+// StaleMask is one bucket's tombstones in captured form: bit i of Mask means
+// slot i of bucket Bucket holds a stale copy.
+type StaleMask struct {
+	Bucket uint64
+	Mask   uint8
+}
+
 // LevelTail is the part of a tree's trusted state that every checkpoint,
 // full or delta, carries whole: it is O(stash) + O(1), small next to the
 // position map.
@@ -59,8 +67,9 @@ type LevelTail struct {
 	// the exact deterministic eviction behavior of the pre-crash instance.
 	Stash     []StashBlockState
 	StashPeak int
-	// Stale is the batched-mode tombstone map: bucket -> stale addresses.
-	Stale map[uint64][]uint64
+	// Stale lists the deferred data tree's non-zero tombstone masks in
+	// ascending bucket order.
+	Stale []StaleMask
 	// Counters.
 	Accesses      uint64
 	DummyAccesses uint64
@@ -74,10 +83,10 @@ type LevelState struct {
 	// capture time — the only binding between the sealed checkpoint and
 	// the bucket file.
 	Root [sha256.Size]byte
-	// PosDense and PosOver mirror the position map's flat and overflow
-	// regions (unknownLeaf marks never-assigned dense slots).
-	PosDense []uint64
-	PosOver  map[uint64]uint64
+	// Pos is the position map of the tree that owns one — Capacity()
+	// entries, unknownLeaf marking never-assigned slots — and empty on
+	// every other tree.
+	Pos []uint64
 	LevelTail
 }
 
@@ -92,8 +101,8 @@ type BatchedState struct {
 
 // ShardState is the complete captured trusted state of one shard's stack:
 // one LevelState per tree (data ORAM first, then position-map ORAMs) and
-// the deferred policy's counters. The deepest level's PosDense is the
-// on-chip position map, and level 0's counters are the stack's.
+// the deferred policy's counters. The deepest level's Pos is the on-chip
+// position map, and level 0's counters are the stack's.
 type ShardState struct {
 	Levels []LevelState
 	// Batch is non-nil for deferred-policy stacks.
@@ -115,22 +124,20 @@ func (o *ORAM) captureLevel() (LevelState, error) {
 		return LevelState{}, err
 	}
 	ls := LevelState{
-		Root:     o.integrity.Root(),
-		PosDense: slices.Clone(o.posmap.flat),
+		Root: o.integrity.Root(),
+		Pos:  slices.Clone(o.posmap.flat),
 		LevelTail: LevelTail{
 			Stash:         o.captureStash(),
 			StashPeak:     o.stash.peak,
-			Stale:         o.captureStale(),
 			Accesses:      o.Accesses,
 			DummyAccesses: o.DummyAccesses,
 			BucketReads:   o.BucketReads,
 			BucketWrites:  o.BucketWrites,
 		},
 	}
-	if len(o.posmap.over) > 0 {
-		ls.PosOver = make(map[uint64]uint64, len(o.posmap.over))
-		for a, l := range o.posmap.over {
-			ls.PosOver[a] = l
+	for bucket, mask := range o.stale {
+		if mask != 0 {
+			ls.Stale = append(ls.Stale, StaleMask{Bucket: uint64(bucket), Mask: mask})
 		}
 	}
 	// A full capture supersedes any delta baseline: the journal restarts
@@ -146,24 +153,6 @@ func (o *ORAM) captureStash() []StashBlockState {
 	for i := range o.stash.blocks {
 		b := &o.stash.blocks[i]
 		out = append(out, StashBlockState{Addr: b.Addr, Leaf: b.Leaf, Data: slices.Clone(b.Data)})
-	}
-	return out
-}
-
-// captureStale snapshots the batched-mode tombstone map with sorted address
-// lists (deterministic encoding); nil when there are no tombstones.
-func (o *ORAM) captureStale() map[uint64][]uint64 {
-	if len(o.stale) == 0 {
-		return nil
-	}
-	out := make(map[uint64][]uint64, len(o.stale))
-	for bucket, set := range o.stale {
-		addrs := make([]uint64, 0, len(set))
-		for a := range set {
-			addrs = append(addrs, a)
-		}
-		slices.Sort(addrs)
-		out[bucket] = addrs
 	}
 	return out
 }
@@ -206,9 +195,9 @@ func (s *Stack) batchState() *BatchedState {
 }
 
 // AppendState flushes every level's cached top into its store, then appends
-// the stack's complete trusted state — every level's full position map — in
-// the checkpoint encoding, the same state CaptureState returns, and restarts
-// every change journal.
+// the stack's complete trusted state — the deepest tree's whole position
+// map — in the checkpoint encoding, the same state CaptureState returns, and
+// restarts the change journal.
 func (s *Stack) AppendState(b []byte) ([]byte, error) {
 	if err := s.checkIntegrity(); err != nil {
 		return nil, err
@@ -223,15 +212,6 @@ func (s *Stack) AppendState(b []byte) ([]byte, error) {
 		b = le.AppendUint32(b, uint32(len(o.posmap.flat)))
 		for _, leaf := range o.posmap.flat {
 			b = le.AppendUint64(b, leaf)
-		}
-		over := make([]uint64, 0, len(o.posmap.over))
-		for a := range o.posmap.over {
-			over = append(over, a)
-		}
-		slices.Sort(over)
-		b = le.AppendUint32(b, uint32(len(over)))
-		for _, a := range over {
-			b = le.AppendUint64(le.AppendUint64(b, a), o.posmap.over[a])
 		}
 		b = o.appendTail(b)
 		o.posmap.resetJournal()
@@ -250,7 +230,7 @@ func (s *Stack) checkIntegrity() error {
 }
 
 // appendTail encodes the level's LevelTail from the live stash, tombstones
-// and counters, allocating nothing once the sort scratch has grown.
+// and counters, allocating nothing beyond b's growth.
 func (o *ORAM) appendTail(b []byte) []byte {
 	b = le.AppendUint32(b, uint32(len(o.stash.blocks)))
 	b = le.AppendUint32(b, uint32(o.geom.BlockBytes))
@@ -260,28 +240,16 @@ func (o *ORAM) appendTail(b []byte) []byte {
 		b = append(b, blk.Data...)
 	}
 	b = le.AppendUint64(b, uint64(o.stash.peak))
-	// keys holds the sorted buckets, then each bucket's sorted addresses
-	// behind them in turn.
-	keys := o.sortScratch[:0]
-	for bucket := range o.stale {
-		keys = append(keys, bucket)
-	}
-	slices.Sort(keys)
-	nb := len(keys)
-	b = le.AppendUint32(b, uint32(nb))
-	for i := 0; i < nb; i++ {
-		set := o.stale[keys[i]]
-		keys = keys[:nb]
-		for a := range set {
-			keys = append(keys, a)
-		}
-		slices.Sort(keys[nb:])
-		b = le.AppendUint32(le.AppendUint64(b, keys[i]), uint32(len(set)))
-		for _, a := range keys[nb:] {
-			b = le.AppendUint64(b, a)
+	// One scan in bucket order; the count is patched in behind it.
+	at, n := len(b), 0
+	b = le.AppendUint32(b, 0)
+	for bucket, mask := range o.stale {
+		if mask != 0 {
+			b = append(le.AppendUint64(b, uint64(bucket)), mask)
+			n++
 		}
 	}
-	o.sortScratch = keys[:0]
+	le.PutUint32(b[at:], uint32(n))
 	for _, c := range [...]uint64{o.Accesses, o.DummyAccesses, o.BucketReads, o.BucketWrites} {
 		b = le.AppendUint64(b, c)
 	}
@@ -362,16 +330,9 @@ func DecodeState(b []byte) (*ShardState, []byte, error) {
 		ls := &st.Levels[i]
 		copy(ls.Root[:], d.take(sha256.Size))
 		if n := d.count(8); n > 0 {
-			ls.PosDense = make([]uint64, n)
-			for j := range ls.PosDense {
-				ls.PosDense[j] = d.u64()
-			}
-		}
-		if n := d.count(16); n > 0 {
-			ls.PosOver = make(map[uint64]uint64, n)
-			for j := 0; j < n; j++ {
-				a := d.u64()
-				ls.PosOver[a] = d.u64()
+			ls.Pos = make([]uint64, n)
+			for j := range ls.Pos {
+				ls.Pos[j] = d.u64()
 			}
 		}
 		ls.LevelTail = d.tail()
@@ -399,15 +360,10 @@ func (d *decoder) tail() LevelTail {
 	} else {
 		d.err = errTruncated
 	}
-	if nb := d.count(12); nb > 0 {
-		t.Stale = make(map[uint64][]uint64, nb)
-		for i := 0; i < nb && d.err == nil; i++ {
-			bucket := d.u64()
-			addrs := make([]uint64, d.count(8))
-			for j := range addrs {
-				addrs[j] = d.u64()
-			}
-			t.Stale[bucket] = addrs
+	if n := d.count(9); n > 0 {
+		t.Stale = make([]StaleMask, n)
+		for i := range t.Stale {
+			t.Stale[i] = StaleMask{Bucket: d.u64(), Mask: d.u8()}
 		}
 	}
 	t.Accesses, t.DummyAccesses, t.BucketReads, t.BucketWrites = d.u64(), d.u64(), d.u64(), d.u64()
@@ -436,11 +392,12 @@ func (d *decoder) batch() *BatchedState {
 // recoverLevel rebuilds one ORAM around an existing untrusted store: the
 // store is re-hashed into a fresh Merkle tree, the recomputed root is
 // compared against the checkpointed one (ErrRootMismatch on any
-// difference), and the trusted state is restored verbatim. Every capture
-// flushed the cached top first, so the store holds it whole; buildStack
-// decrypts it back into the cache once the root has checked out.
-func recoverLevel(g Geometry, key crypt.Key, rng *rand.Rand, store BucketStore, ls *LevelState) (*ORAM, error) {
-	o, err := newORAMShell(g, key, rng, store)
+// difference), and the trusted state is restored verbatim once it has been
+// checked to fit the tree's shape and role. Every capture flushed the cached
+// top first, so the store holds it whole; buildStack decrypts it back into
+// the cache once the root has checked out.
+func recoverLevel(g Geometry, key crypt.Key, rng *rand.Rand, store BucketStore, ls *LevelState, role treeRole) (*ORAM, error) {
+	o, err := newORAMShell(g, key, rng, store, role)
 	if err != nil {
 		return nil, err
 	}
@@ -449,16 +406,10 @@ func recoverLevel(g Geometry, key crypt.Key, rng *rand.Rand, store BucketStore, 
 		return nil, ErrRootMismatch
 	}
 	o.integrity = tree
-	if uint64(len(ls.PosDense)) > g.Capacity() {
-		return nil, fmt.Errorf("pathoram: checkpointed position map holds %d entries, tree capacity is %d", len(ls.PosDense), g.Capacity())
+	if len(ls.Pos) != len(o.posmap.flat) {
+		return nil, fmt.Errorf("pathoram: checkpointed position map holds %d entries, this tree keeps %d", len(ls.Pos), len(o.posmap.flat))
 	}
-	o.posmap.flat = slices.Clone(ls.PosDense)
-	if len(ls.PosOver) > 0 {
-		o.posmap.over = make(map[uint64]uint64, len(ls.PosOver))
-		for a, l := range ls.PosOver {
-			o.posmap.over[a] = l
-		}
-	}
+	copy(o.posmap.flat, ls.Pos)
 	for _, b := range ls.Stash {
 		if len(b.Data) != g.BlockBytes {
 			return nil, fmt.Errorf("pathoram: checkpointed stash block %#x is %d bytes, want %d", b.Addr, len(b.Data), g.BlockBytes)
@@ -468,15 +419,14 @@ func recoverLevel(g Geometry, key crypt.Key, rng *rand.Rand, store BucketStore, 
 	if ls.StashPeak > o.stash.peak {
 		o.stash.peak = ls.StashPeak
 	}
-	if len(ls.Stale) > 0 {
-		o.stale = make(map[uint64]map[uint64]struct{}, len(ls.Stale))
-		for bucket, addrs := range ls.Stale {
-			set := make(map[uint64]struct{}, len(addrs))
-			for _, a := range addrs {
-				set[a] = struct{}{}
-			}
-			o.stale[bucket] = set
+	if len(ls.Stale) > 0 && o.stale == nil {
+		return nil, errors.New("pathoram: checkpoint carries tombstones for a tree that keeps none")
+	}
+	for _, t := range ls.Stale {
+		if t.Bucket >= g.Buckets() || t.Mask>>g.Z != 0 {
+			return nil, fmt.Errorf("pathoram: checkpointed tombstone mask %#x of bucket %d does not fit a %d-bucket tree with Z = %d", t.Mask, t.Bucket, g.Buckets(), g.Z)
 		}
+		o.stale[t.Bucket] = t.Mask
 	}
 	o.Accesses = ls.Accesses
 	o.DummyAccesses = ls.DummyAccesses
@@ -497,12 +447,12 @@ func RecoverStack(cfg StackConfig, key crypt.Key, rng *rand.Rand, factory Storag
 	if (st.Batch != nil) != cfg.Deferred() {
 		return nil, fmt.Errorf("pathoram: checkpoint and stack disagree on the fetch policy (checkpoint deferred: %t, stack deferred: %t)", st.Batch != nil, cfg.Deferred())
 	}
-	s, err := buildStack(cfg, rng, func(level int, g Geometry, rng *rand.Rand) (*ORAM, error) {
+	s, err := buildStack(cfg, rng, func(level int, g Geometry, rng *rand.Rand, role treeRole) (*ORAM, error) {
 		store, err := newStore(factory, level, g)
 		if err != nil {
 			return nil, err
 		}
-		return recoverLevel(g, key, rng, store, &st.Levels[level])
+		return recoverLevel(g, key, rng, store, &st.Levels[level], role)
 	})
 	if err != nil {
 		return nil, err

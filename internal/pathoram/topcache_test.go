@@ -336,7 +336,7 @@ func recoverImage(t *testing.T, cfg StackConfig, key crypt.Key, img crashImage) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ApplyDelta(st, d, cfg.Geometries()); err != nil {
+		if err := ApplyDelta(st, d); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -27,7 +27,8 @@ import (
 // payload until the slot has zero-padded it into the block, and copies a
 // read's block into the op's own Data when it has the capacity; the shard
 // applies each coalesced group through a callback built once per batch
-// position, and the batched backend recycles its tombstone sets. The
+// position, and the batched backend keeps its tombstones as bits in one
+// preallocated byte per bucket. The
 // file-backed flat shard at cadence 8 (its checkpoints included in the
 // count) encodes and seals each log record in one reused buffer and
 // recycles evicted cache pages. AllocsPerRun counts every goroutine's

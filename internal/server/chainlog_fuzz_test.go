@@ -54,7 +54,6 @@ func FuzzChainLog(f *testing.F) {
 		}
 		f.Add(payload)
 	}
-	geoms := cfg.stackConfig().Geometries()
 	base := func(t *testing.T) *record {
 		r, err := p.openRecord(slices.Clone(baseBlob[4:]))
 		if err != nil {
@@ -64,12 +63,12 @@ func FuzzChainLog(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, end, err := p.fold(base(t), slices.Clone(data), geoms); err == nil && end > len(data) {
+		if _, end, err := p.fold(base(t), slices.Clone(data)); err == nil && end > len(data) {
 			t.Fatalf("fold accepted %d of %d bytes", end, len(data))
 		}
 		r, err := decodeRecord(slices.Clone(data))
 		if err == nil && r.delta != nil {
-			_ = pathoram.ApplyDelta(base(t).state, r.delta, geoms)
+			_ = pathoram.ApplyDelta(base(t).state, r.delta)
 		}
 	})
 }

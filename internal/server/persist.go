@@ -21,13 +21,13 @@ import (
 //   - the bucket files (level-N.oram), which are UNTRUSTED exactly like the
 //     DRAM they replace: ciphertexts an offline adversary may read and
 //     rewrite at will;
-//   - a sealed checkpoint CHAIN of the TRUSTED controller state — position
-//     maps, stash contents, tombstones, counters — plus the Merkle roots
-//     binding it to the bucket files: base.bin, then the records appended
-//     to chain.log since. Each element is a u32 length and the Seal blob of
-//     a fixed-layout payload (header, then pathoram.AppendState or the
-//     padded pathoram.AppendDelta, then each level's redo), encoded into
-//     one reused buffer and sealed in place.
+//   - a sealed checkpoint CHAIN of the TRUSTED controller state — the
+//     position map, stash contents, tombstones, counters — plus the
+//     Merkle roots binding it to the bucket files: base.bin, then the
+//     records appended to chain.log since. Each element is a u32 length
+//     and the Seal blob of a fixed-layout payload (header, then
+//     pathoram.AppendState or the padded pathoram.AppendDelta, then each
+//     level's redo), encoded into one reused buffer and sealed in place.
 //
 // A log record carries its sequence number and its predecessor's seal tag,
 // so a tampered record fails authentication (crypt.ErrAuthFailed), a
@@ -60,8 +60,12 @@ const (
 )
 
 // recordMagic opens every checkpoint payload; the trailing digit is the
-// format version.
-const recordMagic = "TCORAMC1"
+// format version. Version 1 carried a position map for every tree and
+// tombstones as address lists; its records are refused with ErrOldFormat.
+const (
+	recordMagic    = "TCORAMC2"
+	oldRecordMagic = "TCORAMC1"
+)
 
 // Record kinds.
 const (
@@ -91,9 +95,9 @@ var ErrChainGap = errors.New("server: checkpoint log has a gap; refusing to reco
 // spliced from records of different histories. Fail closed.
 var ErrChainOrder = errors.New("server: checkpoint log out of order (reordered or spliced records); refusing to recover")
 
-// ErrOldFormat is returned for a data dir written in a checkpoint format
-// older than the chain log — a gob-encoded base.bin, delta-NNNNNN.bin chain
-// files, or a single checkpoint.bin. Boot refuses it before touching any
+// ErrOldFormat is returned for a data dir written in an older checkpoint
+// format — a gob-encoded base.bin, delta-NNNNNN.bin chain files, a single
+// checkpoint.bin, or TCORAMC1 records. Boot refuses it before touching any
 // file.
 var ErrOldFormat = errors.New("server: data dir holds an older checkpoint format; refusing to touch it")
 
@@ -128,8 +132,8 @@ type persister struct {
 	sync      pathoram.SyncPolicy
 
 	// Chain state. bound is the public position-map entry count of a log
-	// record (CheckpointEvery × BatchK: one remap per level per fetched
-	// path in a cadence window); seq/lastTag name the newest element, which
+	// record (CheckpointEvery × BatchK: one remap of the stack's one
+	// position map per fetched path in a cadence window); seq/lastTag name the newest element, which
 	// the next record extends; logSize is the length of chain.log's
 	// complete records, compared against compactAfter; haveBase gates
 	// records until a base exists.
@@ -311,7 +315,7 @@ func (p *persister) recover(cfg Config) (*pathoram.Stack, error) {
 		return nil, err
 	}
 	geoms := sc.Geometries()
-	redo, end, err := p.fold(base, logImage, geoms)
+	redo, end, err := p.fold(base, logImage)
 	if err != nil {
 		return nil, err
 	}
@@ -383,7 +387,7 @@ func (p *persister) readBase() (*record, error) {
 	}
 	base, err := p.openRecord(blob[4:])
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint base: %w", err)
+		return nil, fmt.Errorf("checkpoint base %s: %w", path, err)
 	}
 	if base.kind != kindBase {
 		return nil, fmt.Errorf("checkpoint base holds a kind-%d record", base.kind)
@@ -411,10 +415,10 @@ func splitLog(image []byte) (sealed [][]byte, end int) {
 // are stale (a crash between a base's rename and the log truncate) and are
 // skipped; the live ones must run contiguously from base.seq+1, each
 // carrying its predecessor's tag, and their deltas fold into base.state
-// (checked against the level geometries). It returns the redo to replay, in
+// (each checked against the base's map). It returns the redo to replay, in
 // chain order, and the length of the log's complete records. It decrypts
 // the image in place and touches no file.
-func (p *persister) fold(base *record, image []byte, geoms []pathoram.Geometry) (redo [][][]pathoram.RedoBucket, end int, err error) {
+func (p *persister) fold(base *record, image []byte) (redo [][][]pathoram.RedoBucket, end int, err error) {
 	sealed, end := splitLog(image)
 	recs := make([]*record, len(sealed))
 	for i, s := range sealed {
@@ -440,7 +444,7 @@ func (p *persister) fold(base *record, image []byte, geoms []pathoram.Geometry) 
 		if r.backend != base.backend {
 			return nil, 0, fmt.Errorf("record %d was written by backend %q, the base by %q", r.seq, r.backend, base.backend)
 		}
-		if err := pathoram.ApplyDelta(base.state, r.delta, geoms); err != nil {
+		if err := pathoram.ApplyDelta(base.state, r.delta); err != nil {
 			return nil, 0, fmt.Errorf("applying record %d: %w", r.seq, err)
 		}
 		redo = append(redo, r.redo)
@@ -471,6 +475,9 @@ func (p *persister) openRecord(sealed []byte) (*record, error) {
 // over. The decoded payloads alias payload.
 func decodeRecord(payload []byte) (*record, error) {
 	if len(payload) < headerBytes || string(payload[:len(recordMagic)]) != recordMagic {
+		if strings.HasPrefix(string(payload), oldRecordMagic) {
+			return nil, fmt.Errorf("%w: it holds %s records", ErrOldFormat, oldRecordMagic)
+		}
 		return nil, errors.New("checkpoint record has no valid header")
 	}
 	h := payload[len(recordMagic):headerBytes]

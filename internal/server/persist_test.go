@@ -833,11 +833,12 @@ func shardFiles(t *testing.T, dir string) ([]string, os.FileInfo) {
 }
 
 // TestCheckpointRecordLength pins the public length of a log record's
-// position-map section, and that steady-state checkpoints create no file. At cadence 8, whether each window's slots are all
-// dummies, all hit one address, or all hit distinct addresses, every level of
-// every record carries exactly CheckpointEvery × max(1, BatchK) entries —
-// one remap per level per fetched path — for each preset. A journal over
-// that bound fails the slot, and no record is written for it.
+// position-map section, and that steady-state checkpoints create no file.
+// At cadence 8, whether each window's slots are all dummies, all hit one
+// address, or all hit distinct addresses, the deepest level of every record
+// carries exactly CheckpointEvery × max(1, BatchK) entries — one remap per
+// fetched path — and every other level none, for each preset. A journal
+// over that bound fails the slot, and no record is written for it.
 func TestCheckpointRecordLength(t *testing.T) {
 	const every, windows = 8, 3
 	build := func(t *testing.T, backend string) *shard {
@@ -899,9 +900,10 @@ func TestCheckpointRecordLength(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				// Only the deepest tree keeps a position map.
 				for level, ld := range r.delta.Levels {
-					if ld.Bound != want {
-						t.Errorf("%s/%s: record %d level %d carries %d position-map entries, want %d", backend, load, i, level, ld.Bound, want)
+					if owner := level == len(r.delta.Levels)-1; owner && ld.Bound != want || !owner && ld.Bound != 0 {
+						t.Errorf("%s/%s: record %d level %d carries %d position-map entries, want %d on the deepest level and 0 elsewhere", backend, load, i, level, ld.Bound, want)
 					}
 				}
 			}
@@ -921,16 +923,17 @@ func TestCheckpointRecordLength(t *testing.T) {
 	}
 }
 
-// TestRefuseOldFormatDataDir: a data dir written in a checkpoint format
-// older than the chain log — a gob-encoded base.bin, delta-NNNNNN.bin chain
-// files, or a single checkpoint.bin — is refused for every preset with an
-// error naming the format, and left byte-identical.
+// TestRefuseOldFormatDataDir: a data dir written in an older checkpoint
+// format — a gob-encoded base.bin, delta-NNNNNN.bin chain files, a single
+// checkpoint.bin, or a base sealed as a TCORAMC1 record — is refused for
+// every preset with an error naming the format and the file, and left
+// byte-identical.
 func TestRefuseOldFormatDataDir(t *testing.T) {
 	formats := []struct {
-		name string // what the refusal must name
-		make func(t *testing.T, shardDir string, cfg Config)
+		name, file string // what the refusal must name
+		make       func(t *testing.T, shardDir string, cfg Config)
 	}{
-		{"gob-encoded", func(t *testing.T, shardDir string, cfg Config) {
+		{"gob-encoded", "base.bin", func(t *testing.T, shardDir string, cfg Config) {
 			var payload bytes.Buffer
 			legacy := struct {
 				Backend string
@@ -948,12 +951,33 @@ func TestRefuseOldFormatDataDir(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"delta-000001.bin", func(t *testing.T, shardDir string, _ Config) {
+		{"TCORAMC1", "base.bin", func(t *testing.T, shardDir string, cfg Config) {
+			// The record as the previous format sealed it: the same framing
+			// and header under the version-1 magic.
+			path := filepath.Join(shardDir, "base.bin")
+			blob, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload, err := crypt.OpenSealed(crypt.NewCipher(cfg.Key, nil), blob[4:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(payload, "TCORAMC1")
+			sealed, err := crypt.Seal(crypt.NewCipher(cfg.Key, nil), payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, append(le.AppendUint32(nil, uint32(len(sealed))), sealed...), 0o600); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"delta-000001.bin", "delta-000001.bin", func(t *testing.T, shardDir string, _ Config) {
 			if err := os.WriteFile(filepath.Join(shardDir, "delta-000001.bin"), []byte("sealed delta"), 0o600); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"checkpoint.bin", func(t *testing.T, shardDir string, _ Config) {
+		{"checkpoint.bin", "checkpoint.bin", func(t *testing.T, shardDir string, _ Config) {
 			if err := os.Rename(filepath.Join(shardDir, "base.bin"), filepath.Join(shardDir, "checkpoint.bin")); err != nil {
 				t.Fatal(err)
 			}
@@ -989,8 +1013,8 @@ func TestRefuseOldFormatDataDir(t *testing.T) {
 				if st, err := New(cfg); err == nil {
 					st.Close()
 					t.Fatalf("%s: booted a data dir in an older format", f.name)
-				} else if !errors.Is(err, ErrOldFormat) || !strings.Contains(err.Error(), f.name) {
-					t.Fatalf("%s: refusal %q is not ErrOldFormat naming the format", f.name, err)
+				} else if !errors.Is(err, ErrOldFormat) || !strings.Contains(err.Error(), f.name) || !strings.Contains(err.Error(), f.file) {
+					t.Fatalf("%s: refusal %q is not ErrOldFormat naming the format and %s", f.name, err, f.file)
 				}
 				if !maps.EqualFunc(before, dirSnapshot(t, dir), bytes.Equal) {
 					t.Fatalf("%s: the refused boot modified the data dir", f.name)
