@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"tcoram/internal/crypt"
@@ -430,6 +432,52 @@ func TestRecoverRefusesMisshapenState(t *testing.T) {
 			t.Fatalf("%s: refused: %v", c.name, err)
 		} else if !sound && err == nil {
 			t.Errorf("%s: recovered", c.name)
+		}
+	}
+}
+
+// TestRecoverRefusesBadStashBlock rebuilds one tree from hand-built trusted
+// state whose stash names a block twice, names the dummy address, names an
+// address or a leaf past the tree, and requires each to be refused with an
+// error that names the block; the same state with two sound blocks
+// recovers them in record order.
+func TestRecoverRefusesBadStashBlock(t *testing.T) {
+	g := Geometry{Levels: 4, Z: 3, BlockBytes: 16}
+	blk := func(addr, leaf uint64) StashBlockState {
+		return StashBlockState{Addr: addr, Leaf: leaf, Data: make([]byte, g.BlockBytes)}
+	}
+	for _, c := range []struct {
+		name  string
+		stash []StashBlockState
+		want  string // "" means recovery must succeed
+	}{
+		{"two sound blocks", []StashBlockState{blk(5, 2), blk(9, 7)}, ""},
+		{"a block listed twice", []StashBlockState{blk(5, 2), blk(9, 7), blk(5, 3)}, "0x5"},
+		{"the dummy address", []StashBlockState{blk(5, 2), blk(DummyAddr, 0)}, fmt.Sprintf("%#x", DummyAddr)},
+		{"an address past the tree", []StashBlockState{blk(g.Capacity(), 0)}, fmt.Sprintf("%#x", g.Capacity())},
+		{"a leaf past the tree", []StashBlockState{blk(6, g.Leaves())}, "0x6"},
+	} {
+		store, err := NewByteStorage(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pos := make([]uint64, g.Capacity())
+		for i := range pos {
+			pos[i] = unknownLeaf
+		}
+		ls := &LevelState{Root: newMerkleTree(g, store).Root(), Pos: pos, LevelTail: LevelTail{Stash: c.stash}}
+		o, err := recoverLevel(g, crypt.Key{51}, nil, store, ls, treeRole{owner: true})
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", c.name, err)
+		case c.want == "":
+			if o.stash.Len() != 2 || o.stash.BlockAt(0).Addr != 5 || o.stash.BlockAt(1).Addr != 9 {
+				t.Errorf("%s: recovered a stash of %d blocks, want blocks 5 and 9 in that order", c.name, o.stash.Len())
+			}
+		case err == nil:
+			t.Errorf("%s: recovered", c.name)
+		case !strings.Contains(err.Error(), c.want):
+			t.Errorf("%s: error %q does not name block %s", c.name, err, c.want)
 		}
 	}
 }

@@ -2,17 +2,18 @@ package pathoram
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
-// TestEvictionDeterministicAcrossRuns pins the satellite fix for the old
+// TestEvictionDeterministicAcrossRuns pins the fix for the old
 // map-iteration eviction: two identically seeded ORAMs driven through the
 // same operation sequence must end with byte-identical untrusted memory,
-// identical stash contents and identical position maps. Under the original
-// EvictForBucket (Go map iteration order), bucket contents varied run to
-// run even at equal seeds.
+// identical stash contents and identical position maps. When eviction
+// walked a Go map, bucket contents varied run to run even at equal seeds.
 func TestEvictionDeterministicAcrossRuns(t *testing.T) {
 	runOps := func() *ORAM {
 		o, err := NewORAM(Geometry{Levels: 7, Z: 3, BlockBytes: 16}, testKey(42), rand.New(rand.NewSource(42)))
@@ -38,13 +39,13 @@ func TestEvictionDeterministicAcrossRuns(t *testing.T) {
 	if !bytes.Equal(a.Storage().(*ByteStorage).Bytes(), b.Storage().(*ByteStorage).Bytes()) {
 		t.Fatal("identically seeded runs produced different untrusted memory")
 	}
-	aAddrs, bAddrs := a.stash.Addrs(), b.stash.Addrs()
-	if len(aAddrs) != len(bAddrs) {
-		t.Fatalf("stash sizes differ: %d vs %d", len(aAddrs), len(bAddrs))
+	aBlocks, bBlocks := a.stash.blocks, b.stash.blocks
+	if len(aBlocks) != len(bBlocks) {
+		t.Fatalf("stash sizes differ: %d vs %d", len(aBlocks), len(bBlocks))
 	}
-	for i := range aAddrs {
-		if aAddrs[i] != bAddrs[i] {
-			t.Fatalf("stash order differs at slot %d: %d vs %d", i, aAddrs[i], bAddrs[i])
+	for i := range aBlocks {
+		if aBlocks[i].Addr != bBlocks[i].Addr {
+			t.Fatalf("stash order differs at slot %d: %d vs %d", i, aBlocks[i].Addr, bBlocks[i].Addr)
 		}
 	}
 	for addr, leaf := range a.posmap.flat {
@@ -54,31 +55,90 @@ func TestEvictionDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestEvictForBucketOrderPinned pins the deterministic selection order:
-// stash slot (insertion) order.
-func TestEvictForBucketOrderPinned(t *testing.T) {
+// TestPlanPathEvictionOrderPinned pins the deterministic selection and
+// removal order: candidates in stash slot (insertion) order, and the
+// survivors in the order the descending swap-removes leave them.
+func TestPlanPathEvictionOrderPinned(t *testing.T) {
 	g := Geometry{Levels: 4, Z: 2, BlockBytes: 8}
 	s := NewStash()
 	for _, addr := range []uint64{30, 10, 20} {
 		s.Put(Block{Addr: addr, Leaf: 0, Data: make([]byte, 8)})
 	}
-	// All three are eligible at the root; z=2 scans in slot order: slot 0
-	// (30) is taken and the swap-remove moves 20 into slot 0, which is
-	// examined next. The exact sequence matters less than that it is a pure
-	// function of the operation history — this pins it.
-	got := s.EvictForBucket(g, 7, 0, 2)
-	if len(got) != 2 || got[0].Addr != 30 || got[1].Addr != 20 {
-		t.Fatalf("EvictForBucket order = %v, want [30 20]", []uint64{got[0].Addr, got[1].Addr})
+	// On the path to leaf 7 all three are eligible at the root only; z=2
+	// takes slots 0 and 1 (30 and 10). Removing slot 1 swaps 20 into it,
+	// and removing slot 0 then swaps 20 into slot 0. The exact sequence
+	// matters less than that it is a pure function of the operation
+	// history — this pins it.
+	var plan EvictPlan
+	s.PlanPathEviction(g, 7, g.Z, &plan)
+	var got []uint64
+	for _, i := range plan.LevelBlocks(0) {
+		got = append(got, s.BlockAt(i).Addr)
+	}
+	if !slices.Equal(got, []uint64{30, 10}) {
+		t.Fatalf("root bucket takes %v, want [30 10]", got)
+	}
+	s.RemovePlanned(&plan)
+	if s.Len() != 1 || s.BlockAt(0).Addr != 20 {
+		t.Fatalf("stash keeps %d blocks, want block 20 alone", s.Len())
+	}
+}
+
+// TestRemovePlannedMatchesSortedRemoval checks the one-pass removal against
+// the reference it replaced — sort the chosen slots, then swap-remove them
+// largest first — over random stashes and plans, with one stash and one
+// plan reused throughout, so a mark left set by one round would corrupt the
+// next.
+func TestRemovePlannedMatchesSortedRemoval(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	g := Geometry{Levels: 6, Z: 3, BlockBytes: 8}
+	s := NewStash()
+	s.reserve(2*g.Z*g.Levels, g.BlockBytes)
+	var plan EvictPlan
+	var next uint64
+	for round := 0; round < 2000; round++ {
+		for n := rng.Intn(3 * g.Z * g.Levels / 2); n > 0; n-- {
+			data := make([]byte, g.BlockBytes)
+			binary.LittleEndian.PutUint64(data, next)
+			s.Put(Block{Addr: next, Leaf: uint64(rng.Int63n(int64(g.Leaves()))), Data: data})
+			next++
+		}
+		z := 1 + rng.Intn(g.Z)
+		s.PlanPathEviction(g, uint64(rng.Int63n(int64(g.Leaves()))), z, &plan)
+		want := slices.Clone(s.blocks)
+		var picked []int
+		for l := range g.Levels {
+			picked = append(picked, plan.LevelBlocks(l)...)
+		}
+		slices.Sort(picked)
+		for k := len(picked) - 1; k >= 0; k-- {
+			last := len(want) - 1
+			want[picked[k]] = want[last]
+			want = want[:last]
+		}
+		s.RemovePlanned(&plan)
+		if len(s.blocks) != len(want) {
+			t.Fatalf("round %d: %d blocks left, want %d", round, len(s.blocks), len(want))
+		}
+		for i, b := range s.blocks {
+			if b.Addr != want[i].Addr || b.Leaf != want[i].Leaf || binary.LittleEndian.Uint64(b.Data) != b.Addr {
+				t.Fatalf("round %d, slot %d: block %d (leaf %d), want %d (leaf %d)", round, i, b.Addr, b.Leaf, want[i].Addr, want[i].Leaf)
+			}
+		}
+		if i := slices.Index(plan.marked, true); i >= 0 {
+			t.Fatalf("round %d: slot %d still marked after RemovePlanned", round, i)
+		}
 	}
 }
 
 // TestStashHighWaterAllocFree: a stash reserved for n blocks climbs to n
-// for the first time without allocating — the block list, the index and
-// the payload buffers are all in place — and planning a write-back over the
+// for the first time without allocating — the block list and the payload
+// buffers are in place — and planning and removing a write-back over the
 // full stash, every block in one deepest-level group or carried up,
-// allocates nothing either once the plan was sized (an ORAM's first access
-// sizes it). Without both, each new high-water mark grew the heap, in
-// whichever slot, real or dummy, happened to set it.
+// allocates nothing either once the plan, its mark array included, was
+// sized (an ORAM's first access sizes it). Without both, each new
+// high-water mark grew the heap, in whichever slot, real or dummy, happened
+// to set it.
 func TestStashHighWaterAllocFree(t *testing.T) {
 	g := Geometry{Levels: 5, Z: 2, BlockBytes: 16}
 	const n, runs = 2 * 2 * 5, 100
@@ -100,13 +160,14 @@ func TestStashHighWaterAllocFree(t *testing.T) {
 			s.Put(Block{Addr: a, Leaf: a % 2 * 15, Data: payload})
 		}
 		s.PlanPathEviction(g, 0, g.Z, &plans[i])
+		s.RemovePlanned(&plans[i])
 	}
 	runtime.ReadMemStats(&after)
 	if peak := stashes[0].MaxOccupancy(); peak != n {
 		t.Fatalf("stash peak %d, want %d", peak, n)
 	}
 	if got := (after.Mallocs - before.Mallocs) / runs; got != 0 {
-		t.Errorf("climbing to a %d-block high-water mark and planning its write-back allocates %d times, want 0", n, got)
+		t.Errorf("climbing to a %d-block high-water mark and planning and removing its write-back allocates %d times, want 0", n, got)
 	}
 }
 

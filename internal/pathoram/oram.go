@@ -368,8 +368,7 @@ func (o *ORAM) accessPath(addr, leaf, newLeaf uint64, fn func(data []byte)) erro
 	}
 	blk := o.stash.Get(addr)
 	if blk == nil {
-		o.stash.Put(Block{Addr: addr, Leaf: newLeaf, Data: o.fresh})
-		blk = o.stash.Get(addr)
+		blk = o.stash.Put(Block{Addr: addr, Leaf: newLeaf, Data: o.fresh})
 	}
 	blk.Leaf = newLeaf
 	if fn != nil {
@@ -453,35 +452,38 @@ func (o *ORAM) readPath(leaf uint64) error {
 // its bucket — without the tombstone, a stale copy left in the tree could
 // resurrect old data after the fresh stash copy is evicted elsewhere.
 // target == DummyAddr extracts nothing (a dummy fetch, identical on the
-// bus).
-func (o *ORAM) fetchPath(leaf, target, newLeaf uint64) error {
+// bus) and returns a nil block; otherwise the target's stash block is
+// returned, valid until the stash is next changed.
+func (o *ORAM) fetchPath(leaf, target, newLeaf uint64) (*Block, error) {
 	o.pathBuf = o.geom.PathIndices(o.pathBuf[:0], leaf)
 	slotBytes := BlockHeaderBytes + o.geom.BlockBytes
-	want := target != DummyAddr && o.stash.Get(target) == nil
+	var blk *Block
+	if target != DummyAddr {
+		blk = o.stash.Get(target)
+	}
+	want := target != DummyAddr && blk == nil
 	for _, idx := range o.pathBuf {
 		pt, err := o.openBucket(idx)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for i := 0; want && i < o.geom.Z; i++ {
 			off := i * slotBytes
 			if addr, _ := unpackHeader(pt[off:]); addr == target && o.stale[idx]>>i&1 == 0 {
-				o.stash.Put(Block{Addr: target, Leaf: newLeaf, Data: pt[off+BlockHeaderBytes : off+slotBytes]})
+				blk = o.stash.Put(Block{Addr: target, Leaf: newLeaf, Data: pt[off+BlockHeaderBytes : off+slotBytes]})
 				o.stale[idx] |= 1 << i
 				want = false
 			}
 		}
 	}
 	if target == DummyAddr {
-		return nil
+		return nil, nil
 	}
-	blk := o.stash.Get(target)
 	if blk == nil {
-		o.stash.Put(Block{Addr: target, Leaf: newLeaf, Data: o.fresh})
-		blk = o.stash.Get(target)
+		blk = o.stash.Put(Block{Addr: target, Leaf: newLeaf, Data: o.fresh})
 	}
 	blk.Leaf = newLeaf
-	return nil
+	return blk, nil
 }
 
 // writePath re-encrypts the path to leaf, evicting stash blocks greedily

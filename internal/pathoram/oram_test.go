@@ -3,6 +3,7 @@ package pathoram
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -419,21 +420,27 @@ func TestIntegrityMustPrecedeAccesses(t *testing.T) {
 	o.EnableIntegrity()
 }
 
-func TestStashEvictForBucketRespectsPaths(t *testing.T) {
+// TestPlanPathEvictionRespectsPaths: a block goes only where its leaf
+// shares the bucket's path — a leaf-0 block to the leaf bucket of the path
+// to leaf 0, a leaf-7 block to the root — and the write-back empties the
+// stash.
+func TestPlanPathEvictionRespectsPaths(t *testing.T) {
 	g := Geometry{Levels: 4, Z: 2, BlockBytes: 8}
 	s := NewStash()
 	s.Put(Block{Addr: 1, Leaf: 0, Data: make([]byte, 8)})
 	s.Put(Block{Addr: 2, Leaf: 7, Data: make([]byte, 8)})
-	// At the leaf level of path-to-leaf-0, only leaf-0 blocks qualify.
-	got := s.EvictForBucket(g, 0, g.Levels-1, 2)
-	if len(got) != 1 || got[0].Addr != 1 {
-		t.Fatalf("EvictForBucket picked %+v, want block 1 only", got)
+	var plan EvictPlan
+	s.PlanPathEviction(g, 0, g.Z, &plan)
+	for level, want := range [][]uint64{{2}, nil, nil, {1}} {
+		var got []uint64
+		for _, i := range plan.LevelBlocks(level) {
+			got = append(got, s.BlockAt(i).Addr)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("level %d takes %v, want %v", level, got, want)
+		}
 	}
-	// At the root, anything qualifies.
-	got = s.EvictForBucket(g, 0, 0, 2)
-	if len(got) != 1 || got[0].Addr != 2 {
-		t.Fatalf("root EvictForBucket picked %+v, want block 2", got)
-	}
+	s.RemovePlanned(&plan)
 	if s.Len() != 0 {
 		t.Fatalf("stash still holds %d blocks", s.Len())
 	}

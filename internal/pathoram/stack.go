@@ -504,11 +504,12 @@ func (s *Stack) fetch(addr uint64, fn func(data []byte)) error {
 	if curLeaf == unassignedLabel {
 		leaf = s.data.randomLeaf()
 	}
-	if err := s.data.fetchPath(leaf, addr, uint64(newLeaf)); err != nil {
+	blk, err := s.data.fetchPath(leaf, addr, uint64(newLeaf))
+	if err != nil {
 		return err
 	}
 	if fn != nil {
-		fn(s.data.stash.Get(addr).Data)
+		fn(blk.Data)
 	}
 	s.data.Accesses++
 	s.Accesses++
@@ -528,7 +529,7 @@ func (s *Stack) finishSlot(fetched int) error {
 				return err
 			}
 		}
-		if err := s.data.fetchPath(s.data.randomLeaf(), DummyAddr, 0); err != nil {
+		if _, err := s.data.fetchPath(s.data.randomLeaf(), DummyAddr, 0); err != nil {
 			return err
 		}
 		s.data.DummyAccesses++

@@ -411,8 +411,17 @@ func recoverLevel(g Geometry, key crypt.Key, rng *rand.Rand, store BucketStore, 
 	}
 	copy(o.posmap.flat, ls.Pos)
 	for _, b := range ls.Stash {
-		if len(b.Data) != g.BlockBytes {
+		// Put appends blindly, so a record that names a block twice or
+		// carries one the tree cannot hold is refused here.
+		switch {
+		case len(b.Data) != g.BlockBytes:
 			return nil, fmt.Errorf("pathoram: checkpointed stash block %#x is %d bytes, want %d", b.Addr, len(b.Data), g.BlockBytes)
+		case b.Addr >= g.Capacity():
+			return nil, fmt.Errorf("pathoram: checkpointed stash block %#x is outside a %d-block tree", b.Addr, g.Capacity())
+		case b.Leaf >= g.Leaves():
+			return nil, fmt.Errorf("pathoram: checkpointed stash block %#x has leaf %d of a %d-leaf tree", b.Addr, b.Leaf, g.Leaves())
+		case o.stash.Get(b.Addr) != nil:
+			return nil, fmt.Errorf("pathoram: checkpointed stash lists block %#x twice", b.Addr)
 		}
 		o.stash.Put(Block{Addr: b.Addr, Leaf: b.Leaf, Data: b.Data})
 	}
