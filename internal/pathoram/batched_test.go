@@ -68,6 +68,23 @@ func TestBatchedConfigValidate(t *testing.T) {
 	if err := classic.Validate(); err != nil {
 		t.Errorf("Validate refused a classic stack with Z = 9: %v", err)
 	}
+	// A block header keeps 24 bits of leaf, so a stored tree stops at 2^24
+	// leaves: 6·2^24 − 3 blocks fill a 25-level tree at Z = 3, and one more
+	// needs 26 levels. Validate builds no tree.
+	for _, c := range []struct {
+		blocks uint64
+		ok     bool
+	}{{6<<24 - 3, true}, {6<<24 - 2, false}, {6<<24 + 1, false}} {
+		big := StackConfig{RecursiveConfig: RecursiveConfig{DataBlocks: c.blocks, DataBlockBytes: 64, PosMapBlockBytes: 32, Z: 3}}
+		if err := big.Validate(); c.ok && err != nil {
+			t.Errorf("Validate refused %d blocks: %v", c.blocks, err)
+		} else if !c.ok && (err == nil || !strings.Contains(err.Error(), "24-bit leaf field")) {
+			t.Errorf("Validate of %d blocks: got %v, want a refusal naming the header's 24-bit leaf field", c.blocks, err)
+		}
+	}
+	if err := (StackConfig{RecursiveConfig: PaperConfig()}).Validate(); err != nil {
+		t.Errorf("Validate refused the paper's configuration: %v", err)
+	}
 }
 
 // TestBatchedReadYourWrites drives a long mixed workload — batches of

@@ -38,10 +38,11 @@ var ErrDeltaBound = errors.New("pathoram: change journal exceeds the delta's pub
 // silently encoding an empty delta would corrupt the checkpoint chain.
 var errNotTracking = errors.New("pathoram: delta capture without TrackDirty (dirty tracking not armed)")
 
-// PosEntry is one dirtied position-map assignment inside a delta.
+// PosEntry is one dirtied position-map assignment inside a delta, encoded
+// in 8+LabelBytes = 12 bytes.
 type PosEntry struct {
 	Addr uint64
-	Leaf uint64
+	Leaf uint32
 }
 
 // LevelDelta is the incremental trusted state of one ORAM tree: changed
@@ -80,8 +81,8 @@ func (s *Stack) owner() *positionMap { return &s.orams[len(s.orams)-1].posmap }
 // AppendDelta flushes every level's cached top into its store, then drains
 // the journal into the delta encoding: per level the Merkle root, the
 // position-map section — its bound (bound on the deepest tree, 0 on every
-// other), the entry count, then exactly that bound of (address, leaf)
-// slots, the dirtied entries in ascending address order followed by
+// other), the entry count, then exactly that bound of 12-byte (address,
+// label) slots, the dirtied entries in ascending address order followed by
 // all-ones filler — and the tail, then the deferred policy's counters (the
 // layout in state.go). It allocates nothing once the stack's scratch has
 // grown. A journal over bound fails with ErrDeltaBound before anything is
@@ -109,10 +110,10 @@ func (s *Stack) AppendDelta(b []byte, bound int) ([]byte, error) {
 		}
 		b = le.AppendUint32(le.AppendUint32(b, uint32(slots)), uint32(len(pm.journal)))
 		for _, a := range pm.journal {
-			b = le.AppendUint64(le.AppendUint64(b, a), pm.flat[a])
+			b = le.AppendUint32(le.AppendUint64(b, a), pm.flat[a])
 		}
 		for i := len(pm.journal); i < slots; i++ {
-			b = le.AppendUint64(le.AppendUint64(b, ^uint64(0)), ^uint64(0))
+			b = le.AppendUint32(le.AppendUint64(b, ^uint64(0)), ^uint32(0))
 		}
 		pm.resetJournal()
 		b = o.appendTail(b)
@@ -129,7 +130,7 @@ func DecodeDelta(b []byte) (*ShardDelta, []byte, error) {
 		ld := &sd.Levels[i]
 		copy(ld.Root[:], d.take(sha256.Size))
 		bound, n := int(d.u32()), int(d.u32())
-		if d.err == nil && (bound > len(d.b)/16 || n > bound) {
+		if d.err == nil && (bound > len(d.b)/12 || n > bound) {
 			d.err = errTruncated
 		}
 		if d.err != nil {
@@ -139,10 +140,10 @@ func DecodeDelta(b []byte) (*ShardDelta, []byte, error) {
 		if n > 0 {
 			ld.Pos = make([]PosEntry, n)
 			for j := range ld.Pos {
-				ld.Pos[j] = PosEntry{Addr: d.u64(), Leaf: d.u64()}
+				ld.Pos[j] = PosEntry{Addr: d.u64(), Leaf: d.u32()}
 			}
 		}
-		d.take(16 * (bound - n))
+		d.take(12 * (bound - n))
 		ld.LevelTail = d.tail()
 	}
 	sd.Batch = d.batch()

@@ -341,43 +341,63 @@ func TestStateEncodingMatchesCapture(t *testing.T) {
 }
 
 // TestBaseMapLengthIsPublic: a base record carries the deepest tree's whole
-// position map, one entry per slot of that tree, and no map for any other
-// tree, however many addresses have been touched — touching one address
-// and touching every address give the same sections.
+// position map, one 4-byte label per address that tree can hold
+// (OnChipPosMapEntries), and no map for any other tree, however many
+// addresses have been touched — touching one address and touching every
+// address give the same sections — under either fetch policy.
 func TestBaseMapLengthIsPublic(t *testing.T) {
-	for _, recursion := range []int{0, 2} {
+	for _, c := range []struct{ recursion, batchK int }{{0, 0}, {2, 0}, {0, 4}, {2, 4}} {
 		cfg := StackConfig{RecursiveConfig: RecursiveConfig{
-			DataBlocks: 8192, DataBlockBytes: 64, PosMapBlockBytes: 32, Z: 3, Recursion: recursion,
-		}}
-		geoms := cfg.Geometries()
+			DataBlocks: 8192, DataBlockBytes: 64, PosMapBlockBytes: 32, Z: 3, Recursion: c.recursion,
+		}, BatchK: c.batchK}
 		sections := func(touched uint64) []int {
 			s, err := NewStack(cfg, crypt.Key{24}, rand.New(rand.NewSource(24)))
 			if err != nil {
 				t.Fatal(err)
 			}
 			s.EnableIntegrity()
-			for a := uint64(0); a < touched; a++ {
-				if err := s.Update(a, nil); err != nil {
+			for a := uint64(0); a < touched; a += uint64(s.BatchK()) {
+				var ops []BatchOp
+				for b := a; b < min(a+uint64(s.BatchK()), touched); b++ {
+					ops = append(ops, BatchOp{Addr: b})
+				}
+				if err := s.AccessBatch(ops); err != nil {
 					t.Fatal(err)
 				}
 			}
+			enc, err := s.AppendState(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, _, err := DecodeState(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var lens []int
-			for _, ls := range encodeState(t, s).Levels {
+			for i, ls := range st.Levels {
 				lens = append(lens, len(ls.Pos))
+				// The section is the entry count, then each label in 4 bytes.
+				sec := le.AppendUint32(nil, uint32(len(ls.Pos)))
+				for _, l := range ls.Pos {
+					sec = le.AppendUint32(sec, l)
+				}
+				if len(ls.Pos) > 0 && !bytes.Contains(enc, sec) {
+					t.Errorf("%+v: level %d's map section is not %d 4-byte labels", c, i, len(ls.Pos))
+				}
 			}
 			return lens
 		}
 		one, all := sections(1), sections(cfg.DataBlocks)
 		if !slices.Equal(one, all) {
-			t.Errorf("recursion %d: map sections hold %v entries after touching one address, %v after touching all", recursion, one, all)
+			t.Errorf("%+v: map sections hold %v entries after touching one address, %v after touching all", c, one, all)
 		}
 		for i, n := range all {
 			want := 0
-			if i == len(geoms)-1 {
-				want = int(geoms[i].Capacity())
+			if i == len(all)-1 {
+				want = int(cfg.OnChipPosMapEntries())
 			}
 			if n != want {
-				t.Errorf("recursion %d: level %d's map section holds %d entries, want %d", recursion, i, n, want)
+				t.Errorf("%+v: level %d's map section holds %d entries, want %d", c, i, n, want)
 			}
 		}
 	}
@@ -385,8 +405,9 @@ func TestBaseMapLengthIsPublic(t *testing.T) {
 
 // TestRecoverRefusesMisshapenState: recovery restores trusted state only
 // once it fits the tree it is restored into — a map only on the deepest
-// tree and exactly its capacity long, tombstones only on a deferred data
-// tree, each inside the tree and its Z slots.
+// tree and exactly as long as that tree's addresses, stash blocks inside
+// their tree's addresses, tombstones only on a deferred data tree, each
+// inside the tree and its Z slots.
 func TestRecoverRefusesMisshapenState(t *testing.T) {
 	base := RecursiveConfig{DataBlocks: 128, DataBlockBytes: 32, PosMapBlockBytes: 32, Z: 3, Recursion: 1}
 	classic, deferred := StackConfig{RecursiveConfig: base}, StackConfig{RecursiveConfig: base, BatchK: 4}
@@ -397,7 +418,13 @@ func TestRecoverRefusesMisshapenState(t *testing.T) {
 	}{
 		{"a sound capture", deferred, nil},
 		{"a short map on the deepest tree", classic, func(st *ShardState) { st.Levels[1].Pos = st.Levels[1].Pos[1:] }},
-		{"a map on the data tree", classic, func(st *ShardState) { st.Levels[0].Pos = []uint64{unknownLeaf} }},
+		{"a map on the data tree", classic, func(st *ShardState) { st.Levels[0].Pos = []uint32{unassignedLabel} }},
+		{"a data block past DataBlocks", classic, func(st *ShardState) {
+			st.Levels[0].Stash = append(st.Levels[0].Stash, StashBlockState{Addr: base.DataBlocks, Data: make([]byte, base.DataBlockBytes)})
+		}},
+		{"a label block past the data tree's labels", classic, func(st *ShardState) {
+			st.Levels[1].Stash = append(st.Levels[1].Stash, StashBlockState{Addr: base.DataBlocks / base.LabelsPerBlock(), Data: make([]byte, base.PosMapBlockBytes)})
+		}},
 		{"tombstones on a classic tree", classic, func(st *ShardState) { st.Levels[0].Stale = []StaleMask{{Bucket: 0, Mask: 1}} }},
 		{"tombstones on a position-map tree", deferred, func(st *ShardState) { st.Levels[1].Stale = []StaleMask{{Bucket: 0, Mask: 1}} }},
 		{"a tombstone past the last bucket", deferred, func(st *ShardState) {
@@ -461,12 +488,12 @@ func TestRecoverRefusesBadStashBlock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pos := make([]uint64, g.Capacity())
+		pos := make([]uint32, g.Capacity())
 		for i := range pos {
-			pos[i] = unknownLeaf
+			pos[i] = unassignedLabel
 		}
 		ls := &LevelState{Root: newMerkleTree(g, store).Root(), Pos: pos, LevelTail: LevelTail{Stash: c.stash}}
-		o, err := recoverLevel(g, crypt.Key{51}, nil, store, ls, treeRole{owner: true})
+		o, err := recoverLevel(g, crypt.Key{51}, nil, store, ls, treeRole{blocks: g.Capacity(), owner: true})
 		switch {
 		case c.want == "" && err != nil:
 			t.Errorf("%s: refused: %v", c.name, err)

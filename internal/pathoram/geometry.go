@@ -40,11 +40,12 @@ type Geometry struct {
 	BlockBytes int
 }
 
-// Validate reports whether the geometry is usable.
+// Validate reports whether the geometry is usable by a tree that stores
+// blocks: at most 2^24 leaves, the most a block header names (packHeader).
 func (g Geometry) Validate() error {
 	switch {
-	case g.Levels < 1 || g.Levels > 40:
-		return fmt.Errorf("pathoram: Levels must be in [1,40], got %d", g.Levels)
+	case g.Levels < 1 || g.Levels > 25:
+		return fmt.Errorf("pathoram: Levels must be in [1,25], got %d: a block header's 24-bit leaf field names at most 2^24 leaves", g.Levels)
 	case g.Z < 1:
 		return fmt.Errorf("pathoram: Z must be positive, got %d", g.Z)
 	case g.BlockBytes < 1:

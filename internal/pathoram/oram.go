@@ -110,13 +110,19 @@ func NewORAM(g Geometry, key crypt.Key, rng *rand.Rand) (*ORAM, error) {
 // fresh in-RAM ByteStorage). The store's prior contents are overwritten by
 // initialization; recovery from an existing store goes through RecoverStack.
 func NewORAMOn(g Geometry, key crypt.Key, rng *rand.Rand, store BucketStore) (*ORAM, error) {
-	return newORAM(g, key, rng, store, treeRole{owner: true})
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	return newORAM(g, key, rng, store, treeRole{blocks: g.Capacity(), owner: true})
 }
 
 // treeRole names the trusted state a tree keeps beside its stash.
 type treeRole struct {
-	// owner: the tree holds its own position map — a standalone ORAM, or
-	// the deepest tree of a Stack.
+	// blocks is the number of addresses the tree can hold: every slot of a
+	// standalone ORAM, a Stack tree's share of RecursiveConfig.treeBlocks.
+	blocks uint64
+	// owner: the tree holds its own position map, one label per address —
+	// a standalone ORAM, or the deepest tree of a Stack.
 	owner bool
 	// deferred: the tree is fetched without rewriting, so it keeps
 	// tombstones — the data tree of a deferred Stack.
@@ -141,11 +147,9 @@ func newORAM(g Geometry, key crypt.Key, rng *rand.Rand, store BucketStore, role 
 // newORAMShell builds an ORAM's trusted state around a store without
 // touching the store's contents — the shared half of NewORAMOn (which then
 // initializes every bucket) and recoverLevel (which restores state and
-// verifies the existing buckets instead).
+// verifies the existing buckets instead). g has passed Validate: in
+// NewORAMOn for a standalone tree, in StackConfig.Validate for a stack's.
 func newORAMShell(g Geometry, key crypt.Key, rng *rand.Rand, store BucketStore, role treeRole) (*ORAM, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
@@ -166,7 +170,7 @@ func newORAMShell(g Geometry, key crypt.Key, rng *rand.Rand, store BucketStore, 
 		fresh:  make([]byte, g.BlockBytes),
 	}
 	if role.owner {
-		o.posmap = newPositionMap(g.Capacity())
+		o.posmap = newPositionMap(role.blocks)
 	}
 	if role.deferred {
 		o.stale = make([]uint8, g.Buckets())
@@ -285,15 +289,24 @@ func (o *ORAM) flushTop() error {
 // block has ever been written (test hook for the path invariant). A tree
 // without a position map reports every address unassigned.
 func (o *ORAM) PositionOf(addr uint64) (uint64, bool) {
-	if addr >= uint64(len(o.posmap.flat)) {
+	if addr >= uint64(len(o.posmap.flat)) || o.posmap.flat[addr] == unassignedLabel {
 		return 0, false
 	}
-	return o.posmap.Get(addr)
+	return uint64(o.posmap.flat[addr]), true
 }
 
 // randomLeaf samples a uniformly random leaf.
 func (o *ORAM) randomLeaf() uint64 {
 	return uint64(o.rng.Int63n(int64(o.geom.Leaves())))
+}
+
+// pathLeaf returns the leaf whose path an access to a block with the given
+// label reads: the label, or on first touch (unassignedLabel) a random leaf.
+func (o *ORAM) pathLeaf(label uint32) uint64 {
+	if label == unassignedLabel {
+		return o.randomLeaf()
+	}
+	return uint64(label)
 }
 
 // Access performs one Path ORAM access: read the path for addr's current
@@ -327,18 +340,15 @@ func (o *ORAM) Access(op Op, addr uint64, data []byte) ([]byte, error) {
 // and mutate them in place; it must not retain the slice past the call. The
 // server's request coalescing depends on this — a batch of queued reads and
 // writes to one address collapses into one indistinguishable access. addr
-// must be below the tree's capacity; a tree without a position map refuses
-// every address.
+// must be below the number of addresses the tree's map holds; a tree without
+// a position map refuses every address.
 func (o *ORAM) Update(addr uint64, fn func(data []byte)) error {
 	if addr >= uint64(len(o.posmap.flat)) {
 		return fmt.Errorf("pathoram: address %#x out of range (%d mapped blocks)", addr, len(o.posmap.flat))
 	}
-	leaf, known := o.posmap.Get(addr)
-	if !known {
-		leaf = o.randomLeaf()
-	}
+	leaf := o.pathLeaf(o.posmap.flat[addr])
 	newLeaf := o.randomLeaf()
-	o.posmap.Set(addr, newLeaf)
+	o.posmap.Set(addr, uint32(newLeaf))
 	return o.accessPath(addr, leaf, newLeaf, fn)
 }
 
@@ -346,10 +356,7 @@ func (o *ORAM) Update(addr uint64, fn func(data []byte)) error {
 // caller (the level above in a Stack) supplies the block's current leaf
 // (unassignedLabel for first touch) and its next leaf.
 func (o *ORAM) accessAt(addr uint64, curLeaf uint32, newLeaf uint64, fn func(data []byte)) error {
-	leaf := uint64(curLeaf)
-	if curLeaf == unassignedLabel {
-		leaf = o.randomLeaf()
-	}
+	leaf := o.pathLeaf(curLeaf)
 	if leaf >= o.geom.Leaves() {
 		return fmt.Errorf("pathoram: leaf %d out of range", leaf)
 	}
@@ -573,7 +580,7 @@ func (o *ORAM) checkMap(located map[uint64]Block) error {
 	}
 	mapped := 0
 	for addr, leaf := range o.posmap.flat {
-		if leaf == unknownLeaf {
+		if leaf == unassignedLabel {
 			continue
 		}
 		mapped++
@@ -581,7 +588,7 @@ func (o *ORAM) checkMap(located map[uint64]Block) error {
 		if !ok {
 			return fmt.Errorf("pathoram: mapped block %#x in neither stash nor tree", addr)
 		}
-		if b.Leaf != leaf {
+		if b.Leaf != uint64(leaf) {
 			return fmt.Errorf("pathoram: block %#x carries leaf %d, its position map says %d", addr, b.Leaf, leaf)
 		}
 	}

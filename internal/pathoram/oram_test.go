@@ -57,6 +57,7 @@ func TestGeometryMath(t *testing.T) {
 func TestGeometryValidate(t *testing.T) {
 	bad := []Geometry{
 		{Levels: 0, Z: 3, BlockBytes: 64},
+		{Levels: 26, Z: 3, BlockBytes: 64}, // 2^25 leaves: past a block header's leaf field
 		{Levels: 41, Z: 3, BlockBytes: 64},
 		{Levels: 5, Z: 0, BlockBytes: 64},
 		{Levels: 5, Z: 3, BlockBytes: 0},

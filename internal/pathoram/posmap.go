@@ -2,18 +2,17 @@ package pathoram
 
 import "slices"
 
-// unknownLeaf marks a position-map slot whose block has never been accessed.
-const unknownLeaf = ^uint64(0)
-
 // positionMap maps block addresses to leaf labels: a flat slice indexed by
 // address, the on-chip SRAM position map of §3.1. Only the tree that owns
 // its labels has one — a standalone ORAM, or the deepest tree of a Stack —
-// and it is allocated whole at construction, one entry per slot of the tree
-// (Geometry.Capacity), so its size is a public function of the shape. Every
-// other tree of a Stack finds its labels in the blocks of the tree below and
-// carries an empty map.
+// and it is allocated whole at construction, one label per address the tree
+// can hold (treeRole.blocks), so its size is a public function of the
+// shape. A label is 32 bits, as in a position-map block, and
+// unassignedLabel marks an address never touched. Every other tree of a
+// Stack finds its labels in the blocks of the tree below and carries an
+// empty map.
 type positionMap struct {
-	flat []uint64 // flat[addr] = leaf, or unknownLeaf
+	flat []uint32 // flat[addr] = leaf, or unassignedLabel
 	// journal, while tracking, records every address Set has assigned since
 	// the last capture, repeats included — the change set a delta
 	// checkpoint drains instead of copying the whole map. An append per Set
@@ -25,22 +24,15 @@ type positionMap struct {
 
 // newPositionMap returns a map of n entries, none assigned.
 func newPositionMap(n uint64) positionMap {
-	flat := make([]uint64, n)
+	flat := make([]uint32, n)
 	for i := range flat {
-		flat[i] = unknownLeaf
+		flat[i] = unassignedLabel
 	}
 	return positionMap{flat: flat}
 }
 
-// Get returns the leaf for addr and whether one has been assigned. addr must
-// be below len(flat).
-func (p *positionMap) Get(addr uint64) (uint64, bool) {
-	l := p.flat[addr]
-	return l, l != unknownLeaf
-}
-
 // Set assigns a leaf to addr, which must be below len(flat).
-func (p *positionMap) Set(addr, leaf uint64) {
+func (p *positionMap) Set(addr uint64, leaf uint32) {
 	if p.tracking {
 		p.journal = append(p.journal, addr)
 	}

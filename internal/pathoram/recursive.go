@@ -63,29 +63,33 @@ func (c RecursiveConfig) LabelsPerBlock() uint64 {
 	return uint64(c.PosMapBlockBytes / LabelBytes)
 }
 
+// treeBlocks returns the number of addresses each tree of the stack can
+// hold: index 0 is the data ORAM's DataBlocks, and each position-map ORAM
+// holds one block per LabelsPerBlock labels of the tree above it.
+func (c RecursiveConfig) treeBlocks() []uint64 {
+	out := []uint64{c.DataBlocks}
+	fan := c.LabelsPerBlock()
+	for i := 0; i < c.Recursion; i++ {
+		out = append(out, (out[i]+fan-1)/fan)
+	}
+	return out
+}
+
 // Geometries returns the tree shapes of the full stack: index 0 is the data
 // ORAM, followed by position-map ORAMs from largest to smallest.
 func (c RecursiveConfig) Geometries() []Geometry {
-	out := []Geometry{GeometryForBlocks(c.DataBlocks, c.Z, c.DataBlockBytes)}
-	blocks := c.DataBlocks
-	fan := c.LabelsPerBlock()
-	for i := 0; i < c.Recursion; i++ {
-		blocks = (blocks + fan - 1) / fan
-		out = append(out, GeometryForBlocks(blocks, c.Z, c.PosMapBlockBytes))
+	blocks := c.treeBlocks()
+	out := []Geometry{GeometryForBlocks(blocks[0], c.Z, c.DataBlockBytes)}
+	for _, n := range blocks[1:] {
+		out = append(out, GeometryForBlocks(n, c.Z, c.PosMapBlockBytes))
 	}
 	return out
 }
 
 // OnChipPosMapEntries is the size of the final position map kept in on-chip
-// SRAM after recursion.
-func (c RecursiveConfig) OnChipPosMapEntries() uint64 {
-	blocks := c.DataBlocks
-	fan := c.LabelsPerBlock()
-	for i := 0; i < c.Recursion; i++ {
-		blocks = (blocks + fan - 1) / fan
-	}
-	return blocks
-}
+// SRAM after recursion: the addresses the deepest tree can hold, one label
+// each — the map a Stack's deepest tree keeps (DataBlocks for a flat stack).
+func (c RecursiveConfig) OnChipPosMapEntries() uint64 { return c.treeBlocks()[c.Recursion] }
 
 // AccessBytes returns the total bytes moved per access in one direction
 // (sum of all path reads) and round trip.

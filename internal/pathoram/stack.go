@@ -95,6 +95,11 @@ func (c StackConfig) Validate() error {
 	if err := c.RecursiveConfig.Validate(); err != nil {
 		return err
 	}
+	for _, g := range c.Geometries() {
+		if err := g.Validate(); err != nil {
+			return err
+		}
+	}
 	if !c.Deferred() {
 		if c.EvictEvery != 0 || c.EvictPaths != 0 || c.StashHighWater != 0 {
 			return fmt.Errorf("pathoram: EvictEvery, EvictPaths and StashHighWater belong to the deferred policy; set BatchK to select it")
@@ -135,8 +140,7 @@ type SlotSig struct {
 // block's leaf through them.
 type rec struct {
 	orams []*ORAM // orams[0] = data, orams[1..] = position maps, largest first
-	rng   *rand.Rand
-	fan   uint64 // labels per position-map block
+	fan   uint64  // labels per position-map block
 }
 
 // Stack is a functional Path ORAM stack: the data ORAM's position map is
@@ -221,7 +225,8 @@ func NewBatchedOn(cfg BatchedConfig, key crypt.Key, rng *rand.Rand, factory Stor
 // buildStack assembles a stack whose trees come from level — fresh ones for
 // NewStackOn, recovered ones for RecoverStack — and moves each tree's top
 // min(6, L−1) levels into its trusted cache. Only the deepest tree owns a
-// position map, and only a deferred stack's data tree keeps tombstones.
+// position map, one label per address it can hold (OnChipPosMapEntries),
+// and only a deferred stack's data tree keeps tombstones.
 func buildStack(cfg StackConfig, rng *rand.Rand, level func(i int, g Geometry, rng *rand.Rand, role treeRole) (*ORAM, error)) (*Stack, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -232,12 +237,12 @@ func buildStack(cfg StackConfig, rng *rand.Rand, level func(i int, g Geometry, r
 	}
 	s := &Stack{
 		cfg:     cfg,
-		rec:     rec{rng: rng, fan: cfg.LabelsPerBlock()},
+		rec:     rec{fan: cfg.LabelsPerBlock()},
 		readBuf: make([]byte, cfg.DataBlockBytes),
 	}
-	geoms := cfg.Geometries()
+	geoms, blocks := cfg.Geometries(), cfg.treeBlocks()
 	for i, g := range geoms {
-		o, err := level(i, g, rng, treeRole{owner: i == len(geoms)-1, deferred: i == 0 && cfg.Deferred()})
+		o, err := level(i, g, rng, treeRole{blocks: blocks[i], owner: i == len(geoms)-1, deferred: i == 0 && cfg.Deferred()})
 		if err != nil {
 			return nil, fmt.Errorf("level %d: %w", i, err)
 		}
@@ -349,11 +354,6 @@ func (s *Stack) StashBound() int {
 	return s.cfg.StashHighWater + s.cfg.BatchK + g.Z*g.Levels
 }
 
-// drawLeaf samples the next leaf for a block of tree o.
-func (r *rec) drawLeaf(o *ORAM) uint32 {
-	return uint32(r.rng.Int63n(int64(o.geom.Leaves())))
-}
-
 // lookupAndRemap returns the current leaf label of block index of
 // orams[tree] (unassignedLabel if it was never touched) and records
 // newLabel as its next one. The deepest tree's labels live in its own
@@ -363,16 +363,13 @@ func (r *rec) drawLeaf(o *ORAM) uint32 {
 func (r *rec) lookupAndRemap(tree int, index uint64, newLabel uint32) (uint32, error) {
 	if tree == len(r.orams)-1 {
 		pm := &r.orams[tree].posmap
-		cur := unassignedLabel
-		if leaf, known := pm.Get(index); known {
-			cur = uint32(leaf)
-		}
-		pm.Set(index, uint64(newLabel))
+		cur := pm.flat[index]
+		pm.Set(index, newLabel)
 		return cur, nil
 	}
 	pm := r.orams[tree+1] // position-map ORAM holding this tree's labels
 	blockIdx, slot := index/r.fan, index%r.fan
-	blockNewLeaf := r.drawLeaf(pm)
+	blockNewLeaf := uint32(pm.randomLeaf())
 	blockCurLeaf, err := r.lookupAndRemap(tree+1, blockIdx, blockNewLeaf)
 	if err != nil {
 		return 0, err
@@ -421,7 +418,7 @@ func (s *Stack) classicAccess(addr uint64, fn func(data []byte)) error {
 		// Recursion = 0: the data tree's own map is the whole recursion.
 		return s.data.Update(addr, fn)
 	}
-	newLeaf := s.drawLeaf(s.data)
+	newLeaf := uint32(s.data.randomLeaf())
 	curLeaf, err := s.lookupAndRemap(0, addr, newLeaf)
 	if err != nil {
 		return err
@@ -495,16 +492,12 @@ func (s *Stack) fetch(addr uint64, fn func(data []byte)) error {
 	if err := s.checkAddr(addr); err != nil {
 		return err
 	}
-	newLeaf := s.drawLeaf(s.data)
+	newLeaf := uint32(s.data.randomLeaf())
 	curLeaf, err := s.lookupAndRemap(0, addr, newLeaf)
 	if err != nil {
 		return err
 	}
-	leaf := uint64(curLeaf)
-	if curLeaf == unassignedLabel {
-		leaf = s.data.randomLeaf()
-	}
-	blk, err := s.data.fetchPath(leaf, addr, uint64(newLeaf))
+	blk, err := s.data.fetchPath(s.data.pathLeaf(curLeaf), addr, uint64(newLeaf))
 	if err != nil {
 		return err
 	}

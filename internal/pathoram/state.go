@@ -27,12 +27,13 @@ import (
 // where the counts before it put it, so encoding is a run of appends into
 // one reused buffer and decoding a bounds-checked walk. A stack encodes as
 // its level count, then per level the Merkle root, the position-map section
-// (here the owner's whole map, Capacity() entries, and an empty section on
-// every other tree; a padded delta in delta.go) and the tail — stash count,
-// block size, then address, leaf and payload per stash block; the stash
-// peak; the count of buckets holding tombstones, then per such bucket in
-// ascending order its index and its one-byte slot mask; the four counters —
-// and last a present flag and the deferred policy's five counters.
+// (here the owner's whole map, a 4-byte label per address the tree can
+// hold, and an empty section on every other tree; a padded delta in
+// delta.go) and the tail — stash count, block size, then address, leaf and
+// payload per stash block; the stash peak; the count of buckets holding
+// tombstones, then per such bucket in ascending order its index and its
+// one-byte slot mask; the four counters — and last a present flag and the
+// deferred policy's five counters.
 
 // ErrRootMismatch is returned by RecoverStack when the
 // untrusted store's recomputed Merkle root differs from the checkpointed
@@ -83,10 +84,10 @@ type LevelState struct {
 	// capture time — the only binding between the sealed checkpoint and
 	// the bucket file.
 	Root [sha256.Size]byte
-	// Pos is the position map of the tree that owns one — Capacity()
-	// entries, unknownLeaf marking never-assigned slots — and empty on
-	// every other tree.
-	Pos []uint64
+	// Pos is the position map of the tree that owns one — a label per
+	// address the tree can hold, unassignedLabel marking never-assigned
+	// ones — and empty on every other tree.
+	Pos []uint32
 	LevelTail
 }
 
@@ -211,7 +212,7 @@ func (s *Stack) AppendState(b []byte) ([]byte, error) {
 		b = append(b, root[:]...)
 		b = le.AppendUint32(b, uint32(len(o.posmap.flat)))
 		for _, leaf := range o.posmap.flat {
-			b = le.AppendUint64(b, leaf)
+			b = le.AppendUint32(b, leaf)
 		}
 		b = o.appendTail(b)
 		o.posmap.resetJournal()
@@ -329,10 +330,10 @@ func DecodeState(b []byte) (*ShardState, []byte, error) {
 	for i := range st.Levels {
 		ls := &st.Levels[i]
 		copy(ls.Root[:], d.take(sha256.Size))
-		if n := d.count(8); n > 0 {
-			ls.Pos = make([]uint64, n)
+		if n := d.count(LabelBytes); n > 0 {
+			ls.Pos = make([]uint32, n)
 			for j := range ls.Pos {
-				ls.Pos[j] = d.u64()
+				ls.Pos[j] = d.u32()
 			}
 		}
 		ls.LevelTail = d.tail()
@@ -416,8 +417,8 @@ func recoverLevel(g Geometry, key crypt.Key, rng *rand.Rand, store BucketStore, 
 		switch {
 		case len(b.Data) != g.BlockBytes:
 			return nil, fmt.Errorf("pathoram: checkpointed stash block %#x is %d bytes, want %d", b.Addr, len(b.Data), g.BlockBytes)
-		case b.Addr >= g.Capacity():
-			return nil, fmt.Errorf("pathoram: checkpointed stash block %#x is outside a %d-block tree", b.Addr, g.Capacity())
+		case b.Addr >= role.blocks:
+			return nil, fmt.Errorf("pathoram: checkpointed stash block %#x is outside a tree of %d addresses", b.Addr, role.blocks)
 		case b.Leaf >= g.Leaves():
 			return nil, fmt.Errorf("pathoram: checkpointed stash block %#x has leaf %d of a %d-leaf tree", b.Addr, b.Leaf, g.Leaves())
 		case o.stash.Get(b.Addr) != nil:

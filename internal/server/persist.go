@@ -61,11 +61,9 @@ const (
 
 // recordMagic opens every checkpoint payload; the trailing digit is the
 // format version. Version 1 carried a position map for every tree and
-// tombstones as address lists; its records are refused with ErrOldFormat.
-const (
-	recordMagic    = "TCORAMC2"
-	oldRecordMagic = "TCORAMC1"
-)
+// tombstones as address lists, version 2 an 8-byte label per slot of the
+// deepest tree; records of any other version are refused with ErrOldFormat.
+const recordMagic = "TCORAMC3"
 
 // Record kinds.
 const (
@@ -97,8 +95,8 @@ var ErrChainOrder = errors.New("server: checkpoint log out of order (reordered o
 
 // ErrOldFormat is returned for a data dir written in an older checkpoint
 // format — a gob-encoded base.bin, delta-NNNNNN.bin chain files, a single
-// checkpoint.bin, or TCORAMC1 records. Boot refuses it before touching any
-// file.
+// checkpoint.bin, or records of an older TCORAMC version. Boot refuses it
+// before touching any file.
 var ErrOldFormat = errors.New("server: data dir holds an older checkpoint format; refusing to touch it")
 
 var le = binary.LittleEndian
@@ -474,10 +472,11 @@ func (p *persister) openRecord(sealed []byte) (*record, error) {
 // delta its kind names, and one redo section per level, with nothing left
 // over. The decoded payloads alias payload.
 func decodeRecord(payload []byte) (*record, error) {
-	if len(payload) < headerBytes || string(payload[:len(recordMagic)]) != recordMagic {
-		if strings.HasPrefix(string(payload), oldRecordMagic) {
-			return nil, fmt.Errorf("%w: it holds %s records", ErrOldFormat, oldRecordMagic)
-		}
+	magic := string(payload[:min(len(payload), len(recordMagic))])
+	if magic != recordMagic && len(magic) == len(recordMagic) && strings.HasPrefix(magic, recordMagic[:len(recordMagic)-1]) {
+		return nil, fmt.Errorf("%w: it holds %s records", ErrOldFormat, magic)
+	}
+	if len(payload) < headerBytes || magic != recordMagic {
 		return nil, errors.New("checkpoint record has no valid header")
 	}
 	h := payload[len(recordMagic):headerBytes]

@@ -925,9 +925,9 @@ func TestCheckpointRecordLength(t *testing.T) {
 
 // TestRefuseOldFormatDataDir: a data dir written in an older checkpoint
 // format — a gob-encoded base.bin, delta-NNNNNN.bin chain files, a single
-// checkpoint.bin, or a base sealed as a TCORAMC1 record — is refused for
-// every preset with an error naming the format and the file, and left
-// byte-identical.
+// checkpoint.bin, or a base sealed as a TCORAMC1 or TCORAMC2 record — is
+// refused for every preset with an error naming the format and the file,
+// and left byte-identical.
 func TestRefuseOldFormatDataDir(t *testing.T) {
 	formats := []struct {
 		name, file string // what the refusal must name
@@ -951,27 +951,8 @@ func TestRefuseOldFormatDataDir(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"TCORAMC1", "base.bin", func(t *testing.T, shardDir string, cfg Config) {
-			// The record as the previous format sealed it: the same framing
-			// and header under the version-1 magic.
-			path := filepath.Join(shardDir, "base.bin")
-			blob, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			payload, err := crypt.OpenSealed(crypt.NewCipher(cfg.Key, nil), blob[4:])
-			if err != nil {
-				t.Fatal(err)
-			}
-			copy(payload, "TCORAMC1")
-			sealed, err := crypt.Seal(crypt.NewCipher(cfg.Key, nil), payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, append(le.AppendUint32(nil, uint32(len(sealed))), sealed...), 0o600); err != nil {
-				t.Fatal(err)
-			}
-		}},
+		{"TCORAMC1", "base.bin", resealedUnder("TCORAMC1")},
+		{"TCORAMC2", "base.bin", resealedUnder("TCORAMC2")},
 		{"delta-000001.bin", "delta-000001.bin", func(t *testing.T, shardDir string, _ Config) {
 			if err := os.WriteFile(filepath.Join(shardDir, "delta-000001.bin"), []byte("sealed delta"), 0o600); err != nil {
 				t.Fatal(err)
@@ -1021,6 +1002,30 @@ func TestRefuseOldFormatDataDir(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// resealedUnder rewrites a shard's base.bin as an older format sealed it:
+// the same framing and header under the given record magic.
+func resealedUnder(magic string) func(t *testing.T, shardDir string, cfg Config) {
+	return func(t *testing.T, shardDir string, cfg Config) {
+		path := filepath.Join(shardDir, "base.bin")
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := crypt.OpenSealed(crypt.NewCipher(cfg.Key, nil), blob[4:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(payload, magic)
+		sealed, err := crypt.Seal(crypt.NewCipher(cfg.Key, nil), payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(le.AppendUint32(nil, uint32(len(sealed))), sealed...), 0o600); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -9,10 +9,11 @@
 # when i is even, so a host that drifts steadily through the set slows each
 # side equally. For each end-to-end metric BENCHMARK.json lists it prints
 # every pair with its order, the two medians, the change/parent ratio of the
-# medians, in how many pairs the change was better (a tie is no win) and
-# the exact two-sided sign-test p over the untied pairs, then the medians of
-# the parent-first and the change-first pairs alone: a gap between those two
-# ratios is drift the alternation cancelled. Failed ops are reported per
+# medians, in how many pairs the change was better (a tie is no win; both
+# are judged at the 4 decimals printed) and the exact two-sided sign-test p
+# over the untied pairs, then the medians of the parent-first and the
+# change-first pairs alone: a gap between those two ratios is drift the
+# alternation cancelled. Failed ops are reported per
 # run. Each side builds into its own .bench_build; nothing is downloaded.
 #
 # Usage: scripts/bench_pairs.sh BASE_REF WORKLOAD N [SEED]   (SEED default 7)
@@ -115,8 +116,10 @@ END {
         delete pp; delete pc; delete cp; delete cc
         for (i = 1; i <= pairs; i++) {
             p[i] = parent[name, i]; c[i] = change[name, i]
-            win = (better[name] == "lower") ? c[i] < p[i] : c[i] > p[i]
-            wins += win; ties += c[i] == p[i]
+            # Compare what the row prints, so "1.0000 -> 1.0000" is a tie.
+            rp = sprintf("%.4f", p[i]) + 0; rc = sprintf("%.4f", c[i]) + 0
+            win = (better[name] == "lower") ? rc < rp : rc > rp
+            wins += win; ties += rc == rp
             if (i % 2) { pp[++np] = p[i]; pc[np] = c[i] } else { cp[++nc] = p[i]; cc[nc] = c[i] }
             printf "  pair %-3d %s %14.4f -> %14.4f%s\n", i, i % 2 ? "P,C" : "C,P", p[i], c[i], win ? "  win" : ""
         }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # test_bench_pairs.sh — checks scripts/bench_pairs.sh against a stub
 # benchmark. It builds a throwaway git repository holding a copy of the
-# script, a two-metric BENCHMARK.json and a benchmark/run.sh that logs which
+# script, a three-metric BENCHMARK.json and a benchmark/run.sh that logs which
 # side ran and prints that side's next fixed result line, commits it as the
 # parent, marks the working tree as the change, and then checks the run
 # order (parent first in odd pairs, change first in even ones), the pooled
@@ -27,6 +27,10 @@ cat >"$repo/BENCHMARK.json" <<'EOF'
     {
       "name": "cpu_us_per_op",
       "better": "lower"
+    },
+    {
+      "name": "slots_per_op",
+      "better": "lower"
     }
   ]
 }
@@ -39,15 +43,16 @@ echo $1 >>"\$BENCH_PAIRS_LOG"
 k=\$(grep -c '^$1\$' "\$BENCH_PAIRS_LOG")
 tp=($2)
 cpu=($3)
+slots=($4)
 echo "building"
-echo "{\"workload\":\"stub\",\"failed\":0,\"metrics\":{\"throughput_ops_s\":{\"value\":\${tp[k-1]},\"unit\":\"ops/s\"},\"cpu_us_per_op\":{\"value\":\${cpu[k-1]},\"unit\":\"us\"}}}"
+echo "{\"workload\":\"stub\",\"failed\":0,\"metrics\":{\"throughput_ops_s\":{\"value\":\${tp[k-1]},\"unit\":\"ops/s\"},\"cpu_us_per_op\":{\"value\":\${cpu[k-1]},\"unit\":\"us\"},\"slots_per_op\":{\"value\":\${slots[k-1]},\"unit\":\"count\"}}}"
 EOF
 }
-stub parent "100 90 110 80 100 100 100 100 100 100" "20 20 20 20 20 20 20 20 20 20" >"$repo/benchmark/run.sh"
+stub parent "100 90 110 80 100 100 100 100 100 100" "20 20 20 20 20 20 20 20 20 20" "1 1 1 1 1 1 1 1 1 1" >"$repo/benchmark/run.sh"
 git -C "$repo" init -q
 git -C "$repo" add -A
 git -C "$repo" -c user.name=test -c user.email=test@example.invalid commit -q -m parent
-stub change "120 100 105 95 101 101 101 101 101 101" "10 11 12 20 19 19 19 19 19 19" >"$repo/benchmark/run.sh"
+stub change "120 100 105 95 101 101 101 101 101 101" "10 11 12 20 19 19 19 19 19 19" "0.99999 1.00001 1 0.99996 1 1 1 1 1 1" >"$repo/benchmark/run.sh"
 
 fail=0
 # expect FILE LINE: FILE must hold LINE verbatim.
@@ -77,6 +82,11 @@ expect "$o" "  median              20.0000 ->        11.5000  ratio 0.5750"
 expect "$o" "  change wins 3/4 (1 tied)  sign-test p 0.25"
 expect "$o" "  parent first        20.0000 ->        11.0000  ratio 0.5500"
 expect "$o" "  change first        20.0000 ->        15.5000  ratio 0.7750"
+# slots_per_op: the change differs from the parent only past the fourth
+# decimal, which the rows do not print, so every pair is a tie.
+expect "$o" "  pair 1   P,C         1.0000 ->         1.0000"
+expect "$o" "  pair 4   C,P         1.0000 ->         1.0000"
+expect "$o" "  change wins 0/4 (4 tied)  sign-test p 1"
 
 export BENCH_PAIRS_LOG="$tmp/order10"
 bash "$repo/scripts/bench_pairs.sh" HEAD stub 10 >"$tmp/out10" 2>"$tmp/err10"
